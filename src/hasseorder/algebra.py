@@ -15,7 +15,7 @@ import math
 from . import linalg
 from .errors import (CtxMismatchError, InternalError, NotInvertibleError,
                      ParameterError, PrecisionError)
-from .localring import EQUAL, MIXED, LocalRingCtx
+from .localring import LocalRingCtx
 
 
 class AlgebraCtx:
@@ -209,11 +209,7 @@ class DElem:
                                 for c in u.coeffs))
         if u.ord() != 0:
             raise InternalError("unit part of inversion input is not a unit")
-        rbar = ctx.T.residue_of(u.coeffs[0]).inv()
-        if ctx.T.mode == MIXED:
-            b = ctx.from_T(ctx.T.elem(rbar.coeffs))
-        else:
-            b = ctx.from_T(ctx.T.elem([rbar]))
+        b = ctx.from_T(ctx.T.from_residue(ctx.T.residue_of(u.coeffs[0]).inv()))
         two = ctx.from_int(2)
         for _ in range(max(1, math.ceil(math.log2(ctx.d * ctx.prec))) + 1):
             b = b * (two - u * b)
@@ -323,7 +319,7 @@ class DElem:
         tr = S.zero
         for i in range(n):
             tr = tr + M[i][i]
-        if S.mode == MIXED and S.m == 1:
+        if S.zp_rank == 1:  # S = Z/p^N: integer determinant
             ints = [[row[i].coeffs[0] for i in range(n)] for row in M]
             det = S.from_int(linalg.det_bareiss(ints) % S.modulus)
         elif n <= 5:

@@ -33,13 +33,14 @@ def _fmt_poly(terms):
                       for c, m in terms).replace("+ -", "- ")
 
 
-def _fmt_ff(a):
-    """FFElem as a polynomial in th over F_p."""
+def _fmt_theta(coeffs, modulus=None):
+    """A theta-coefficient vector as a polynomial in th; with a modulus, each
+    coefficient is printed as its balanced representative."""
     terms = []
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
             mon = "" if i == 0 else ("th" if i == 1 else f"th^{i}")
-            terms.append((str(c), mon))
+            terms.append((str(_bal(c, modulus) if modulus else c), mon))
     return _fmt_poly(terms)
 
 
@@ -47,17 +48,14 @@ def fmt_ring(x):
     """RingElem in a readable canonical form."""
     ctx = x.ctx
     if ctx.mode == lr.MIXED:
-        terms = []
-        for i, c in enumerate(x.coeffs):
-            if c:
-                mon = "" if i == 0 else ("th" if i == 1 else f"th^{i}")
-                terms.append((str(_bal(c, ctx.modulus)), mon))
-        return _fmt_poly(terms)
+        return _fmt_theta(x.coeffs, ctx.modulus)
+    m = ctx.m
     terms = []
-    for i, c in enumerate(x.coeffs):
-        if not c.is_zero():
+    for i in range(ctx.n):
+        digit = x.coeffs[i * m:(i + 1) * m]
+        if any(digit):
             mon = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            cs = _fmt_ff(c)
+            cs = _fmt_theta(digit)
             if "+" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             terms.append((cs, mon))

@@ -1,24 +1,39 @@
 """Truncated complete discrete valuation rings and their unramified extensions.
 
-Two families are supported, both at a fixed global precision N:
+Every ring here is a truncation of
 
-* mixed characteristic: (Z/p^N)[theta]/(G) where G is a monic lift, with
-  coefficients in {0, ..., p-1}, of the deterministic irreducible defining
-  polynomial of the residue field; the uniformizer is p;
-* equal characteristic: k[[t]]/(t^N) for a finite field k; the uniformizer
-  is t.
+    R_{e,n} = (Z/p^e)[theta]/(G)[t]/(t^n),
+
+where G is the monic lift, with coefficients in {0, ..., p-1}, of the
+deterministic irreducible defining polynomial of the residue field
+F_{p^m}.  Two families are supported, both at a fixed global precision N:
+
+* mixed characteristic: (Z/p^N)[theta]/(G), i.e. (e, n) = (N, 1); the
+  uniformizer is p;
+* equal characteristic: k[[t]]/(t^N) for k = F_p[theta]/(G), i.e.
+  (e, n) = (1, N); the uniformizer is t.
+
+An element is the flat tuple of its m*n coefficients in [0, p^e): the
+coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
+families: sums act on the tuples directly, products go through one
+Kronecker-packed integer multiply (n > 1) or a schoolbook product in theta
+(n = 1), and the Galois and base-ring maps are precomputed Z/p^e-linear maps
+applied to each t-block.
 
 An unramified extension T of relative degree d over a base ring S carries a
-distinguished generator sigma of Gal(T/S): in mixed characteristic it is
-computed by Hensel/Newton lifting of the residue q-power map, in equal
-characteristic it acts coefficientwise by the q-power Frobenius of the
-residue field.  Contexts are immutable after construction and all element
-operations are pure.
+distinguished generator sigma of Gal(T/S): the image of theta is the
+Hensel/Newton lift of theta^q (exact in equal characteristic, where sigma
+acts coefficientwise by the q-power Frobenius of the residue field).
+Contexts are immutable after construction and all element operations are
+pure.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from operator import itemgetter, mul as _mul
 
 from . import ff as ffmod
 from . import linalg
@@ -27,6 +42,11 @@ from .errors import (CtxMismatchError, InternalError, NotInvertibleError,
 
 MIXED = "mixed"
 EQUAL = "equal"
+
+# (itemsize, typecode) of the unsigned array types, smallest first; packing
+# through them needs a little-endian host
+_ARRAY_CODES = (sorted({array(c).itemsize: c for c in "BHILQ"}.items())
+                if sys.byteorder == "little" else [])
 
 
 def _val_int(c: int, p: int, cap: int) -> int:
@@ -39,104 +59,243 @@ def _val_int(c: int, p: int, cap: int) -> int:
     return v
 
 
-class LocalRingCtx:
-    """S or its unramified extension T, truncated at precision N."""
+def _red_table(poly, m, mod):
+    """theta^(m+l) reduced mod (G, p^e) for 0 <= l <= m-2, as sparse rows
+    [(j, c_j)] with theta^(m+l) = sum_j c_j theta^j."""
+    top = [(-c) % mod for c in poly[:m]]  # theta^m
+    cur, rows = top, []
+    for _ in range(m - 1):
+        rows.append([(j, c) for j, c in enumerate(cur) if c])
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [(c + lead * t) % mod for c, t in zip(cur, top)]
+    return rows
 
-    def __init__(self, mode, p, f, d, prec, base=None, _check_budget=True):
+
+def _schoolbook_mul(m, mod, red):
+    """Product in (Z/p^e)[theta]/(G), the case n = 1."""
+    if m == 1:
+        return lambda a, b: ((a[0] * b[0]) % mod,)
+    width = 2 * m - 1
+    red = [(m + l, row) for l, row in enumerate(red)]
+
+    def mul(a, b):
+        out = [0] * width
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    out[k] += ai * bj
+        for l, row in red:
+            c = out[l]
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+        return tuple([c % mod for c in out[:m]])
+    return mul
+
+
+def _slots(bound):
+    """Packing of int sequences into one integer, in slots wide enough for
+    values up to `bound`: returns (bits per slot, pack, unpack)."""
+    width = (bound.bit_length() + 7) // 8  # bytes
+    code = next((c for size, c in _ARRAY_CODES if size >= width), None)
+    frm = int.from_bytes
+    if code:
+        width = array(code).itemsize
+
+        def pack(seq):
+            return frm(array(code, seq).tobytes(), "little")
+
+        def unpack(x, count):
+            return array(code, x.to_bytes(count * width, "little"))
+    else:
+        def pack(seq):
+            return frm(b"".join([c.to_bytes(width, "little") for c in seq]), "little")
+
+        def unpack(x, count):
+            buf = x.to_bytes(count * width, "little")
+            return [frm(buf[k:k + width], "little") for k in range(0, len(buf), width)]
+    return 8 * width, pack, unpack
+
+
+def _kronecker_mul(m, n, mod, red):
+    """Product in R_{e,n}, n > 1, by one integer multiply (Kronecker
+    substitution).
+
+    theta^j t^i is packed at slot j*(2n-1) + i, so the t-product of two
+    theta-degrees never spills into the next one.  The theta-reduction then
+    acts on whole packed t-polynomials, truncated at t^n, and only the m*n
+    surviving slots are unpacked and reduced mod p^e.
+    """
+    wt = 2 * n - 1
+    # largest coefficient before the final reduction
+    bits, pack, unpack = _slots(n * m * (mod - 1) ** 2 * (1 + (m - 1) * (mod - 1)))
+    seg = bits * wt  # one theta-degree of the product
+    tbits = bits * n  # one truncated t-polynomial
+    mask = (1 << tbits) - 1
+    count = m * n
+    red = [(seg * (m + l), row) for l, row in enumerate(red)]
+    # packing reads a + (0,): index m*n is the zero of the padding slots
+    take = itemgetter(*[i * m + j if i < n else count
+                        for j in range(m) for i in range(wt)])
+    # slot j*n + i of the unpacked result is the coefficient of t^i theta^j
+    put = itemgetter(*[j * n + i for i in range(n) for j in range(m)])
+
+    def mul(a, b):
+        pa = pack(take(a + (0,)))
+        c = pa * (pa if a is b else pack(take(b + (0,))))
+        out = [(c >> (j * seg)) & mask for j in range(m)]
+        for shift, row in red:
+            s = (c >> shift) & mask
+            if s:
+                for j, r in row:
+                    out[j] += r * s
+        acc = 0
+        for x in reversed(out):
+            acc = (acc << tbits) | x
+        return put([v % mod for v in unpack(acc, count)])
+    return mul
+
+
+def _block_map(rows, k, n, mod):
+    """The Z/p^e-linear map applying a matrix (its rows, each of length k) to
+    each of the n t-blocks, of length k, of a coefficient vector.
+
+    For n > 1 the blocks are packed theta-major, so each output row costs k
+    integer-times-packed-vector products over all t-degrees at once."""
+    if n == 1:
+        return lambda v: tuple([sum(map(_mul, row, v)) % mod for row in rows])
+    bits, pack, unpack = _slots(k * (mod - 1) ** 2)
+    tbits = bits * n
+    mask = (1 << tbits) - 1
+    count = len(rows) * n
+    zero = (0,) * count
+    take = itemgetter(*[i * k + j for j in range(k) for i in range(n)])
+    put = itemgetter(*[r * n + i for i in range(n) for r in range(len(rows))])
+
+    def apply(v):
+        if not any(v):
+            return zero
+        x = pack(take(v))
+        xs = [(x >> (j * tbits)) & mask for j in range(k)]
+        acc = 0
+        for row in reversed(rows):
+            acc = (acc << tbits) | sum(map(_mul, row, xs))
+        return put([c % mod for c in unpack(acc, count)])
+    return apply
+
+
+class LocalRingCtx:
+    """S or its unramified extension T, truncated at precision N.
+
+    `coeff_exp` lifts an equal-characteristic ring to coefficients in
+    Z/p^coeff_exp, the ring (Z/p^e)[theta]/(G)[t]/(t^N) that the Witt-vector
+    ghost method computes in; the default keeps the coefficients in F_p.
+    """
+
+    def __init__(self, mode, p, f, d, prec, base=None, coeff_exp=None):
         if not ffmod.is_prime(p):
             raise ParameterError(f"p = {p} is not prime")
         if f < 1 or d < 1:
             raise ParameterError("degrees must be >= 1")
         if prec < 2:
             raise ParameterError("precision N must be >= 2")
-        if _check_budget and p ** prec >= 1 << 63:
-            raise ParameterError(f"coefficient modulus p^N = {p}^{prec} exceeds 64 bits")
+        if mode == MIXED:
+            e, n = prec, 1
+        elif mode == EQUAL:
+            e, n = coeff_exp or 1, prec
+        else:
+            raise ParameterError(f"unknown mode {mode!r}")
         self.mode = mode
         self.p = p
         self.f = f
         self.d = d
         self.prec = prec
         self.base = base  # None when this ring is the base S
-        self.m = f * d  # absolute residue degree
-        self.residue = ffmod.field(p, self.m)
-        if mode == MIXED:
-            self.modulus = p ** prec
-            self.poly = tuple(self.residue.poly)  # lift with coefficients {0..p-1}
-            self._red_table = self._make_red_table()
-        elif mode == EQUAL:
-            self.k = self.residue
-        else:
-            raise ParameterError(f"unknown mode {mode!r}")
-        self._sigma_images = None
-        self._frobp_images = None
-        self._rel_solver = None
-        self._base_inverse_table = None
+        self.m = m = f * d  # absolute residue degree
+        self.residue = ffmod.field(p, m)
+        self.poly = tuple(self.residue.poly)  # G, coefficients in {0..p-1}
+        # all elements are vectors over Z/p^zp_exp of length zp_rank
+        self.e = self.zp_exp = e
+        self.n = n
+        self.zp_rank = m * n
+        self.modulus = p ** e
+        red = _red_table(self.poly, m, self.modulus)
+        self._mul = (_schoolbook_mul(m, self.modulus, red) if n == 1
+                     else _kronecker_mul(m, n, self.modulus, red))
+        self._zero_tail = (0,) * (m * (n - 1))
+        self.zero = RingElem(self, (0,) * self.zp_rank)
+        self.one = self.from_int(1)
+        # theta: generator over the prime ring (0 in the degree-1 convention)
+        self.gen = (RingElem(self, (0, 1) + (0,) * (self.zp_rank - 2)) if m > 1
+                    else self.zero)
+        self.uniformizer = (self.from_int(p) if n == 1 else
+                            RingElem(self, (0,) * m + (1,) + (0,) * (m * (n - 1) - 1)))
+        self._frobp_maps = {}
+        self._to_base_map = None
+        self._rel_maps = None
         self._setup_base_embedding()
-        if mode == MIXED and d > 1:
+        self._sigma_maps = [None]
+        if d > 1:
             self._setup_sigma()
         self._verify()
 
     # -- construction internals -------------------------------------------
 
-    def _make_red_table(self):
-        # theta^(m+j), 0 <= j <= m-2, reduced: used by multiplication
-        m, mod = self.m, self.modulus
-        table = []
-        cur = [(-self.poly[i]) % mod for i in range(m)]  # theta^m
-        table.append(tuple(cur))
-        for _ in range(m - 2):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                top = table[0]
-                nxt = [(nxt[i] + lead * top[i]) % mod for i in range(m)]
-                nxt[0] %= mod
-            cur = [c % mod for c in nxt[:m]]
-            table.append(tuple(cur))
-        return table
+    def _power_rows(self, z, k):
+        """Matrix rows of the map sending theta^j to z^j for j < k.
+
+        z must be constant in t; the map then acts on each t-block alike."""
+        if any(z.coeffs[self.m:]):
+            raise InternalError("generator image is not constant in t")
+        cols = []
+        zj = self.one
+        for _ in range(k):
+            cols.append(zj.coeffs[:self.m])
+            zj = zj * z
+        return [tuple(col[i] for col in cols) for i in range(self.m)]
+
+    def _ring_map(self, z):
+        """The endomorphism theta -> z (z constant in t) on coefficient tuples."""
+        return _block_map(self._power_rows(z, self.m), self.m, self.n, self.modulus)
 
     def _setup_sigma(self):
-        q = self.p ** self.f
-        z = self.gen ** q
-        z = self._newton_root(self.poly, z)
-        self._sigma_images = [self.gen]
-        for _ in range(1, self.d):
-            self._sigma_images.append(self._eval_poly_elem(self._sigma_images[-1], z))
+        z = self._newton_root(self.poly, self.gen ** (self.p ** self.f))
+        sigma = self._ring_map(z)
+        images = [self.gen, z]
+        for _ in range(2, self.d + 1):
+            images.append(RingElem(self, sigma(images[-1].coeffs)))
         # consistency: applying sigma to sigma^{d-1}(theta) must return theta
-        if self._eval_poly_elem(self._sigma_images[-1], z) != self.gen:
+        if images[self.d] != self.gen:
             raise InternalError("sigma does not have order d on the generator")
-        self._sigma_images[0] = self.gen
-        self._sigma_of_gen = z
+        self._sigma_maps = [None, sigma] + [self._ring_map(images[k])
+                                            for k in range(2, self.d)]
 
     def _newton_root(self, int_poly, start):
         """Unique root of int_poly congruent to start mod p, by Newton iteration."""
-        steps = max(1, math.ceil(math.log2(self.prec))) + 1
+        steps = max(1, math.ceil(math.log2(self.e))) + 1
+        consts = [self.from_int(c) for c in int_poly]
+        dconsts = [self.from_int(i * int_poly[i]) for i in range(1, len(int_poly))]
         z = start
-        dpoly = tuple(i * int_poly[i] for i in range(1, len(int_poly)))
         for _ in range(steps):
-            fz = self._eval_int_poly(int_poly, z)
-            dz = self._eval_int_poly(dpoly, z)
+            fz = self._horner(consts, z)
+            dz = self._horner(dconsts, z)
             if not dz.is_unit():
                 raise InternalError("Newton derivative is not a unit; "
                                     "unramified defining data is corrupt")
             z = z - fz * dz.inv()
-        if not self._eval_int_poly(int_poly, z).is_zero():
+        if not self._horner(consts, z).is_zero():
             raise InternalError("Newton iteration failed to converge")
         return z
 
     def _eval_int_poly(self, int_poly, z):
-        acc = self.zero
-        for c in reversed(int_poly):
-            acc = acc * z + self.from_int(c)
-        return acc
+        return self._horner([self.from_int(c) for c in int_poly], z)
 
-    def _eval_poly_elem(self, x, img):
-        """Evaluate the theta-polynomial of x at img (mixed mode)."""
+    def _horner(self, consts, z):
         acc = self.zero
-        for c in reversed(x.coeffs):
-            acc = acc * img
-            if c:
-                acc = acc + self.from_int(c)
+        for c in reversed(consts):
+            acc = acc * z + c
         return acc
 
     def _setup_base_embedding(self):
@@ -144,21 +303,19 @@ class LocalRingCtx:
         if base is None:
             self.base_gen_image = self.gen
             return
-        if self.mode == MIXED:
-            # root of the base defining polynomial, Newton-lifted from the
-            # residue-field embedding root
-            r = ffmod.embedding_root(base.residue, self.residue)
-            start = self.elem(r.coeffs)
-            self.base_gen_image = self._newton_root(base.poly, start)
-        else:
-            self.base_gen_image = ffmod.embedding_root(base.residue, self.residue)
+        # root of the base defining polynomial, Newton-lifted from the
+        # residue-field embedding root (already exact when e = 1)
+        r = ffmod.embedding_root(base.residue, self.residue)
+        self.base_gen_image = self._newton_root(base.poly, self.from_residue(r))
+        self._embed_rows = self._power_rows(self.base_gen_image, base.m)
+        self._embed_map = _block_map(self._embed_rows, base.m, self.n, self.modulus)
 
     def _verify(self):
-        if self.mode == MIXED and self.d > 1:
-            if not self._eval_int_poly(self.poly, self._sigma_images[1]).is_zero():
+        if self.d > 1:
+            if not self._eval_int_poly(self.poly, self.frobenius(self.gen, 1)).is_zero():
                 raise InternalError("sigma(theta) is not a root of G")
             for k in range(1, self.d):
-                if self._sigma_images[k] == self.gen:
+                if self.frobenius(self.gen, k) == self.gen:
                     raise InternalError("sigma has order smaller than d")
         if self.base is not None:
             img = self.embed_base(self.base.gen)
@@ -168,51 +325,31 @@ class LocalRingCtx:
     # -- element constructors ---------------------------------------------
 
     def elem(self, coeffs):
-        if self.mode == MIXED:
-            coeffs = list(coeffs)
-            if len(coeffs) > self.m:
-                raise ParameterError("coefficient vector too long")
-            coeffs += [0] * (self.m - len(coeffs))
-            return RingElem(self, tuple(c % self.modulus for c in coeffs))
-        coeffs = list(coeffs)
-        if len(coeffs) > self.prec:
+        """Element from its theta-coefficients (n = 1) or from its t-digits
+        (n > 1), each an FFElem of the residue field or an int list."""
+        m, mod = self.m, self.modulus
+        digits = [coeffs] if self.n == 1 else list(coeffs)
+        if len(digits) > self.n:
             raise ParameterError("coefficient vector too long")
         out = []
-        for c in coeffs:
-            out.append(c if isinstance(c, ffmod.FFElem) else self.k.elem(c))
-        out += [self.k.zero] * (self.prec - len(out))
-        return RingElem(self, tuple(out))
+        for digit in digits:
+            cs = digit.coeffs if isinstance(digit, ffmod.FFElem) else list(digit)
+            if len(cs) > m:
+                raise ParameterError("coefficient vector too long")
+            out += [c % mod for c in cs]
+            out += [0] * (m - len(cs))
+        return RingElem(self, tuple(out) + (0,) * (self.zp_rank - len(out)))
 
     def from_int(self, a: int):
-        if self.mode == MIXED:
-            return self.elem([a])
-        return self.elem([self.k.from_int(a)])
+        return RingElem(self, (a % self.modulus,) + (0,) * (self.zp_rank - 1))
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    @property
-    def gen(self):
-        """theta: generator over the prime ring (mixed) / of k (equal, constant)."""
-        if self.mode == MIXED:
-            return self.elem([0, 1]) if self.m > 1 else self.elem([0])
-        return self.elem([self.k.gen])
-
-    @property
-    def uniformizer(self):
-        if self.mode == MIXED:
-            return self.from_int(self.p)
-        return self.elem([self.k.zero, self.k.one])
+    def from_residue(self, a):
+        """The lift of a residue-field element with t- and p-digits 0."""
+        return RingElem(self, a.coeffs + self._zero_tail)
 
     def random(self, rng):
-        if self.mode == MIXED:
-            return RingElem(self, tuple(rng.randrange(self.modulus) for _ in range(self.m)))
-        return RingElem(self, tuple(self.k.random(rng) for _ in range(self.prec)))
+        mod = self.modulus
+        return RingElem(self, tuple([rng.randrange(mod) for _ in range(self.zp_rank)]))
 
     def random_unit(self, rng):
         while True:
@@ -225,27 +362,25 @@ class LocalRingCtx:
     def frobenius(self, x, k=1):
         """sigma^{k mod d}(x): the relative Frobenius generator of Gal(T/S)."""
         k %= self.d
-        if k == 0 or self.d == 1:
+        if k == 0:
             return x
-        if self.mode == MIXED:
-            return self._eval_poly_elem(x, self._sigma_images[k])
-        shift = (self.f * k) % self.m
-        return RingElem(self, tuple(c.frobenius(shift) for c in x.coeffs))
+        return RingElem(self, self._sigma_maps[k](x.coeffs))
 
     def frobenius_p(self, x, k=1):
-        """Absolute p-power Frobenius lift phi^k; phi^{f} = sigma on T (mixed)."""
+        """Absolute p-power Frobenius lift phi^k, fixing t; phi^f = sigma on T."""
         k %= self.m
         if k == 0:
             return x
-        if self.mode == MIXED:
-            if self._frobp_images is None:
+        phi = self._frobp_maps.get(k)
+        if phi is None:
+            if 1 not in self._frobp_maps:
                 z = self._newton_root(self.poly, self.gen ** self.p)
-                imgs = [self.gen]
-                for _ in range(1, self.m):
-                    imgs.append(self._eval_poly_elem(imgs[-1], z))
-                self._frobp_images = imgs
-            return self._eval_poly_elem(x, self._frobp_images[k])
-        raise ParameterError("p-power Frobenius lift is a mixed-mode notion")
+                self._frobp_maps[1] = self._ring_map(z)
+            z = self.gen.coeffs
+            for _ in range(k):
+                z = self._frobp_maps[1](z)
+            phi = self._frobp_maps[k] = self._ring_map(RingElem(self, z))
+        return RingElem(self, phi(x.coeffs))
 
     def embed_base(self, x):
         """Image of a base-ring element under the stored embedding S -> T."""
@@ -253,14 +388,7 @@ class LocalRingCtx:
             return x
         if x.ctx is not self.base:
             raise CtxMismatchError("element does not belong to the base ring")
-        if self.mode == MIXED:
-            acc = self.zero
-            for c in reversed(x.coeffs):
-                acc = acc * self.base_gen_image
-                if c:
-                    acc = acc + self.from_int(c)
-            return acc
-        return RingElem(self, tuple(ffmod.embed(c, self.residue) for c in x.coeffs))
+        return RingElem(self, self._embed_map(x.coeffs))
 
     def to_base(self, x):
         """Preimage in S of an element of the embedded base ring.
@@ -270,105 +398,72 @@ class LocalRingCtx:
         base = self.base
         if base is None:
             return x
-        if self.mode == EQUAL:
-            if self._base_inverse_table is None:
-                self._base_inverse_table = {
-                    ffmod.embed(y, self.residue): y for y in base.residue.elements()
-                }
-            out = []
-            for c in x.coeffs:
-                y = self._base_inverse_table.get(c)
-                if y is None:
-                    raise InternalError("element does not lie in the embedded base ring")
-                out.append(y)
-            return base.elem(out)
-        # mixed: solve sum_j a_j * base_gen_image^j = x over Z/p^N
-        cols = []
-        img_pow = self.one
-        for _ in range(base.m):
-            cols.append(self.to_vec(img_pow))
-            img_pow = img_pow * self.base_gen_image
-        sol = linalg.solve_columns(cols, self.to_vec(x), self.p, self.prec)
-        if sol is None:
+        if self._to_base_map is None:
+            # a left inverse P of the embedding matrix E: row i of P solves
+            # sum_r P[i][r] * E[r] = (unit vector i)
+            rows = []
+            for i in range(base.m):
+                unit = [int(c == i) for c in range(base.m)]
+                row = linalg.solve_columns(self._embed_rows, unit, self.p, self.e)
+                if row is None:
+                    raise InternalError("base embedding has no left inverse")
+                rows.append(tuple(row))
+            self._to_base_map = _block_map(rows, self.m, self.n, self.modulus)
+        y = RingElem(base, self._to_base_map(x.coeffs))
+        if self.embed_base(y) != x:
             raise InternalError("element does not lie in the embedded base ring")
-        return base.elem(sol)
+        return y
 
     def rel_coords(self, x):
         """Coordinates of x in the S-basis (theta^j)_{j<d}: list of d base elements."""
         base = self.base
         if base is None:
             return [x]
-        if self._rel_solver is None:
+        fb, m = base.m, self.m
+        if self._rel_maps is None:
+            # basis theta^j * theta_S^l (index j*f + l) of one t-block; rows
+            # j*f .. j*f + f-1 of its inverse give coordinate j of every t-block
             cols = []
             for j in range(self.d):
-                tj = self.gen ** j
-                for sb in self._base_zp_basis():
-                    cols.append(self.to_vec(tj * self.embed_base(sb)))
-            self._rel_solver = linalg.ColumnSolver(cols, self.p, self.zp_exp)
-        sol = self._rel_solver.solve(self.to_vec(x))
-        if sol is None:
-            raise InternalError("relative coordinate solve failed")
-        r = self._base_zp_rank()
-        out = []
-        for j in range(self.d):
-            out.append(base.from_vec(sol[j * r:(j + 1) * r]))
-        return out
-
-    def _base_zp_basis(self):
-        base = self.base
-        elems = []
-        for i in range(base.zp_rank):
-            v = [0] * base.zp_rank
-            v[i] = 1
-            elems.append(base.from_vec(v))
-        return elems
-
-    def _base_zp_rank(self):
-        return self.base.zp_rank
+                for l in range(fb):
+                    cols.append((self.gen ** j * self.base_gen_image ** l).coeffs[:m])
+            solver = linalg.ColumnSolver(cols, self.p, self.e)
+            inv_cols = []
+            for r in range(m):
+                sol = solver.solve([int(c == r) for c in range(m)])
+                if sol is None:
+                    raise InternalError("relative coordinate solve failed")
+                inv_cols.append(sol)
+            rows = [tuple(col[i] for col in inv_cols) for i in range(m)]
+            self._rel_maps = [_block_map(rows[j * fb:(j + 1) * fb], m, self.n, self.modulus)
+                              for j in range(self.d)]
+        return [RingElem(base, coord(x.coeffs)) for coord in self._rel_maps]
 
     # -- Z/p^e module structure (shared linear-algebra interface) ----------
 
-    @property
-    def zp_exp(self):
-        """All elements are vectors over Z/p^zp_exp of length zp_rank."""
-        return self.prec if self.mode == MIXED else 1
-
-    @property
-    def zp_rank(self):
-        return self.m if self.mode == MIXED else self.m * self.prec
-
     def to_vec(self, x):
-        if self.mode == MIXED:
-            return list(x.coeffs)
-        out = []
-        for c in x.coeffs:
-            out.extend(c.coeffs)
-        return out
+        return list(x.coeffs)
 
     def from_vec(self, v):
-        if self.mode == MIXED:
-            return self.elem(v)
-        out = []
-        for i in range(self.prec):
-            out.append(self.k.elem(v[i * self.m:(i + 1) * self.m]))
-        return RingElem(self, tuple(out))
+        if len(v) != self.zp_rank:
+            raise ParameterError(f"expected {self.zp_rank} coordinates")
+        mod = self.modulus
+        return RingElem(self, tuple([c % mod for c in v]))
 
     # -- residue field and Teichmueller section ----------------------------
 
     def residue_of(self, x):
-        if self.mode == MIXED:
-            return self.residue.elem([c % self.p for c in x.coeffs])
-        return x.coeffs[0]
+        return self.residue.elem(x.coeffs[:self.m])
 
     def teich(self, a):
         """Unique lift y of a with y^{q^d} = y (multiplicative section)."""
         if not isinstance(a, ffmod.FFElem) or a.ctx != self.residue:
             raise CtxMismatchError("Teichmueller argument must lie in the residue field")
-        if self.mode == EQUAL:
-            return self.elem([a])
-        y = self.elem(a.coeffs)
+        y = self.from_residue(a)
+        if self.e == 1:
+            return y  # F_p-coefficients: the constant lift is multiplicative
         q_full = self.p ** self.m
-        for _ in range(self.prec):
+        for _ in range(self.e):
             y2 = y ** q_full
             if y2 == y:
                 break
@@ -395,7 +490,7 @@ class LocalRingCtx:
 
 
 class RingElem:
-    """Element of a LocalRingCtx in canonical coefficient form."""
+    """Element of a LocalRingCtx: its flat coefficient tuple over Z/p^e."""
 
     __slots__ = ("ctx", "coeffs")
 
@@ -409,56 +504,28 @@ class RingElem:
 
     def __add__(self, other):
         self._check(other)
-        ctx = self.ctx
-        if ctx.mode == MIXED:
-            mod = ctx.modulus
-            return RingElem(ctx, tuple((a + b) % mod
-                                       for a, b in zip(self.coeffs, other.coeffs)))
-        return RingElem(ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        mod = self.ctx.modulus
+        return RingElem(self.ctx, tuple([(a + b) % mod
+                                         for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
-        ctx = self.ctx
-        if ctx.mode == MIXED:
-            mod = ctx.modulus
-            return RingElem(ctx, tuple((a - b) % mod
-                                       for a, b in zip(self.coeffs, other.coeffs)))
-        return RingElem(ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        mod = self.ctx.modulus
+        return RingElem(self.ctx, tuple([(a - b) % mod
+                                         for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        ctx = self.ctx
-        if ctx.mode == MIXED:
-            mod = ctx.modulus
-            return RingElem(ctx, tuple(-a % mod for a in self.coeffs))
-        return RingElem(ctx, tuple(-a for a in self.coeffs))
+        mod = self.ctx.modulus
+        return RingElem(self.ctx, tuple([-a % mod for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        if ctx.mode == MIXED:
-            m, mod = ctx.m, ctx.modulus
-            out = [0] * (2 * m - 1)
-            for i, ai in enumerate(self.coeffs):
-                if ai:
-                    for j, bj in enumerate(other.coeffs):
-                        out[i + j] += ai * bj
-            res = [c % mod for c in out[:m]]
-            for j in range(m - 1):
-                c = out[m + j] % mod
-                if c:
-                    row = ctx._red_table[j]
-                    for i in range(m):
-                        res[i] = (res[i] + c * row[i]) % mod
-            return RingElem(ctx, tuple(res))
-        n, k = ctx.prec, ctx.k
-        out = [k.zero] * n
-        for i, ai in enumerate(self.coeffs):
-            if not ai.is_zero():
-                for j in range(n - i):
-                    bj = other.coeffs[j]
-                    if not bj.is_zero():
-                        out[i + j] = out[i + j] + ai * bj
-        return RingElem(ctx, tuple(out))
+        return RingElem(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+
+    def scale(self, c: int):
+        """Product with the integer c."""
+        mod = self.ctx.modulus
+        return RingElem(self.ctx, tuple([a * c % mod for a in self.coeffs]))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -473,36 +540,32 @@ class RingElem:
         return r
 
     def is_zero(self):
-        if self.ctx.mode == MIXED:
-            return all(c == 0 for c in self.coeffs)
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def ord(self) -> int:
         """Uniformizer-adic valuation; ctx.prec means zero at this precision."""
         ctx = self.ctx
-        if ctx.mode == MIXED:
+        if ctx.n == 1:  # p-adic
             return min(_val_int(c, ctx.p, ctx.prec) for c in self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
+        for k, c in enumerate(self.coeffs):  # t-adic: first nonzero t-block
+            if c:
+                return k // ctx.m
         return ctx.prec
 
     def is_unit(self):
-        return self.ord() == 0
+        p = self.ctx.p
+        return any(c % p for c in self.coeffs[:self.ctx.m])
 
     def inv(self):
         """Newton inverse b <- b(2 - xb) from the residue inverse."""
         ctx = self.ctx
-        v = self.ord()
-        if v > 0:
+        if not self.is_unit():
+            v = self.ord()
             raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
-        rbar = ctx.residue_of(self).inv()
-        if ctx.mode == MIXED:
-            b = ctx.elem(rbar.coeffs)
-        else:
-            b = ctx.elem([rbar])
+        b = ctx.from_residue(ctx.residue_of(self).inv())
         two = ctx.from_int(2)
-        for _ in range(max(1, math.ceil(math.log2(ctx.prec))) + 1):
+        # (p, t) is nilpotent of index e + n - 1 (= N on S and T)
+        for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1))) + 1):
             b = b * (two - self * b)
         if not (self * b - ctx.one).is_zero():
             raise InternalError("Newton inversion failed to converge")
@@ -515,14 +578,15 @@ class RingElem:
         ctx = self.ctx
         if k < 0:
             return self * ctx.uniformizer ** (-k)
-        if ctx.mode == MIXED:
+        if ctx.n == 1:
             pk = ctx.p ** k
             if any(c % pk for c in self.coeffs):
                 raise PrecisionError(f"element is not divisible by p^{k}")
-            return RingElem(ctx, tuple(c // pk for c in self.coeffs))
-        if any(not c.is_zero() for c in self.coeffs[:k]):
+            return RingElem(ctx, tuple([c // pk for c in self.coeffs]))
+        km = min(k, ctx.n) * ctx.m
+        if any(self.coeffs[:km]):
             raise PrecisionError(f"element is not divisible by t^{k}")
-        return RingElem(ctx, self.coeffs[k:] + (ctx.k.zero,) * k)
+        return RingElem(ctx, self.coeffs[km:] + (0,) * km)
 
     def __eq__(self, other):
         return (isinstance(other, RingElem) and other.ctx is self.ctx
@@ -535,9 +599,11 @@ class RingElem:
         return f"Elem{self.serialize()}"
 
     def serialize(self):
-        if self.ctx.mode == MIXED:
+        """The coefficients (n = 1), or the t-digits as theta-coefficient lists."""
+        if self.ctx.n == 1:
             return list(self.coeffs)
-        return [c.serialize() for c in self.coeffs]
+        m = self.ctx.m
+        return [list(self.coeffs[i:i + m]) for i in range(0, len(self.coeffs), m)]
 
 
 def base_ring(p: int, f: int, prec: int, mode: str = MIXED) -> LocalRingCtx:

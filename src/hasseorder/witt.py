@@ -10,6 +10,7 @@ the final reduction back to the coefficient ring.
 
 from __future__ import annotations
 
+from . import ff
 from . import localring as lr
 from .errors import CtxMismatchError, InternalError, ParameterError
 
@@ -67,34 +68,28 @@ class _ZmodLift:
         return True
 
 
-class _MixedLift:
-    """A mixed-characteristic local ring at raised precision, with the
-    p-power Frobenius lift computed by Newton iteration."""
+class _RingLift:
+    """(Z/p^K)[theta]/(G)[t]/(t^n) lifting a coefficient ring with the same
+    flat coordinates: F_q (n = 1), a mixed-characteristic ring (n = 1) or
+    k[[t]]/(t^N) (n = N).  Its Frobenius lift is the p-power lift phi on
+    theta together with t -> t^p."""
 
-    def __init__(self, coeff_kind, coeff_ctx, K):
-        # coeff_kind: "ff" (reduce mod p) or "local" (reduce mod p^N)
-        self.kind = coeff_kind
-        self.coeff = coeff_ctx
-        if coeff_kind == "ff":
-            p, f, d = coeff_ctx.p, coeff_ctx.m, 1
-            self.red_exp = 1
-        else:
-            p, f, d = coeff_ctx.p, coeff_ctx.f, coeff_ctx.d
-            self.red_exp = coeff_ctx.prec
-        self.p = p
+    def __init__(self, coeff, m, n, K):
+        self.coeff = coeff
+        self.p = p = coeff.p
         self.K = K
-        self.ring = lr.LocalRingCtx(lr.MIXED, p, f, d, K)
+        if n == 1:
+            self.ring = lr.LocalRingCtx(lr.MIXED, p, m, 1, K)
+        else:
+            self.ring = lr.LocalRingCtx(lr.EQUAL, p, m, 1, n, coeff_exp=K)
+        # FieldCtx.elem and LocalRingCtx.from_vec both reduce the coordinates
+        self.reduce_vec = coeff.elem if isinstance(coeff, ff.FieldCtx) else coeff.from_vec
 
     def lift(self, a):
-        if self.kind == "ff":
-            return self.ring.elem(a.coeffs)
-        return self.ring.elem(a.coeffs)
+        return lr.RingElem(self.ring, a.coeffs)
 
     def reduce(self, y):
-        if self.kind == "ff":
-            return self.coeff.elem([c % self.p for c in y.coeffs])
-        mod = self.p ** self.red_exp
-        return self.coeff.elem([c % mod for c in y.coeffs])
+        return self.reduce_vec(y.coeffs)
 
     def zero(self):
         return self.ring.zero
@@ -109,7 +104,7 @@ class _MixedLift:
         return a * b
 
     def mul_int(self, a, c):
-        return a * self.ring.from_int(c)
+        return a.scale(c)
 
     def pow(self, a, e):
         return a ** e
@@ -118,92 +113,25 @@ class _MixedLift:
         pi = self.p ** i
         if any(c % pi for c in a.coeffs):
             raise InternalError("inexact division by p^i in Witt ghost solve")
-        return lr.RingElem(self.ring, tuple(c // pi for c in a.coeffs))
+        return lr.RingElem(self.ring, tuple([c // pi for c in a.coeffs]))
 
     def phi(self, a):
-        return self.ring.frobenius_p(a, 1)
+        ring = self.ring
+        c = ring.frobenius_p(a, 1).coeffs
+        if ring.n == 1:
+            return lr.RingElem(ring, c)
+        m = ring.m
+        out = [0] * len(c)
+        for i in range(0, (ring.n - 1) // self.p + 1):  # t^i -> t^(p*i)
+            out[i * self.p * m:(i * self.p + 1) * m] = c[i * m:(i + 1) * m]
+        return lr.RingElem(ring, tuple(out))
 
     def phi_check(self):
         g = self.ring.gen
-        diff = self.phi(g) - g ** self.p
-        return diff.ord() >= 1
-
-
-class _EqualLift:
-    """Lift of k[[t]]/(t^N): truncated polynomials in t over the mixed lift
-    of k, with Frobenius acting as phi on coefficients and t -> t^p."""
-
-    def __init__(self, coeff_ctx, K):
-        self.coeff = coeff_ctx
-        self.p = coeff_ctx.p
-        self.N = coeff_ctx.prec
-        self.K = K
-        self.ring = lr.LocalRingCtx(lr.MIXED, self.p, coeff_ctx.m, 1, K)
-
-    def lift(self, a):
-        return tuple(self.ring.elem(c.coeffs) for c in a.coeffs)
-
-    def reduce(self, y):
-        k = self.coeff.residue
-        return self.coeff.elem([k.elem([c % self.p for c in e.coeffs]) for e in y])
-
-    def zero(self):
-        return (self.ring.zero,) * self.N
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        out = [self.ring.zero] * self.N
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j in range(self.N - i):
-                    bj = b[j]
-                    if not bj.is_zero():
-                        out[i + j] = out[i + j] + ai * bj
-        return tuple(out)
-
-    def mul_int(self, a, c):
-        s = self.ring.from_int(c)
-        return tuple(x * s for x in a)
-
-    def pow(self, a, e):
-        r = (self.ring.one,) + (self.ring.zero,) * (self.N - 1)
-        b = a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    def divp(self, a, i):
-        pi = self.p ** i
-        out = []
-        for e in a:
-            if any(c % pi for c in e.coeffs):
-                raise InternalError("inexact division by p^i in Witt ghost solve")
-            out.append(lr.RingElem(self.ring, tuple(c // pi for c in e.coeffs)))
-        return tuple(out)
-
-    def phi(self, a):
-        out = [self.ring.zero] * self.N
-        for i, c in enumerate(a):
-            if i * self.p >= self.N:
-                break
-            out[i * self.p] = self.ring.frobenius_p(c, 1)
-        return tuple(out)
-
-    def phi_check(self):
-        g = self.ring.gen
-        if (self.ring.frobenius_p(g, 1) - g ** self.p).ord() < 1:
+        if any(c % self.p for c in (self.phi(g) - g ** self.p).coeffs):
             return False
-        t = (self.ring.zero, self.ring.one) + (self.ring.zero,) * (self.N - 2)
-        diff = self.sub(self.phi(t), self.pow(t, self.p))
-        return all(c.is_zero() for c in diff)
+        t = self.ring.uniformizer
+        return self.ring.n == 1 or (self.phi(t) - t ** self.p).is_zero()
 
 
 class WittCtx:
@@ -229,15 +157,12 @@ class WittCtx:
                 F = coeff[1]
                 if F.p != p:
                     raise ParameterError("coefficient field characteristic mismatch")
-                self.lift = _MixedLift("ff", F, 1 + headroom)
+                self.lift = _RingLift(F, F.m, 1, 1 + headroom)
             elif kind == "local":
                 R = coeff[1]
                 if R.p != p:
                     raise ParameterError("coefficient ring characteristic mismatch")
-                if R.mode == lr.MIXED:
-                    self.lift = _MixedLift("local", R, R.prec + headroom)
-                else:
-                    self.lift = _EqualLift(R, 1 + headroom)
+                self.lift = _RingLift(R, R.m, R.n, R.zp_exp + headroom)
             else:
                 raise ParameterError(f"unsupported coefficient ring kind {kind!r}")
             if not self.lift.phi_check():
@@ -251,8 +176,7 @@ class WittCtx:
             return self.coeff[1] + n
         if kind == "ff":
             return 1 + n
-        R = self.coeff[1]
-        return (R.prec + n) if R.mode == lr.MIXED else 1 + n
+        return self.coeff[1].zp_exp + n
 
     def resize(self, n2):
         if n2 == self.n:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from hasseorder import ff
 from hasseorder import localring as lr
-from hasseorder.errors import (NotInvertibleError, ParameterError,
-                               PrecisionError)
+from hasseorder.errors import (InternalError, NotInvertibleError,
+                               ParameterError, PrecisionError)
 
 
 def ctx_pair(p=3, f=1, d=2, N=4, mode=lr.MIXED):
@@ -143,3 +144,146 @@ def test_equal_char_structure():
     assert (t ** 4).is_zero()
     # Frobenius acts on coefficients, fixing t
     assert T.frobenius(t, 1) == t
+
+
+def test_equal_precision_is_not_capped_by_p_to_the_N():
+    # equal-characteristic coefficients live in F_p: no p^N modulus exists
+    for p, N in ((3, 40), (5, 28)):
+        S, T = ctx_pair(p=p, d=2, N=N, mode=lr.EQUAL)
+        t = T.uniformizer
+        assert not (t ** (N - 1)).is_zero()
+        assert (t ** N).is_zero()
+        assert (t ** (N - 1)).ord() == N - 1
+
+
+# ---------------------------------------------------------------------------
+# the flat-integer kernel against oracles that share no code with it
+
+def _theta_mulmod(a, b, G, mod):
+    """a*b in (Z/mod)[theta]/(G) for theta-coefficient lists; G monic."""
+    m = len(G) - 1
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):  # long division by G
+        c = out[k]
+        for j in range(m + 1):
+            out[k - m + j] -= c * G[j]
+    return [c % mod for c in out[:m]]
+
+
+def _digits(T, x):
+    """The t-digits of an equal-characteristic element as FFElems."""
+    m = T.m
+    return [T.residue.elem(x.coeffs[i * m:(i + 1) * m]) for i in range(T.prec)]
+
+
+def _oracle_mul(T, x, y):
+    """Product as coefficient tuple: digit-by-digit FFElem convolution
+    (equal) or the theta-polynomial product mod (G, p^N) (mixed)."""
+    if T.mode == lr.MIXED:
+        return tuple(_theta_mulmod(x.coeffs, y.coeffs, T.poly, T.p ** T.prec))
+    a, b = _digits(T, x), _digits(T, y)
+    out = []
+    for k in range(T.prec):
+        acc = T.residue.zero
+        for i in range(k + 1):
+            acc = acc + a[i] * b[k - i]
+        out.extend(acc.coeffs)
+    return tuple(out)
+
+
+def _horner(T, coeffs, z):
+    acc = T.zero
+    for c in reversed(coeffs):
+        acc = acc * z + T.from_int(c)
+    return acc
+
+
+# (5, 2, 4) is left out: its residue-field embedding root is found by brute
+# force over 5^8 candidates, which takes minutes (construction, not kernel)
+GRID = [(p, f, d) for p in (2, 3, 5) for f in (1, 2) for d in (1, 2, 3, 4)
+        if (p, f, d) != (5, 2, 4)]
+
+
+@pytest.mark.parametrize("p,f,d", GRID)
+def test_kernel_against_oracles(p, f, d):
+    rng = random.Random(f"kernel:{p}:{f}:{d}")
+    for N in (2, 3, 8, 32):
+        for mode in (lr.MIXED, lr.EQUAL):
+            S, T = ctx_pair(p=p, f=f, d=d, N=N, mode=mode)
+            q = p ** f
+            for _ in range(3):
+                x, y = T.random(rng), T.random(rng)
+                # mul
+                assert (x * y).coeffs == _oracle_mul(T, x, y)
+                # sigma^k
+                for k in range(1, d):
+                    sx = T.frobenius(x, k)
+                    if mode == lr.MIXED:
+                        img = T.frobenius(T.gen, k)
+                        assert sx == _horner(T, x.coeffs, img)
+                        assert T._eval_int_poly(T.poly, img).is_zero()
+                        assert T.residue_of(img) == T.residue.gen ** (q ** k)
+                    else:
+                        want = [c.frobenius(f * k) for c in _digits(T, x)]
+                        assert _digits(T, sx) == want
+                # inv
+                u = x if x.is_unit() else x + T.one
+                if u.is_unit():
+                    assert _oracle_mul(T, u, u.inv()) == T.one.coeffs
+                # shift_down
+                for k in (1, N - 1):
+                    if mode == lr.MIXED:
+                        pk = p ** k
+                        up = tuple(c * pk % p ** N for c in x.coeffs)
+                        want = tuple(c % p ** (N - k) for c in x.coeffs)
+                    else:
+                        up = (0,) * (k * T.m) + x.coeffs[:(N - k) * T.m]
+                        want = x.coeffs[:(N - k) * T.m] + (0,) * (k * T.m)
+                    assert lr.RingElem(T, up).shift_down(k).coeffs == want
+                # embed_base and to_base
+                s = S.random(rng)
+                e = T.embed_base(s)
+                assert T.to_base(e) == s
+                assert T.frobenius(e, 1) == e
+                if d > 1:
+                    if mode == lr.MIXED:
+                        assert e == _horner(T, s.coeffs, T.base_gen_image)
+                    else:
+                        want = [ff.embed(c, T.residue) for c in _digits(S, s)]
+                        assert _digits(T, e) == want
+                # rel_coords round trip
+                coords = T.rel_coords(x)
+                acc = T.zero
+                for j, c in enumerate(coords):
+                    acc = acc + lr.RingElem(
+                        T, _oracle_mul(T, T.embed_base(c), T.gen ** j))
+                assert acc == x
+            if d > 1:
+                with pytest.raises(InternalError):
+                    T.to_base(T.gen)
+
+
+def test_kernel_wide_slots():
+    # coefficients mod 13^9 in t-length 4: packed slots exceed 64 bits
+    R = lr.LocalRingCtx(lr.EQUAL, 13, 2, 1, 4, coeff_exp=9)
+    mod = 13 ** 9
+    rng = random.Random(5)
+    for _ in range(5):
+        x, y = R.random(rng), R.random(rng)
+        want = []
+        for k in range(4):
+            acc = [0, 0]
+            for i in range(k + 1):
+                prod = _theta_mulmod(x.coeffs[2 * i:2 * i + 2],
+                                     y.coeffs[2 * (k - i):2 * (k - i) + 2], R.poly, mod)
+                acc = [(a + b) % mod for a, b in zip(acc, prod)]
+            want += acc
+        assert (x * y).coeffs == tuple(want)
+        assert R.frobenius_p(x * y) == R.frobenius_p(x) * R.frobenius_p(y)
+        # phi fixes t and lifts the 13-th power on the constants
+        c = lr.RingElem(R, x.coeffs[:2] + (0,) * 6)
+        assert all(v % 13 == 0 for v in (R.frobenius_p(c) - c ** 13).coeffs)
+        assert R.frobenius_p(R.uniformizer) == R.uniformizer

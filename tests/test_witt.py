@@ -139,3 +139,44 @@ def test_serialize_roundtrip_shape():
     W = witt.WittCtx(3, 2, ("zmod", 6))
     v = W.vec([5, 7])
     assert v.serialize() == [5, 7]
+
+
+def _theta_mulmod(a, b, G, mod):
+    """a*b in (Z/mod)[theta]/(G) for theta-coefficient lists; G monic."""
+    m = len(G) - 1
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        c = out[k]
+        for j in range(m + 1):
+            out[k - m + j] -= c * G[j]
+    return [c % mod for c in out[:m]]
+
+
+def test_equal_lift_product_matches_schoolbook():
+    """The ghost-method lift of k[[t]]/(t^N) multiplies like a t-truncated
+    schoolbook product of theta-polynomials over Z/p^K."""
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        for f, d in ((1, 1), (1, 2), (2, 1), (1, 3)):
+            E = lr.unramified(lr.base_ring(p, f, 6, lr.EQUAL), d)
+            L = witt.WittCtx(p, 3, ("local", E)).lift
+            ring, m, N = L.ring, E.m, E.prec
+            mod = p ** L.K
+            for _ in range(5):
+                a, b = ring.random(rng), ring.random(rng)
+                digit = lambda x, i: list(x.coeffs[i * m:(i + 1) * m])
+                want = []
+                for k in range(N):
+                    acc = [0] * m
+                    for i in range(k + 1):
+                        prod = _theta_mulmod(digit(a, i), digit(b, k - i), E.poly, mod)
+                        acc = [(x + y) % mod for x, y in zip(acc, prod)]
+                    want += acc
+                assert L.mul(a, b).coeffs == tuple(want)
+                # the Frobenius lift: a ring map with t -> t^p, = x^p mod p
+                assert L.phi(L.mul(a, b)) == L.mul(L.phi(a), L.phi(b))
+                diff = L.sub(L.phi(a), L.pow(a, p))
+                assert all(c % p == 0 for c in diff.coeffs)
