@@ -15,7 +15,39 @@ import math
 from . import linalg
 from .errors import (CtxMismatchError, InternalError, NotInvertibleError,
                      ParameterError, PrecisionError)
-from .localring import LocalRingCtx
+from .localring import LocalRingCtx, power
+
+
+def check_twist(d: int, r: int):
+    """Raise ParameterError unless r is a valid twist for index d."""
+    if d == 1:
+        if r != 0:
+            raise ParameterError("d = 1 requires twist r = 0 (D = K)")
+    elif not (0 < r < d) or math.gcd(r, d) != 1:
+        raise ParameterError(
+            f"twist r = {r} must satisfy 0 < r < d and gcd(r, d) = 1")
+
+
+def skew_mul(ys, zs, sigma, r, pi, zero):
+    """Product of sum y_i x^i and sum z_j x^j in R^{tau}{x}/(x^d - pi).
+
+    x z = tau(z) x with tau = sigma^r, where sigma(z, k) applies sigma^k to
+    a coefficient of R; pi must be central.  Returns the d coefficients.
+    """
+    d = len(ys)
+    out = [zero] * d
+    for i, yi in enumerate(ys):
+        if yi.is_zero():
+            continue
+        for j, zj in enumerate(zs):
+            if zj.is_zero():
+                continue
+            term = yi * sigma(zj, r * i)
+            if i + j >= d:
+                term = term * pi
+            s = (i + j) % d
+            out[s] = out[s] + term
+    return out
 
 
 class AlgebraCtx:
@@ -23,12 +55,7 @@ class AlgebraCtx:
 
     def __init__(self, T: LocalRingCtx, r: int):
         d = T.d
-        if d == 1:
-            if r != 0:
-                raise ParameterError("d = 1 requires twist r = 0 (D = K)")
-        elif not (0 < r < d) or math.gcd(r, d) != 1:
-            raise ParameterError(
-                f"twist r = {r} must satisfy 0 < r < d and gcd(r, d) = 1")
+        check_twist(d, r)
         self.T = T
         self.S = T.base if T.base is not None else T
         self.d = d
@@ -137,33 +164,13 @@ class DElem:
     def __mul__(self, other):
         self._check(other)
         ctx = self.ctx
-        d, T = ctx.d, ctx.T
-        piK = T.uniformizer
-        out = [T.zero] * d
-        for i, yi in enumerate(self.coeffs):
-            if yi.is_zero():
-                continue
-            for j, zj in enumerate(other.coeffs):
-                if zj.is_zero():
-                    continue
-                term = yi * T.frobenius(zj, ctx.r * i)
-                k, s = divmod(i + j, d)
-                if k:
-                    term = term * piK
-                out[s] = out[s] + term
-        return ctx.elem(self.shift + other.shift, out)
+        T = ctx.T
+        return ctx.elem(self.shift + other.shift,
+                        skew_mul(self.coeffs, other.coeffs, T.frobenius,
+                                 ctx.r, T.uniformizer, T.zero))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        r = self.ctx.one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.ctx.one)
 
     def ord(self) -> int:
         """ord_D with ord_D(pi_D) = 1; ctx.ord_cap (+ d*shift) means zero."""
@@ -275,10 +282,7 @@ class DElem:
         trd = T.zero
         for j in range(d):
             trd = trd + M[j][j]
-        if d <= 5:
-            nrd = linalg.det_leibniz(M, T.zero)
-        else:
-            nrd = linalg.det_berkowitz(M, T.zero, T.one)
+        nrd = linalg.det_berkowitz(M, T.zero, T.one)
         for val in (trd, nrd):
             if T.frobenius(val, 1) != val:
                 raise InternalError("reduced trace/norm is not Galois-invariant")
@@ -322,8 +326,6 @@ class DElem:
         if S.zp_rank == 1:  # S = Z/p^N: integer determinant
             ints = [[row[i].coeffs[0] for i in range(n)] for row in M]
             det = S.from_int(linalg.det_bareiss(ints) % S.modulus)
-        elif n <= 5:
-            det = linalg.det_leibniz(M, S.zero)
         else:
             det = linalg.det_berkowitz(M, S.zero, S.one)
         return tr, det

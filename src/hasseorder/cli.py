@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import algebra as almod
@@ -148,7 +149,7 @@ def cmd_verify(args):
 
 
 def _dump_idempotents(S, T, A, TO):
-    return [[c.serialize() for c in e.coeffs] for e in TO.idempotents]
+    return [e.serialize() for e in TO.idempotents]
 
 
 def _dump_peirce(S, T, A, TO):
@@ -190,16 +191,23 @@ def _dump_milnor_basis(S, T, A, TO):
             "basis": [[c.serialize() for c in v] for v in basis]}
 
 
-def _dump_witt_laws(S, T, A, TO):
-    import sympy
+def _monomial(var, e):
+    return var if e == 1 else f"{var}**{e}"
 
+
+def _dump_witt_laws(S, T, A, TO):
+    """The W_2 sum and product laws as polynomial strings.  The second sum
+    coordinate is a1 + b1 - ((a0 + b0)^p - a0^p - b0^p)/p, expanded with
+    its terms by falling degree in a0."""
     p = S.p
-    a0, a1, b0, b1 = sympy.symbols("a0 a1 b0 b1")
-    add_c1 = sympy.expand(a1 + b1 - ((a0 + b0) ** p - a0 ** p - b0 ** p) / p)
-    mul_c1 = sympy.expand(a0 ** p * b1 + a1 * b0 ** p + p * a1 * b1)
+    terms = []
+    for k in range(1, p):
+        c = math.comb(p, k) // p
+        mon = f"{_monomial('a0', p - k)}*{_monomial('b0', k)}"
+        terms.append(mon if c == 1 else f"{c}*{mon}")
     return {"p": p, "n": 2,
-            "add": ["a0 + b0", str(add_c1)],
-            "mul": [str(sympy.expand(a0 * b0)), str(mul_c1)]}
+            "add": ["a0 + b0", "-" + " - ".join(terms) + " + a1 + b1"],
+            "mul": ["a0*b0", f"a0**{p}*b1 + a1*b0**{p} + {p}*a1*b1"]}
 
 
 DUMPS = {

@@ -7,7 +7,7 @@ are correct at full working precision with no valuation loss.
 
 from __future__ import annotations
 
-from .errors import InternalError, ParameterError
+from .errors import NotInvertibleError
 
 
 def _val(c, p, cap):
@@ -182,26 +182,6 @@ def det_berkowitz(mat, zero, one):
     return det if n % 2 == 0 else zero - det
 
 
-def det_leibniz(mat, zero):
-    """Permutation-expansion determinant; intended for n <= 5."""
-    from itertools import permutations
-    n = len(mat)
-    if n == 0:
-        raise ParameterError("empty matrix")
-    acc = zero
-    for perm in permutations(range(n)):
-        inv = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    inv += 1
-        term = mat[0][perm[0]]
-        for r in range(1, n):
-            term = term * mat[r][perm[r]]
-        acc = acc + term if inv % 2 == 0 else acc - term
-    return acc
-
-
 def ff_rank(rows):
     """Rank of a list of row vectors over a finite field (FFElem entries)."""
     rows = [list(r) for r in rows]
@@ -281,7 +261,8 @@ def rmat_eq(A, B):
 def rmat_inv(A, ctx):
     """Inverse of a matrix over a local ring; requires unit pivots.
 
-    Raises InternalError when the matrix is singular modulo the maximal ideal.
+    Raises NotInvertibleError when the matrix is singular modulo the
+    maximal ideal.
     """
     n = len(A)
     M = [row[:] for row in A]
@@ -293,7 +274,7 @@ def rmat_inv(A, ctx):
                 piv = i
                 break
         if piv < 0:
-            raise InternalError("matrix over local ring is not invertible")
+            raise NotInvertibleError("matrix over local ring is not invertible")
         M[col], M[piv] = M[piv], M[col]
         I[col], I[piv] = I[piv], I[col]
         inv = M[col][col].inv()

@@ -59,6 +59,20 @@ def _val_int(c: int, p: int, cap: int) -> int:
     return v
 
 
+def power(x, e: int, one):
+    """x**e by square-and-multiply, starting from `one`; e < 0 inverts x."""
+    if e < 0:
+        x, e = x.inv(), -e
+    r = one
+    while e:
+        if e & 1:
+            r = r * x
+        e >>= 1
+        if e:
+            x = x * x
+    return r
+
+
 def _red_table(poly, m, mod):
     """theta^(m+l) reduced mod (G, p^e) for 0 <= l <= m-2, as sparse rows
     [(j, c_j)] with theta^(m+l) = sum_j c_j theta^j."""
@@ -528,16 +542,7 @@ class RingElem:
         return RingElem(self.ctx, tuple([a * c % mod for a in self.coeffs]))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        r = self.ctx.one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.ctx.one)
 
     def is_zero(self):
         return not any(self.coeffs)

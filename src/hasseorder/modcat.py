@@ -12,8 +12,8 @@ is the composite around that cycle.
 from __future__ import annotations
 
 from . import linalg
-from .errors import (CtxMismatchError, ParameterError, PrecisionError,
-                     RepresentationError, ValidationError)
+from .errors import (CtxMismatchError, NotInvertibleError, ParameterError,
+                     PrecisionError, RepresentationError, ValidationError)
 from .tensor import TensorRingCtx
 
 
@@ -148,6 +148,26 @@ def direct_sum(mods):
             co += m.ranks[k]
         phi.append(M)
     return GradedPhiModule(ctx, ranks, phi)
+
+
+def scramble(module: GradedPhiModule, rng) -> GradedPhiModule:
+    """An isomorphic copy of `module`: each graded piece, in order, is
+    base-changed by a random invertible T-matrix drawn from rng."""
+    T, d = module.ctx.T, module.ctx.d
+
+    def invertible(n):
+        while True:
+            B = [[T.random(rng) for _ in range(n)] for _ in range(n)]
+            try:
+                return B, linalg.rmat_inv(B, T)
+            except NotInvertibleError:
+                continue
+
+    pairs = [invertible(module.ranks[k]) for k in range(d)]
+    phi = [linalg.rmat_mul(pairs[module.succ(k)][1],
+                           linalg.rmat_mul(module.phi[k], pairs[k][0], T), T)
+           for k in range(d)]
+    return GradedPhiModule(module.ctx, module.ranks, phi)
 
 
 def H(module: GradedPhiModule):

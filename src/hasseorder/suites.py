@@ -291,39 +291,79 @@ def suite_algebra(cfg, rng, fault):
     return rec.report()
 
 
+def u_mul(TO, a, b):
+    """Oracle product of u-coefficient lists in T[u]/(G): schoolbook, then
+    reduction by the monic G."""
+    T, d, G = TO.T, TO.d, TO.G
+    out = [T.zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k]
+        for i in range(d + 1):
+            out[k - d + i] = out[k - d + i] - c * G[i]
+    return out[:d]
+
+
+def u_eval(TO, a):
+    """Oracle w-components of a u-polynomial: its values at the roots
+    sigma^k(theta) of G."""
+    return [TO.T._horner(a, rt) for rt in TO.roots]
+
+
+def u_sigma_left(TO, a):
+    """Oracle sigma (x) id on u-coefficients: u = theta (x) 1 goes to
+    sigma(theta) (x) 1, written in the u-basis through the S-coordinates of
+    sigma(theta); the coefficients (the right factor) stay."""
+    T = TO.T
+    img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
+    acc = [T.zero] * TO.d
+    for c in reversed(a):
+        acc = u_mul(TO, acc, img)
+        acc[0] = acc[0] + c
+    return acc
+
+
 def suite_tensor(cfg, rng, fault):
     rec = Recorder("tensor")
     S, T, A, TO = _contexts(cfg)
     d = TO.d
-    # idempotent algebra
-    total = TO.zero
+    # T (x)_S T computes in components; each check below compares it with
+    # the u-basis oracle (u_mul, u_eval, u_sigma_left)
+    us = [e.u_coeffs() for e in TO.idempotents]
+    total = [T.zero] * d
     for k, e in enumerate(TO.idempotents):
         ek = e
         if fault == "tensor.idem" and k == 0:
             ek = ek + TO.one
-        total = total + ek
-        rec.check("idem-square", ek * ek == ek)
-        comps = ek.components()
+        uk = ek.u_coeffs()
+        total = [a + b for a, b in zip(total, uk)]
+        rec.check("idem-square", u_mul(TO, uk, uk) == uk)
         rec.check("w-delta", all(
-            c == (T.one if j == k else T.zero) for j, c in enumerate(comps)))
-    rec.check("idem-sum", total == TO.one)
+            c == (T.one if j == k else T.zero)
+            for j, c in enumerate(u_eval(TO, uk))))
+    rec.check("idem-sum", total == [T.one] + [T.zero] * (d - 1))
     for j in range(d):
         for k in range(j + 1, d):
             rec.check("idem-orth",
-                      (TO.idempotents[j] * TO.idempotents[k]).is_zero())
+                      all(c.is_zero() for c in u_mul(TO, us[j], us[k])))
     # w is a ring isomorphism; sigma (x) id permutes components
     for _ in range(40):
         x, y = TO.random(rng), TO.random(rng)
-        rec.check("w-roundtrip", TO.from_components(x.components()) == x)
-        cx, cy, cxy = x.components(), y.components(), (x * y).components()
-        rec.check("w-mul", all(c == a * b for c, a, b in zip(cxy, cx, cy)))
+        ux, uy = x.u_coeffs(), y.u_coeffs()
+        rec.check("w-roundtrip", TO.elem(ux) == x)
+        uxy = u_mul(TO, ux, uy)
+        rec.check("w-mul", (x * y).u_coeffs() == uxy)
         rec.check("sigma-left-hom",
-                  (x * y).sigma_left() == x.sigma_left() * y.sigma_left())
+                  (x.sigma_left() * y.sigma_left()).u_coeffs()
+                  == u_sigma_left(TO, uxy))
     for k in range(d):
-        rec.check("sigma-idem", TO.idempotents[k].sigma_left() ==
-                  TO.idempotents[(k - 1) % d])
-        rec.check("sigma-right-idem", TO.idempotents[k].sigma_right(1) ==
-                  TO.idempotents[(k + 1) % d])
+        e = TO.idempotents[k]
+        rec.check("sigma-idem", e.sigma_left().u_coeffs()
+                  == u_sigma_left(TO, us[k]) == us[(k - 1) % d])
+        rec.check("sigma-right-idem", e.sigma_right(1).u_coeffs()
+                  == [T.frobenius(c, 1) for c in us[k]] == us[(k + 1) % d])
     # order relations and embedding
     rec.check("x^d=piK", TO.x_pow(d) == TO.order_scalar(TO.right(T.uniformizer)))
     for h in range(d):
@@ -386,31 +426,10 @@ def suite_modcat(cfg, rng, fault):
     d = TO.d
     piK = T.uniformizer
 
-    def rand_invertible(n):
-        while True:
-            M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
-            try:
-                return M, linalg.rmat_inv(M, T)
-            except Exception:
-                continue
-
-    def scramble(mod):
-        Bs, Bis = [], []
-        for k in range(d):
-            B, Bi = rand_invertible(mod.ranks[k])
-            Bs.append(B)
-            Bis.append(Bi)
-        phi = []
-        for k in range(d):
-            t = mod.succ(k)
-            phi.append(linalg.rmat_mul(
-                Bis[t], linalg.rmat_mul(mod.phi[k], Bs[k], T), T))
-        return modcat.GradedPhiModule(TO, mod.ranks, phi)
-
     for i in range(30):
         labels = sorted(rng.randrange(d) for _ in range(rng.randrange(1, 4)))
-        mod = scramble(modcat.direct_sum(
-            [modcat.standard(TO, h) for h in labels]))
+        mod = modcat.scramble(modcat.direct_sum(
+            [modcat.standard(TO, h) for h in labels]), rng)
         if fault == "modcat.cycle" and i == 0:
             mod.phi[0] = linalg.rmat_scale(mod.phi[0], piK)
         try:
@@ -430,8 +449,8 @@ def suite_modcat(cfg, rng, fault):
     # adjunction
     for _ in range(15):
         labels = [rng.randrange(d) for _ in range(rng.randrange(1, 3))]
-        mod = scramble(modcat.direct_sum(
-            [modcat.standard(TO, h) for h in labels]))
+        mod = modcat.scramble(modcat.direct_sum(
+            [modcat.standard(TO, h) for h in labels]), rng)
         g = rng.randrange(d)
         q = rng.randrange(1, 3)
         f = [[T.random(rng) for _ in range(mod.ranks[g])] for _ in range(q)]

@@ -1,36 +1,36 @@
-"""The ring T (x)_S T as T[u]/(G), its Galois idempotents, and the order
+"""The ring T (x)_S T in Galois-component coordinates, and the order
 A (x)_S T with its twisted presentation and matrix embedding.
 
-The LEFT tensor factor is carried by u (so u = theta (x) 1 and sigma (x) id
-acts on the u-side), matching w_g(t1 (x) t2) = g(t1) t2.  The Galois group
-is enumerated by Frobenius exponents: component k of the w-isomorphism is
-evaluation at sigma^k(theta), i.e. the component of g = sigma^k.
+An element z of T (x)_S T is stored as its d components (w_{sigma^k}(z))_k
+under the isomorphism T (x)_S T = prod_{g in G} T, w_g(t1 (x) t2) =
+g(t1) t2, with the Galois group enumerated by Frobenius exponents
+(g = sigma^k).  In these coordinates multiplication is componentwise,
+sigma (x) id is a cyclic shift and the idempotents e_g are unit vectors.
 
-G(u) factors as prod_k (u - sigma^k(theta)); the pairwise differences of
-roots are units because T/S is unramified, which makes the Lagrange
-idempotents e_g exact at precision N.
+The u-basis T[u]/(G), u = theta (x) 1, serves input and output only:
+`TensorRingCtx.elem` reads u-coefficients, `serialize` and `repr` write
+them.  Component k of a u-polynomial is its value at sigma^k(theta), the
+k-th root of G(u) = prod_k (u - sigma^k(theta)).  The pairwise differences
+of the roots are units because T/S is unramified, so the Vandermonde
+matrix on the roots is invertible and the two bases convert exactly at
+precision N.
 """
 
 from __future__ import annotations
 
-import math
-
+from . import linalg
+from .algebra import check_twist, skew_mul
 from .errors import (CtxMismatchError, InternalError, ParameterError,
                      PrecisionError)
-from .localring import LocalRingCtx
+from .localring import LocalRingCtx, power
 
 
 class TensorRingCtx:
-    """T (x)_S T = T[u]/(G) together with the twist r of the order."""
+    """T (x)_S T = prod_{g in G} T together with the twist r of the order."""
 
     def __init__(self, T: LocalRingCtx, r: int):
         d = T.d
-        if d == 1:
-            if r != 0:
-                raise ParameterError("d = 1 requires twist r = 0")
-        elif not (0 < r < d) or math.gcd(r, d) != 1:
-            raise ParameterError(
-                f"twist r = {r} must satisfy 0 < r < d and gcd(r, d) = 1")
+        check_twist(d, r)
         self.T = T
         self.S = T.base if T.base is not None else T
         self.d = d
@@ -57,87 +57,47 @@ class TensorRingCtx:
                 if not (self.roots[j] - self.roots[k]).is_unit():
                     raise InternalError("conjugate roots are not separated by "
                                         "units; extension is not unramified")
-        self.idempotents = self._make_idempotents()
-
-    def _make_idempotents(self):
-        T, d = self.T, self.d
-        out = []
-        for k in range(d):
-            num = self.elem([T.one])
-            den = T.one
-            for j in range(d):
-                if j == k:
-                    continue
-                num = num * self.elem([-self.roots[j], T.one])
-                den = den * (self.roots[k] - self.roots[j])
-            e = num * self.elem([den.inv()])
-            out.append(e)
-        total = self.zero
-        for e in out:
-            total = total + e
-            if e * e != e:
-                raise InternalError("Lagrange idempotent is not idempotent")
-        if total != self.one:
-            raise InternalError("Galois idempotents do not sum to 1")
-        for j in range(d):
-            for k in range(j + 1, d):
-                if not (out[j] * out[k]).is_zero():
-                    raise InternalError("Galois idempotents are not orthogonal")
-        return out
+        # the Vandermonde matrix on the roots takes u-coefficients to
+        # components; its inverse takes them back
+        self._to_u = linalg.rmat_inv([[rt ** j for j in range(d)]
+                                      for rt in self.roots], T)
+        self.zero = TensorElem(self, (T.zero,) * d)
+        self.one = TensorElem(self, (T.one,) * d)
+        self.idempotents = [TensorElem(self, tuple(T.one if j == k else T.zero
+                                                   for j in range(d)))
+                            for k in range(d)]
+        self.piK = self.right(T.uniformizer)
 
     # -- T (x)_S T elements ------------------------------------------------
 
     def elem(self, coeffs):
+        """The element sum_j coeffs[j] u^j (any number of u-coefficients)."""
         coeffs = list(coeffs)
-        if len(coeffs) > self.d:
-            coeffs = self._reduce(coeffs)
-        coeffs += [self.T.zero] * (self.d - len(coeffs))
-        return TensorElem(self, tuple(coeffs))
-
-    def _reduce(self, coeffs):
-        d = self.d
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[k]
-            if not c.is_zero():
-                for i in range(d + 1):
-                    coeffs[k - d + i] = coeffs[k - d + i] - c * self.G[i]
-        return coeffs[:d]
-
-    @property
-    def zero(self):
-        return self.elem([])
-
-    @property
-    def one(self):
-        return self.elem([self.T.one])
+        return TensorElem(self, tuple(self.T._horner(coeffs, rt)
+                                      for rt in self.roots))
 
     @property
     def u_elem(self):
         """theta (x) 1."""
-        if self.d == 1:
-            return self.elem([self.T.gen])
-        return self.elem([self.T.zero, self.T.one])
+        return TensorElem(self, tuple(self.roots))
 
     def right(self, t):
         """1 (x) t for t in T."""
-        return self.elem([t])
+        return TensorElem(self, (t,) * self.d)
 
     def left(self, t):
-        """t (x) 1: rewrite t with S-coefficients in the basis theta^j."""
-        coords = self.T.rel_coords(t)
-        return self.elem([self.T.embed_base(s) for s in coords])
+        """t (x) 1, whose component sigma^k is sigma^k(t)."""
+        return TensorElem(self, tuple(self.T.frobenius(t, k)
+                                      for k in range(self.d)))
 
     def from_components(self, comps):
-        """Inverse of the w-isomorphism: sum_k comps[k] * e_{sigma^k}."""
+        """Inverse of the w-isomorphism."""
         if len(comps) != self.d:
             raise ParameterError(f"expected {self.d} components")
-        acc = self.zero
-        for c, e in zip(comps, self.idempotents):
-            acc = acc + self.right(c) * e
-        return acc
+        return TensorElem(self, tuple(comps))
 
     def random(self, rng):
-        return TensorElem(self, tuple(self.T.random(rng) for _ in range(self.d)))
+        return self.elem([self.T.random(rng) for _ in range(self.d)])
 
     # -- the order A (x)_S T ----------------------------------------------
 
@@ -167,16 +127,13 @@ class TensorRingCtx:
     def x_elem(self):
         """pi_D (x) 1."""
         if self.d == 1:
-            return self.order_scalar(self.right(self.T.uniformizer))
+            return self.order_scalar(self.piK)
         coeffs = [self.zero] * self.d
         coeffs[1] = self.one
         return self.order_elem(coeffs)
 
     def x_pow(self, i):
-        a = self.order_one
-        for _ in range(i):
-            a = a * self.x_elem
-        return a
+        return self.x_elem ** i
 
     def order_from_D(self, a):
         """A -> A (x)_S T, y_i x^i -> (y_i (x) 1) x^i; requires a in A."""
@@ -265,7 +222,6 @@ class TensorRingCtx:
         h %= self.d
         i = ((h - g) * self.r_inv) % self.d if self.d > 1 else 0
         gen = self.order_idempotent(g) * self.x_pow(i) * self.order_idempotent(h)
-        expect = self.x_pow(i).coeffs[i % self.d] if self.d > 1 else None
         # honest scalar comparison: x * gen against the target generator
         tgt_g = (g - self.r) % self.d
         i2 = ((h - tgt_g) * self.r_inv) % self.d if self.d > 1 else 0
@@ -281,13 +237,13 @@ class TensorRingCtx:
 
 
 class TensorElem:
-    """Element of T (x)_S T: a u-polynomial of degree < d over T."""
+    """Element of T (x)_S T: its Galois components (w_{sigma^k}(z))_k."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "comps")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, comps):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.comps = comps
 
     def _check(self, other):
         if not isinstance(other, TensorElem) or other.ctx is not self.ctx:
@@ -296,72 +252,58 @@ class TensorElem:
     def __add__(self, other):
         self._check(other)
         return TensorElem(self.ctx, tuple(a + b for a, b in
-                                          zip(self.coeffs, other.coeffs)))
+                                          zip(self.comps, other.comps)))
 
     def __sub__(self, other):
         self._check(other)
         return TensorElem(self.ctx, tuple(a - b for a, b in
-                                          zip(self.coeffs, other.coeffs)))
+                                          zip(self.comps, other.comps)))
 
     def __neg__(self):
-        return TensorElem(self.ctx, tuple(-a for a in self.coeffs))
+        return TensorElem(self.ctx, tuple(-a for a in self.comps))
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        d = ctx.d
-        out = [ctx.T.zero] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return ctx.elem(ctx._reduce(out))
+        return TensorElem(self.ctx, tuple(a * b for a, b in
+                                          zip(self.comps, other.comps)))
 
     def __pow__(self, e):
-        r = self.ctx.one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.ctx.one)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return all(c.is_zero() for c in self.comps)
 
     def components(self):
-        """(w_{sigma^k}(x))_k: evaluation at the conjugate roots."""
-        out = []
-        for rt in self.ctx.roots:
-            acc = self.ctx.T.zero
-            for c in reversed(self.coeffs):
-                acc = acc * rt + c
-            out.append(acc)
-        return out
+        """(w_{sigma^k}(z))_k."""
+        return self.comps
+
+    def u_coeffs(self):
+        """The coefficients of z in the u-basis T[u]/(G)."""
+        return linalg.rmat_vec(self.ctx._to_u, self.comps, self.ctx.T)
 
     def sigma_left(self, j=1):
         """(sigma (x) id)^j: permutes w-components by g -> g o sigma^{-1}."""
-        comps = self.components()
-        d = self.ctx.d
-        return self.ctx.from_components([comps[(k + j) % d] for k in range(d)])
+        j %= self.ctx.d
+        return TensorElem(self.ctx, self.comps[j:] + self.comps[:j])
 
     def sigma_right(self, j=1):
-        """(id (x) sigma)^j: applies sigma to the right-factor coefficients."""
-        T = self.ctx.T
-        return TensorElem(self.ctx, tuple(T.frobenius(c, j) for c in self.coeffs))
+        """(id (x) sigma)^j: component g becomes sigma^j of component
+        sigma^{-j} g."""
+        ctx = self.ctx
+        k = -j % ctx.d
+        return TensorElem(ctx, tuple(ctx.T.frobenius(c, j) for c in
+                                     self.comps[k:] + self.comps[:k]))
 
     def __eq__(self, other):
         return (isinstance(other, TensorElem) and other.ctx is self.ctx
-                and other.coeffs == self.coeffs)
+                and other.comps == self.comps)
 
     def __repr__(self):
-        return f"Tensor{[c.serialize() for c in self.coeffs]}"
+        return f"Tensor{self.serialize()}"
 
     def serialize(self):
-        return [c.serialize() for c in self.coeffs]
+        """The u-coefficients, each serialized."""
+        return [c.serialize() for c in self.u_coeffs()]
 
 
 class TensorOrderElem:
@@ -393,31 +335,12 @@ class TensorOrderElem:
     def __mul__(self, other):
         self._check(other)
         ctx = self.ctx
-        d = ctx.d
-        piK = ctx.right(ctx.T.uniformizer)
-        out = [ctx.zero] * d
-        for i, zi in enumerate(self.coeffs):
-            if zi.is_zero():
-                continue
-            for j, wj in enumerate(other.coeffs):
-                if wj.is_zero():
-                    continue
-                term = zi * wj.sigma_left(ctx.r * i)
-                k, s = divmod(i + j, d)
-                if k:
-                    term = term * piK
-                out[s] = out[s] + term
-        return TensorOrderElem(ctx, tuple(out))
+        return TensorOrderElem(ctx, tuple(skew_mul(
+            self.coeffs, other.coeffs, TensorElem.sigma_left, ctx.r, ctx.piK,
+            ctx.zero)))
 
     def __pow__(self, e):
-        r = self.ctx.order_one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.ctx.order_one)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -427,7 +350,7 @@ class TensorOrderElem:
                 and other.coeffs == self.coeffs)
 
     def __repr__(self):
-        return f"Order{[c.serialize() for c in self.coeffs]}"
+        return f"Order{self.serialize()}"
 
     def serialize(self):
         return [c.serialize() for c in self.coeffs]

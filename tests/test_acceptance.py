@@ -163,44 +163,27 @@ def test_criterion_5():
 @criterion(6, "category equivalence and decomposition", limit=30.0)
 def test_criterion_6():
     small = [c for c in CONFIGS if c[1] <= 3]
-
-    def rand_invertible(T, rng, n):
-        while True:
-            M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
-            try:
-                return M, linalg.rmat_inv(M, T)
-            except Exception:
-                continue
-
-    def scramble(mod, rng):
-        T, d = mod.ctx.T, mod.ctx.d
-        pairs = [rand_invertible(T, rng, mod.ranks[k]) for k in range(d)]
-        phi = [linalg.rmat_mul(pairs[mod.succ(k)][1],
-                               linalg.rmat_mul(mod.phi[k], pairs[k][0], T), T)
-               for k in range(d)]
-        return modcat.GradedPhiModule(mod.ctx, mod.ranks, phi)
-
     for (p, d, r, mode) in small:
         S, T, A, TO = make(p, d, r, mode)
         rng = random.Random(f"acc6:{p}:{d}:{r}:{mode}")
         # F/H round trips on 25 random valid modules per config (100 total)
         for _ in range(25):
             labels = [rng.randrange(d) for _ in range(rng.randrange(1, 4))]
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             assert modcat.F(modcat.H(mod)) == mod
         # decomposition recovers the exact label multiset (25 per config)
         for _ in range(25):
             labels = sorted(rng.randrange(d)
                             for _ in range(rng.randrange(1, 4)))
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             steps = modcat.decompose(mod)
             assert modcat.labels_multiset(steps) == labels
         # adjunction triangle identities on 13 sampled maps per config (52)
         for _ in range(13):
             labels = [rng.randrange(d) for _ in range(rng.randrange(1, 3))]
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             g = rng.randrange(d)
             q = rng.randrange(1, 3)

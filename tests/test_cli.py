@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import pytest
 
@@ -110,6 +112,35 @@ def test_dump_witt_laws_p2(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["add"] == ["a0 + b0", "-a0*b0 + a1 + b1"]
+
+
+@pytest.mark.parametrize("p, add_c1", [
+    (2, "-a0*b0 + a1 + b1"),
+    (3, "-a0**2*b0 - a0*b0**2 + a1 + b1"),
+    (13, "-a0**12*b0 - 6*a0**11*b0**2 - 22*a0**10*b0**3 - 55*a0**9*b0**4"
+         " - 99*a0**8*b0**5 - 132*a0**7*b0**6 - 132*a0**6*b0**7"
+         " - 99*a0**5*b0**8 - 55*a0**4*b0**9 - 22*a0**3*b0**10"
+         " - 6*a0**2*b0**11 - a0*b0**12 + a1 + b1"),
+])
+def test_dump_witt_laws_strings(capsys, p, add_c1):
+    code, out, _ = run(capsys, "--p", str(p), "dump", "witt-laws")
+    assert code == 0
+    assert json.loads(out) == {
+        "p": p, "n": 2, "add": ["a0 + b0", add_c1],
+        "mul": ["a0*b0", f"a0**{p}*b1 + a1*b0**{p} + {p}*a1*b1"]}
+
+
+def test_dumps_run_without_sympy(monkeypatch, capsys):
+    """A fresh import of the package runs every dump with sympy unimportable."""
+    import hasseorder.cli  # noqa: F401  (registers every submodule)
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    for name in [n for n in sys.modules
+                 if n == "hasseorder" or n.startswith("hasseorder.")]:
+        monkeypatch.delitem(sys.modules, name)
+    cli = importlib.import_module("hasseorder.cli")
+    for what in sorted(cli.DUMPS):
+        assert cli.main(["--d", "3", "dump", what]) == 0
+    capsys.readouterr()
 
 
 def test_dump_milnor_basis_dimension(capsys):

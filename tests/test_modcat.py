@@ -18,29 +18,6 @@ CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED),
            (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL))
 
 
-def rand_invertible(T, rng, n):
-    while True:
-        M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
-        try:
-            return M, linalg.rmat_inv(M, T)
-        except Exception:
-            continue
-
-
-def scramble(mod, rng):
-    """Base-change each graded piece by a random invertible matrix."""
-    T, d = mod.ctx.T, mod.ctx.d
-    Bs, Bis = [], []
-    for k in range(d):
-        B, Bi = rand_invertible(T, rng, mod.ranks[k])
-        Bs.append(B)
-        Bis.append(Bi)
-    phi = [linalg.rmat_mul(Bis[mod.succ(k)],
-                           linalg.rmat_mul(mod.phi[k], Bs[k], T), T)
-           for k in range(d)]
-    return modcat.GradedPhiModule(mod.ctx, mod.ranks, phi)
-
-
 def test_standard_validates():
     for (p, d, r, mode) in CONFIGS:
         S, T, TO = make(p=p, d=d, r=r, mode=mode)
@@ -69,7 +46,7 @@ def test_fh_roundtrip():
         S, T, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(10):
             labels = [rng.randrange(d) for _ in range(rng.randrange(1, 4))]
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             assert modcat.F(modcat.H(mod)) == mod
 
@@ -81,7 +58,7 @@ def test_decompose_recovers_labels():
         for _ in range(8):
             labels = sorted(rng.randrange(d)
                             for _ in range(rng.randrange(1, 4)))
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             for rule in ("min", "first"):
                 steps = modcat.decompose(mod, rule=rule)
@@ -116,7 +93,7 @@ def test_adjoint():
         S, T, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(10):
             labels = [rng.randrange(d) for _ in range(rng.randrange(1, 3))]
-            mod = scramble(modcat.direct_sum(
+            mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             g = rng.randrange(d)
             q = rng.randrange(1, 3)
@@ -151,7 +128,7 @@ def test_file_format_roundtrip():
     rng = random.Random(3)
     for mode in (lr.MIXED, lr.EQUAL):
         S, T, TO = make(d=2, mode=mode)
-        mod = scramble(modcat.direct_sum(
+        mod = modcat.scramble(modcat.direct_sum(
             [modcat.standard(TO, 0), modcat.standard(TO, 1)]), rng)
         data = json.loads(json.dumps(modcat.to_file(mod)))
         back = modcat.from_file(TO, data)
@@ -163,7 +140,7 @@ def test_file_format_roundtrip():
 def test_decomposition_report():
     rng = random.Random(4)
     S, T, TO = make()
-    mod = scramble(modcat.direct_sum(
+    mod = modcat.scramble(modcat.direct_sum(
         [modcat.standard(TO, 1), modcat.standard(TO, 0)]), rng)
     steps = modcat.decompose(mod)
     rep = modcat.decomposition_report(steps)

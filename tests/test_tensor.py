@@ -5,6 +5,7 @@ import pytest
 from hasseorder import algebra, linalg, tensor
 from hasseorder import localring as lr
 from hasseorder.errors import ParameterError
+from hasseorder.suites import u_eval, u_mul, u_sigma_left
 
 
 def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
@@ -15,7 +16,8 @@ def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
 
 
 CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED),
-           (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL))
+           (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL), (3, 1, 0, lr.MIXED),
+           (3, 6, 5, lr.MIXED))
 
 
 def test_bad_twist():
@@ -37,20 +39,22 @@ def test_spec_idempotents_321():
 
 
 def test_idempotent_algebra():
+    # checked in the u-basis T[u]/(G), where the idempotents are not unit
+    # vectors
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
-        total = TO.zero
-        for k, e in enumerate(TO.idempotents):
-            assert e * e == e
-            total = total + e
+        us = [e.u_coeffs() for e in TO.idempotents]
+        total = [T.zero] * d
+        for k, u in enumerate(us):
+            assert u_mul(TO, u, u) == u
+            total = [a + b for a, b in zip(total, u)]
             # w-components: w_g(e_h) = delta_{g,h}
-            comps = e.components()
-            for j, c in enumerate(comps):
+            for j, c in enumerate(u_eval(TO, u)):
                 assert c == (T.one if j == k else T.zero)
-        assert total == TO.one
+        assert total == [T.one] + [T.zero] * (d - 1)
         for j in range(d):
             for k in range(j + 1, d):
-                assert (TO.idempotents[j] * TO.idempotents[k]).is_zero()
+                assert all(c.is_zero() for c in u_mul(TO, us[j], us[k]))
 
 
 def test_u_components_are_conjugate_roots():
@@ -60,6 +64,7 @@ def test_u_components_are_conjugate_roots():
         comps = TO.u_elem.components()
         for k in range(d):
             assert comps[k] == T.frobenius(T.gen, k)
+        assert TO.u_elem.u_coeffs() == [T.zero, T.one] + [T.zero] * (d - 2)
 
 
 def test_w_is_ring_isomorphism():
@@ -68,23 +73,37 @@ def test_w_is_ring_isomorphism():
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(20):
             x, y = TO.random(rng), TO.random(rng)
-            assert TO.from_components(x.components()) == x
-            cxy = (x * y).components()
-            assert all(c == a * b for c, a, b in
-                       zip(cxy, x.components(), y.components()))
-            cs = (x + y).components()
-            assert all(c == a + b for c, a, b in
-                       zip(cs, x.components(), y.components()))
+            ux, uy = x.u_coeffs(), y.u_coeffs()
+            assert TO.elem(ux) == x
+            assert (x * y).u_coeffs() == u_mul(TO, ux, uy)
+            assert (x + y).u_coeffs() == [a + b for a, b in zip(ux, uy)]
 
 
 def test_sigma_actions_permute_idempotents():
+    rng = random.Random(5)
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
+        us = [e.u_coeffs() for e in TO.idempotents]
         for k in range(d):
             assert TO.idempotents[k].sigma_left() == \
                 TO.idempotents[(k - 1) % d]
+            assert u_sigma_left(TO, us[k]) == us[(k - 1) % d]
             assert TO.idempotents[k].sigma_right(1) == \
                 TO.idempotents[(k + 1) % d]
+            assert [T.frobenius(c, 1) for c in us[k]] == us[(k + 1) % d]
+        for _ in range(5):
+            x = TO.random(rng)
+            ux = x.u_coeffs()
+            assert x.sigma_left().u_coeffs() == u_sigma_left(TO, ux)
+            assert x.sigma_right(2).u_coeffs() == \
+                [T.frobenius(c, 2) for c in ux]
+            # sigma_left has order d
+            y = x
+            for _ in range(d):
+                y = y.sigma_left()
+            assert y == x and x.sigma_left(d) == x
+            # u-basis serialization round trip
+            assert TO.elem([T.elem(c) for c in x.serialize()]) == x
 
 
 def test_order_relations():
