@@ -172,22 +172,9 @@ def _dump_milnor_basis(S, T, A, TO):
             coeffs[i] = TO.u_elem ** a_pow
             M = TO.embed_l(TO.order_elem(coeffs))
             rows.append([T.residue_of(e) for row in M for e in row])
-    # row-reduce over k_T to extract an actual basis of the image mod m_T
-    basis = []
-    pivots = []
-    for vec in rows:
-        v = list(vec)
-        for b, piv in zip(basis, pivots):
-            if not v[piv].is_zero():
-                f = v[piv]
-                v = [a - f * c for a, c in zip(v, b)]
-        piv = next((j for j, c in enumerate(v) if not c.is_zero()), None)
-        if piv is not None:
-            inv = v[piv].inv()
-            basis.append([inv * c for c in v])
-            pivots.append(piv)
-    m = T.residue.m
-    return {"dimension_kT": len(basis), "dimension_Fp": len(basis) * m,
+    # an actual basis over k_T of the image mod m_T
+    basis = linalg.echelon_basis(rows)
+    return {"dimension_kT": len(basis), "dimension_Fp": len(basis) * T.m,
             "basis": [[c.serialize() for c in v] for v in basis]}
 
 

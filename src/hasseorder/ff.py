@@ -1,18 +1,18 @@
-"""Arithmetic in finite fields F_{p^m} given by an explicit defining polynomial.
+"""Defining data of the finite fields F_{p^m}.
 
-Elements are coefficient vectors over Z/p, low-to-high degree, reduced
-modulo a monic irreducible polynomial.  For a fixed (p, m) the defining
-polynomial is always the minimal one in the deterministic order below, so
-contexts are reproducible across runs.
+For a fixed (p, m) the defining polynomial is always the least monic
+irreducible one in the deterministic order below, so contexts are
+reproducible across runs.  The polynomial helpers over Z/p serve that search
+alone; arithmetic in F_{p^m} is the flat kernel of `localring` at
+(e, n) = (1, 1) (`localring.residue_field`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import CtxMismatchError, InternalError, NotInvertibleError, ParameterError
+from .errors import InternalError, ParameterError
 
 
 def is_prime(n: int) -> bool:
@@ -106,55 +106,9 @@ def _is_irreducible(poly, p):
     return _pmod(_padd(xp, tuple(-c % p for c in x), p), poly, p) == ()
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """Immutable description of F_{p^m}; shareable between threads."""
-
-    p: int
-    m: int
-    poly: tuple  # monic, length m+1, low-to-high
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.m
-
-    def elem(self, coeffs) -> "FFElem":
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.m:
-            coeffs = list(_pmod(coeffs, self.poly, self.p))
-        coeffs += [0] * (self.m - len(coeffs))
-        return FFElem(self, tuple(coeffs[: self.m]))
-
-    def from_int(self, a: int) -> "FFElem":
-        return self.elem([a])
-
-    @property
-    def zero(self):
-        return self.elem([])
-
-    @property
-    def one(self):
-        return self.elem([1])
-
-    @property
-    def gen(self):
-        """Class of x; equals 0 in the degree-1 convention poly = x."""
-        return self.elem([0, 1]) if self.m > 1 else self.elem([0])
-
-    def random(self, rng) -> "FFElem":
-        return FFElem(self, tuple(rng.randrange(self.p) for _ in range(self.m)))
-
-    def elements(self):
-        for t in product(range(self.p), repeat=self.m):
-            yield FFElem(self, t[::-1])  # low-to-high
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.m})"
-
-
 @lru_cache(maxsize=None)
-def field(p: int, m: int) -> FieldCtx:
-    """F_{p^m} with the least monic irreducible defining polynomial.
+def defining_poly(p: int, m: int) -> tuple:
+    """The least monic irreducible polynomial of degree m over F_p, low-to-high.
 
     Candidates are ordered by their coefficient tuples read from the
     highest-degree coefficient down, which picks e.g. x^3 + x + 1 over F_2
@@ -169,102 +123,25 @@ def field(p: int, m: int) -> FieldCtx:
     for hi in product(range(p), repeat=m):
         poly = tuple(hi[::-1]) + (1,)  # low-to-high with leading 1
         if _is_irreducible(poly, p):
-            return FieldCtx(p, m, poly)
+            return poly
     raise ParameterError("no irreducible polynomial found")  # pragma: no cover
 
 
-class FFElem:
-    """Element of F_{p^m}: a reduced coefficient vector of length m."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: tuple):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if not isinstance(other, FFElem) or other.ctx != self.ctx:
-            raise CtxMismatchError("operands from different field contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        ctx = self.ctx
-        prod_ = _pmod(_pmul(self.coeffs, other.coeffs, ctx.p), ctx.poly, ctx.p)
-        return ctx.elem(prod_)
-
-    def __pow__(self, e: int):
-        ctx = self.ctx
-        if e < 0:
-            return self.inv() ** (-e)
-        return ctx.elem(_ppowmod(self.coeffs, e, ctx.poly, ctx.p))
-
-    def inv(self) -> "FFElem":
-        if self.is_zero():
-            raise NotInvertibleError("inverse of 0 in a field", ord=None)
-        return self ** (self.ctx.order - 2)
-
-    def frobenius(self, k: int = 1) -> "FFElem":
-        """x -> x^{p^{k mod m}}; a field automorphism of order dividing m."""
-        return self ** (self.ctx.p ** (k % self.ctx.m))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, FFElem) and other.ctx == self.ctx
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
-
-    def __repr__(self):
-        return f"FF{list(self.coeffs)}"
-
-    def serialize(self):
-        return list(self.coeffs)
-
-
 @lru_cache(maxsize=None)
-def embedding_root(small: FieldCtx, big: FieldCtx) -> FFElem:
+def embedding_root(small, big):
     """Least root (in coefficient-tuple order) of small.poly inside big.
 
-    Requires small.m | big.m with the same characteristic.
+    small and big are residue fields (`localring.residue_field`) with
+    small.m | big.m and the same characteristic.
     """
     if small.p != big.p or big.m % small.m != 0:
         raise ParameterError("no subfield embedding between these contexts")
-    for cand in big.elements():
-        acc = big.zero
-        power = big.one
-        for c in small.poly:
-            if c:
-                acc = acc + big.from_int(c) * power
-            power = power * cand
+    consts = [big.from_int(c) for c in reversed(small.poly[:-1])]
+    for hi in product(range(big.p), repeat=big.m):
+        cand = big.from_vec(hi[::-1])  # low-to-high
+        acc = big.one  # small.poly is monic
+        for c in consts:
+            acc = acc * cand + c
         if acc.is_zero():
             return cand
     raise InternalError("subfield embedding root not found")  # pragma: no cover
-
-
-def embed(x: FFElem, big: FieldCtx) -> FFElem:
-    """Image of x under the deterministic embedding of its field into big."""
-    root = embedding_root(x.ctx, big)
-    acc = big.zero
-    power = big.one
-    for c in x.coeffs:
-        if c:
-            acc = acc + big.from_int(c) * power
-        power = power * root
-    return acc

@@ -7,10 +7,13 @@ are correct at full working precision with no valuation loss.
 
 from __future__ import annotations
 
+from operator import mul as _mul
+
 from .errors import NotInvertibleError
 
 
 def _val(c, p, cap):
+    """p-adic valuation of the integer c, capped at cap (also for c = 0)."""
     if c == 0:
         return cap
     v = 0
@@ -147,7 +150,13 @@ def det_bareiss(mat):
 
 
 def det_berkowitz(mat, zero, one):
-    """Division-free determinant over any commutative ring."""
+    """Division-free determinant over any commutative ring.
+
+    Berkowitz: the characteristic polynomial of each leading block follows
+    from that of the previous one by a Toeplitz product.  Only the monic
+    polynomial's lower coefficients are kept, and the last step forms the
+    constant term alone.
+    """
     n = len(mat)
     if n == 0:
         return one
@@ -155,55 +164,49 @@ def det_berkowitz(mat, zero, one):
         return mat[0][0]
 
     def dot(u, v):
-        acc = zero
-        for a, b in zip(u, v):
-            acc = acc + a * b
-        return acc
+        terms = map(_mul, u, v)
+        return sum(terms, next(terms, zero))
 
-    poly = [one, zero - mat[0][0]]
+    tail = [-mat[0][0]]  # det(x - A_1) = x + tail[0]
     for i in range(1, n):
         R = mat[i][:i]
         C = [mat[j][i] for j in range(i)]
-        items = [one, zero - mat[i][i], zero - dot(R, C)]
+        items = [-mat[i][i], -dot(R, C)]
         vec = C
         for _ in range(i - 1):
             vec = [dot(mat[j][:i], vec) for j in range(i)]
-            items.append(zero - dot(R, vec))
-        new = []
-        for k in range(i + 2):
-            acc = zero
-            lo = max(0, k - (len(items) - 1))
-            hi = min(k, len(poly) - 1)
-            for j in range(lo, hi + 1):
-                acc = acc + items[k - j] * poly[j]
-            new.append(acc)
-        poly = new
-    det = poly[-1]
-    return det if n % 2 == 0 else zero - det
+            items.append(-dot(R, vec))
+        # the next polynomial is the product of the coefficient sequences
+        # (1, *items) and (1, *tail), read from the top; below its leading 1,
+        # entry k is items[k] + sum_j items[k-1-j] tail[j] + tail[k]
+        if i == n - 1:
+            det = items[i] + dot(items[i - 1::-1], tail)
+            return det if n % 2 == 0 else -det
+        new = [items[0]] + [items[k] + dot(items[k - 1::-1], tail)
+                            for k in range(1, i + 1)]
+        tail = [a + b for a, b in zip(new, tail)] + new[i:]
 
 
-def ff_rank(rows):
-    """Rank of a list of row vectors over a finite field (FFElem entries)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows))
-                    if not rows[i][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [inv * c for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def echelon_basis(rows):
+    """A basis of the span of row vectors over a field, in row-echelon form.
+
+    Each row is reduced against the basis so far; a nonzero remainder,
+    scaled to a leading 1, joins the basis.  The length is the rank.
+    """
+    basis = []
+    pivots = []
+    for vec in rows:
+        v = list(vec)
+        for b, piv in zip(basis, pivots):
+            if not v[piv].is_zero():
+                f = v[piv]
+                v = [a - f * c for a, c in zip(v, b)]
+        piv = next((j for j, c in enumerate(v) if not c.is_zero()), None)
+        if piv is not None:
+            inv = v[piv].inv()
+            basis.append([inv * c for c in v])
+            pivots.append(piv)
+    return basis
 
 
 # ---------------------------------------------------------------------------

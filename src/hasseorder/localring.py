@@ -13,6 +13,9 @@ F_{p^m}.  Two families are supported, both at a fixed global precision N:
 * equal characteristic: k[[t]]/(t^N) for k = F_p[theta]/(G), i.e.
   (e, n) = (1, N); the uniformizer is t.
 
+The residue field F_{p^m} itself is the case (e, n) = (1, 1)
+(`residue_field`): the mixed family at N = 1.
+
 An element is the flat tuple of its m*n coefficients in [0, p^e): the
 coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, products go through one
@@ -30,6 +33,7 @@ pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -39,6 +43,7 @@ from . import ff as ffmod
 from . import linalg
 from .errors import (CtxMismatchError, InternalError, NotInvertibleError,
                      ParameterError, PrecisionError)
+from .linalg import _val
 
 MIXED = "mixed"
 EQUAL = "equal"
@@ -47,16 +52,6 @@ EQUAL = "equal"
 # through them needs a little-endian host
 _ARRAY_CODES = (sorted({array(c).itemsize: c for c in "BHILQ"}.items())
                 if sys.byteorder == "little" else [])
-
-
-def _val_int(c: int, p: int, cap: int) -> int:
-    if c == 0:
-        return cap
-    v = 0
-    while c % p == 0 and v < cap:
-        c //= p
-        v += 1
-    return v
 
 
 def power(x, e: int, one):
@@ -213,8 +208,8 @@ class LocalRingCtx:
             raise ParameterError(f"p = {p} is not prime")
         if f < 1 or d < 1:
             raise ParameterError("degrees must be >= 1")
-        if prec < 2:
-            raise ParameterError("precision N must be >= 2")
+        if prec < 1:
+            raise ParameterError("precision N must be >= 1")
         if mode == MIXED:
             e, n = prec, 1
         elif mode == EQUAL:
@@ -228,11 +223,11 @@ class LocalRingCtx:
         self.prec = prec
         self.base = base  # None when this ring is the base S
         self.m = m = f * d  # absolute residue degree
-        self.residue = ffmod.field(p, m)
-        self.poly = tuple(self.residue.poly)  # G, coefficients in {0..p-1}
+        self.poly = ffmod.defining_poly(p, m)  # G, coefficients in {0..p-1}
         # all elements are vectors over Z/p^zp_exp of length zp_rank
         self.e = self.zp_exp = e
         self.n = n
+        self.residue = self if e * n == 1 else residue_field(p, m)
         self.zp_rank = m * n
         self.modulus = p ** e
         red = _red_table(self.poly, m, self.modulus)
@@ -340,14 +335,14 @@ class LocalRingCtx:
 
     def elem(self, coeffs):
         """Element from its theta-coefficients (n = 1) or from its t-digits
-        (n > 1), each an FFElem of the residue field or an int list."""
+        (n > 1), each a residue-field element or an int list."""
         m, mod = self.m, self.modulus
         digits = [coeffs] if self.n == 1 else list(coeffs)
         if len(digits) > self.n:
             raise ParameterError("coefficient vector too long")
         out = []
         for digit in digits:
-            cs = digit.coeffs if isinstance(digit, ffmod.FFElem) else list(digit)
+            cs = digit.coeffs if isinstance(digit, RingElem) else list(digit)
             if len(cs) > m:
                 raise ParameterError("coefficient vector too long")
             out += [c % mod for c in cs]
@@ -467,11 +462,11 @@ class LocalRingCtx:
     # -- residue field and Teichmueller section ----------------------------
 
     def residue_of(self, x):
-        return self.residue.elem(x.coeffs[:self.m])
+        return self.residue.from_vec(x.coeffs[:self.m])
 
     def teich(self, a):
         """Unique lift y of a with y^{q^d} = y (multiplicative section)."""
-        if not isinstance(a, ffmod.FFElem) or a.ctx != self.residue:
+        if not isinstance(a, RingElem) or a.ctx is not self.residue:
             raise CtxMismatchError("Teichmueller argument must lie in the residue field")
         y = self.from_residue(a)
         if self.e == 1:
@@ -551,7 +546,7 @@ class RingElem:
         """Uniformizer-adic valuation; ctx.prec means zero at this precision."""
         ctx = self.ctx
         if ctx.n == 1:  # p-adic
-            return min(_val_int(c, ctx.p, ctx.prec) for c in self.coeffs)
+            return min(_val(c, ctx.p, ctx.prec) for c in self.coeffs)
         for k, c in enumerate(self.coeffs):  # t-adic: first nonzero t-block
             if c:
                 return k // ctx.m
@@ -562,12 +557,16 @@ class RingElem:
         return any(c % p for c in self.coeffs[:self.ctx.m])
 
     def inv(self):
-        """Newton inverse b <- b(2 - xb) from the residue inverse."""
+        """Newton inverse b <- b(2 - xb) from the residue inverse a^(q-2)."""
         ctx = self.ctx
         if not self.is_unit():
             v = self.ord()
             raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
-        b = ctx.from_residue(ctx.residue_of(self).inv())
+        res = ctx.residue
+        b = power(ctx.residue_of(self), ctx.p ** ctx.m - 2, res.one)
+        if res is ctx:
+            return b
+        b = ctx.from_residue(b)
         two = ctx.from_int(2)
         # (p, t) is nilpotent of index e + n - 1 (= N on S and T)
         for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1))) + 1):
@@ -611,13 +610,26 @@ class RingElem:
         return [list(self.coeffs[i:i + m]) for i in range(0, len(self.coeffs), m)]
 
 
+def _check_prec(prec):
+    if prec < 2:
+        raise ParameterError("precision N must be >= 2")
+
+
+@functools.lru_cache(maxsize=None)
+def residue_field(p: int, m: int) -> LocalRingCtx:
+    """F_{p^m}: the ring R_{e,n} at (e, n) = (1, 1), with Frobenius frobenius_p."""
+    return LocalRingCtx(MIXED, p, m, 1, 1)
+
+
 def base_ring(p: int, f: int, prec: int, mode: str = MIXED) -> LocalRingCtx:
     """The base ring S with residue field F_{p^f} at precision N."""
+    _check_prec(prec)
     return LocalRingCtx(mode, p, f, 1, prec)
 
 
 def unramified(S: LocalRingCtx, d: int) -> LocalRingCtx:
     """Unramified extension T/S of relative degree d with its Frobenius sigma."""
+    _check_prec(S.prec)
     if d < 1:
         raise ParameterError("relative degree d must be >= 1")
     if S.d != 1:

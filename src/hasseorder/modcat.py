@@ -58,11 +58,7 @@ class GradedPhiModule:
         report = {}
         bad = []
         for k in range(ctx.d):
-            M = linalg.rmat_id(T, self.ranks[k])
-            cur = k
-            for _ in range(ctx.d):
-                M = linalg.rmat_mul(self.phi[cur], M, T)
-                cur = self.succ(cur)
+            M = phi_composite(self, k, ctx.d)
             target = linalg.rmat_scale(linalg.rmat_id(T, self.ranks[k]), piK)
             residual = linalg.rmat_sub(M, target)
             tol = T.prec - self.slack

@@ -1,4 +1,4 @@
-"""p-typical Witt vectors W_n over Z/p^M, F_q, and truncated local rings.
+"""p-typical Witt vectors W_n over Z/p^M and truncated local rings (F_q too).
 
 All ring laws are computed by the ghost-lift method: coordinates are lifted
 into a p-torsion-free ring carrying a Frobenius lift, the ghost components
@@ -10,7 +10,6 @@ the final reduction back to the coefficient ring.
 
 from __future__ import annotations
 
-from . import ff
 from . import localring as lr
 from .errors import CtxMismatchError, InternalError, ParameterError
 
@@ -70,7 +69,7 @@ class _ZmodLift:
 
 class _RingLift:
     """(Z/p^K)[theta]/(G)[t]/(t^n) lifting a coefficient ring with the same
-    flat coordinates: F_q (n = 1), a mixed-characteristic ring (n = 1) or
+    flat coordinates: a mixed-characteristic ring or F_q (n = 1), or
     k[[t]]/(t^N) (n = N).  Its Frobenius lift is the p-power lift phi on
     theta together with t -> t^p."""
 
@@ -82,14 +81,12 @@ class _RingLift:
             self.ring = lr.LocalRingCtx(lr.MIXED, p, m, 1, K)
         else:
             self.ring = lr.LocalRingCtx(lr.EQUAL, p, m, 1, n, coeff_exp=K)
-        # FieldCtx.elem and LocalRingCtx.from_vec both reduce the coordinates
-        self.reduce_vec = coeff.elem if isinstance(coeff, ff.FieldCtx) else coeff.from_vec
 
     def lift(self, a):
         return lr.RingElem(self.ring, a.coeffs)
 
     def reduce(self, y):
-        return self.reduce_vec(y.coeffs)
+        return self.coeff.from_vec(y.coeffs)
 
     def zero(self):
         return self.ring.zero
@@ -144,7 +141,7 @@ class WittCtx:
             raise ParameterError(f"p = {p} exceeds the supported cap {MAX_P}")
         self.p = p
         self.n = n
-        self.coeff = coeff  # ("zmod", M) | ("ff", FieldCtx) | ("local", LocalRingCtx)
+        self.coeff = coeff  # ("zmod", M) | ("local", LocalRingCtx)
         kind = coeff[0]
         if _adapter is not None:
             self.lift = _adapter
@@ -153,11 +150,6 @@ class WittCtx:
             if kind == "zmod":
                 M = coeff[1]
                 self.lift = _ZmodLift(p, M, M + headroom)
-            elif kind == "ff":
-                F = coeff[1]
-                if F.p != p:
-                    raise ParameterError("coefficient field characteristic mismatch")
-                self.lift = _RingLift(F, F.m, 1, 1 + headroom)
             elif kind == "local":
                 R = coeff[1]
                 if R.p != p:
@@ -171,12 +163,8 @@ class WittCtx:
     # -- coefficient-ring helpers -----------------------------------------
 
     def _min_lift_prec(self, n):
-        kind = self.coeff[0]
-        if kind == "zmod":
-            return self.coeff[1] + n
-        if kind == "ff":
-            return 1 + n
-        return self.coeff[1].zp_exp + n
+        kind, c = self.coeff
+        return (c if kind == "zmod" else c.zp_exp) + n
 
     def resize(self, n2):
         if n2 == self.n:
@@ -185,24 +173,14 @@ class WittCtx:
         return WittCtx(self.p, n2, self.coeff, _adapter=adapter)
 
     def coeff_zero(self):
-        kind = self.coeff[0]
-        if kind == "zmod":
-            return 0
-        if kind == "ff":
-            return self.coeff[1].zero
-        return self.coeff[1].zero
+        return 0 if self.coeff[0] == "zmod" else self.coeff[1].zero
 
     def coeff_one(self):
-        kind = self.coeff[0]
-        if kind == "zmod":
-            return 1
-        return self.coeff[1].one
+        return 1 if self.coeff[0] == "zmod" else self.coeff[1].one
 
     def coeff_random(self, rng):
-        kind = self.coeff[0]
-        if kind == "zmod":
-            return rng.randrange(self.p ** self.coeff[1])
-        return self.coeff[1].random(rng)
+        kind, c = self.coeff
+        return rng.randrange(self.p ** c) if kind == "zmod" else c.random(rng)
 
     def coeff_eq(self, a, b):
         if self.coeff[0] == "zmod":

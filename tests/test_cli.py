@@ -85,6 +85,18 @@ def test_verify_bad_twist_exit_2(capsys):
     assert "parameter error" in err
 
 
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+@pytest.mark.parametrize("N", ["0", "1"])
+def test_precision_below_two_exit_2(capsys, mode, N):
+    # N = 1 is the residue field, which the library builds internally; the
+    # command line still refuses it
+    for argv in (("verify",), ("eval", "1"), ("dump", "milnor-basis")):
+        code, out, err = run(capsys, "--N", N, "--mode", mode, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "parameter error: precision N must be >= 2\n"
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--suites", "nope")
     assert code == 2

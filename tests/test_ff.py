@@ -3,7 +3,9 @@ import random
 import pytest
 
 from hasseorder import ff
+from hasseorder import localring as lr
 from hasseorder.errors import NotInvertibleError, ParameterError
+from test_localring import _least_root, _theta_eval, _theta_mulmod, _theta_pow
 
 
 def test_is_prime():
@@ -12,20 +14,21 @@ def test_is_prime():
 
 
 def test_bad_parameters():
-    with pytest.raises(ParameterError):
-        ff.field(4, 1)
-    with pytest.raises(ParameterError):
-        ff.field(3, 0)
+    for p, m in ((4, 1), (3, 0)):
+        with pytest.raises(ParameterError):
+            ff.defining_poly(p, m)
+        with pytest.raises(ParameterError):
+            lr.residue_field(p, m)
 
 
 def test_f9_polynomial_is_lex_least():
     # x^2 + 1 is the lexicographically least monic irreducible over F_3
-    F = ff.field(3, 2)
-    assert list(F.poly) == [1, 0, 1]
+    assert ff.defining_poly(3, 2) == (1, 0, 1)
+    assert lr.residue_field(3, 2).poly == (1, 0, 1)
 
 
 def test_f4_arithmetic():
-    F = ff.field(2, 2)
+    F = lr.residue_field(2, 2)
     th = F.gen
     # x^2 + x + 1: th^2 = th + 1
     assert th * th == th + F.one
@@ -34,55 +37,76 @@ def test_f4_arithmetic():
 
 def test_frobenius_f9():
     # theta in F_9 (poly x^2+1): theta^3 = -theta
-    F = ff.field(3, 2)
+    F = lr.residue_field(3, 2)
     th = F.gen
-    assert th.frobenius() == -th
-    assert th.frobenius(2) == th
+    assert F.frobenius_p(th) == -th
+    assert F.frobenius_p(th, 2) == th
 
 
 def test_field_axioms_sampled():
+    # products and inverses against the theta-polynomial product mod (G, p)
     rng = random.Random(1)
     for (p, m) in ((2, 3), (3, 2), (5, 1), (3, 4)):
-        F = ff.field(p, m)
+        F = lr.residue_field(p, m)
         for _ in range(200):
             a, b, c = F.random(rng), F.random(rng), F.random(rng)
+            assert list((a * b).coeffs) == _theta_mulmod(a.coeffs, b.coeffs, F.poly, p)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             if not a.is_zero():
-                assert a * a.inv() == F.one
-                assert a ** (F.order - 1) == F.one
+                inv = list(a.inv().coeffs)
+                assert _theta_mulmod(a.coeffs, inv, F.poly, p) == [1] + [0] * (m - 1)
+                assert a ** (p ** m - 1) == F.one
 
 
 def test_frobenius_hom_and_order():
+    # frobenius_p against the power map x -> x^(p^k) of the oracle product
     rng = random.Random(2)
     for (p, m) in ((2, 4), (3, 3), (5, 2)):
-        F = ff.field(p, m)
+        F = lr.residue_field(p, m)
         for _ in range(50):
-            a, b = F.random(rng), F.random(rng)
-            assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-            assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+            a = F.random(rng)
+            for k in range(m + 1):
+                assert list(F.frobenius_p(a, k).coeffs) == \
+                    _theta_pow(a.coeffs, p ** k, F.poly, p)
         for i in range(m):
-            e = F.elem([0] * i + [1])
-            assert e.frobenius(m) == e
+            e = F.from_vec([0] * i + [1] + [0] * (m - 1 - i))
+            img = e
+            for _ in range(m):
+                img = F.frobenius_p(img)
+            assert img == e
 
 
 def test_zero_has_no_inverse():
-    F = ff.field(3, 2)
+    F = lr.residue_field(3, 2)
     with pytest.raises(NotInvertibleError):
         F.zero.inv()
 
 
 def test_embedding():
-    small = ff.field(3, 2)
-    big = ff.field(3, 4)
+    small = lr.residue_field(3, 2)
+    big = lr.residue_field(3, 4)
+    root = ff.embedding_root(small, big)
+
+    def embed(x):
+        return big.from_vec(_theta_eval(x.coeffs, root.coeffs, big.poly, 3))
+
     rng = random.Random(3)
     for _ in range(20):
         a, b = small.random(rng), small.random(rng)
-        assert ff.embed(a * b, big) == ff.embed(a, big) * ff.embed(b, big)
-        assert ff.embed(a + b, big) == ff.embed(a, big) + ff.embed(b, big)
-    root = ff.embedding_root(small, big)
+        assert embed(a * b) == embed(a) * embed(b)
+        assert embed(a + b) == embed(a) + embed(b)
     # the embedded generator satisfies the small defining polynomial
     acc = big.zero
     for c in reversed(small.poly):
         acc = acc * root + big.from_int(c)
     assert acc.is_zero()
+
+
+@pytest.mark.parametrize("p,ms,mb", [(2, 1, 3), (2, 2, 4), (2, 3, 6), (3, 1, 2),
+                                     (3, 2, 4), (3, 3, 6), (5, 1, 2), (5, 2, 4)])
+def test_embedding_root_is_least_brute_force_root(p, ms, mb):
+    small, big = lr.residue_field(p, ms), lr.residue_field(p, mb)
+    root = ff.embedding_root(small, big)
+    assert root.ctx is big
+    assert root.coeffs == _least_root(small.poly, big.poly, p)

@@ -1,0 +1,49 @@
+"""Golden outputs: SHA-256 digests of CLI output that must not drift.
+
+`verify --output json` is compared without its `wall_time` key; dumps and
+evals are compared byte for byte.  A digest changes only when an output
+changes, so a refactor that keeps these digests keeps the reports.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hasseorder import cli
+
+FLAGS = ["--p", "3", "--f", "1", "--r", "1", "--N", "8", "--seed", "0"]
+VERIFY = ["--output", "json", "verify"]
+
+# name -> (argv, SHA-256 of the output)
+GOLDEN = {
+    "verify-mixed-d2": (
+        FLAGS + ["--d", "2", "--mode", "mixed"] + VERIFY,
+        "8c94778f0844553495f7757a92aa3eee8d80c1d07cda70b31334bba8c7a1f5ca"),
+    "verify-equal-d2": (
+        FLAGS + ["--d", "2", "--mode", "equal"] + VERIFY,
+        "50dd30465d618cb519d5ecd62bb473112c790ccebfe14c67994788a032bf98ab"),
+    "dump-milnor-basis-mixed-d3": (
+        FLAGS + ["--d", "3", "--mode", "mixed", "dump", "milnor-basis"],
+        "c1a1f9c39c3d4b778ccb299e265011713b5dd47151e040575c3879431a43812e"),
+    "eval-mixed-f2-d2": (
+        ["--p", "3", "--f", "2", "--d", "2", "--r", "1", "--N", "8", "--mode", "mixed",
+         "--output", "json", "eval", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x"],
+        "ded07a261847c196f39b2c1578dcd1f959f831c30eb216fc23d4a96e81819e5d"),
+}
+
+
+def digest(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if "verify" in argv:
+        report = json.loads(out)
+        report.pop("wall_time")
+        out = json.dumps(report, indent=2)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name, capsys):
+    argv, want = GOLDEN[name]
+    assert digest(argv, capsys) == want

@@ -1,9 +1,10 @@
 import random
 from itertools import permutations
 
-from hasseorder import ff, linalg
+from hasseorder import linalg
 from hasseorder import localring as lr
 from hasseorder.errors import NotInvertibleError
+from test_localring import _theta_mulmod
 
 
 def det_leibniz(mat, zero):
@@ -27,13 +28,34 @@ def test_det_bareiss_vs_leibniz():
         assert linalg.det_bareiss(M) == det_leibniz(M, zero)
 
 
+class _Fq:
+    """Oracle element of F_p[theta]/(G): a coefficient tuple with the
+    schoolbook product, sharing no code with the library kernel."""
+
+    def __init__(self, coeffs, G, p):
+        self.coeffs, self.G, self.p = tuple(coeffs), G, p
+
+    def __add__(self, other):
+        return _Fq([(a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)],
+                   self.G, self.p)
+
+    def __sub__(self, other):
+        return _Fq([(a - b) % self.p for a, b in zip(self.coeffs, other.coeffs)],
+                   self.G, self.p)
+
+    def __mul__(self, other):
+        return _Fq(_theta_mulmod(self.coeffs, other.coeffs, self.G, self.p),
+                   self.G, self.p)
+
+
 def test_det_berkowitz_matches_over_ff():
     rng = random.Random(1)
-    F = ff.field(5, 2)
-    for n in (2, 3, 4):
+    F = lr.residue_field(5, 2)
+    for n in (1, 2, 3, 4, 5):
         M = [[F.random(rng) for _ in range(n)] for _ in range(n)]
-        assert linalg.det_berkowitz(M, F.zero, F.one) == \
-            det_leibniz(M, F.zero)
+        oracle = [[_Fq(a.coeffs, F.poly, 5) for a in row] for row in M]
+        want = det_leibniz(oracle, _Fq((0, 0), F.poly, 5))
+        assert linalg.det_berkowitz(M, F.zero, F.one).coeffs == want.coeffs
 
 
 def test_det_berkowitz_over_local_ring():
@@ -84,12 +106,15 @@ def test_smith_exponents():
     assert sorted(exps) == [0, 2]
 
 
-def test_ff_rank():
-    F = ff.field(2, 2)
+def test_echelon_basis():
+    F = lr.residue_field(2, 2)
     one, zero, g = F.one, F.zero, F.gen
-    rows = [[one, zero], [g, zero], [zero, one]]
-    assert linalg.ff_rank(rows) == 2
-    assert linalg.ff_rank([[zero, zero]]) == 0
+    rows = [[g, g], [one, one], [g, zero], [zero, one]]
+    # rows 2 and 4 lie in the span of the rows before them; each kept row is
+    # reduced against the earlier ones and scaled to a leading 1
+    assert linalg.echelon_basis(rows) == [[one, one], [zero, one]]
+    assert len(linalg.echelon_basis([[one, zero], [g, zero], [zero, one]])) == 2
+    assert linalg.echelon_basis([[zero, zero]]) == []
 
 
 def test_rmat_inv():

@@ -1,11 +1,13 @@
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from hasseorder import ff
 from hasseorder import localring as lr
-from hasseorder.errors import (InternalError, NotInvertibleError,
-                               ParameterError, PrecisionError)
+from hasseorder.errors import (CtxMismatchError, InternalError,
+                               NotInvertibleError, ParameterError,
+                               PrecisionError)
 
 
 def ctx_pair(p=3, f=1, d=2, N=4, mode=lr.MIXED):
@@ -91,6 +93,16 @@ def test_teichmueller():
             y = T.teich(a)
             assert T.residue_of(y) == a
             assert y ** q == y
+            # elem takes residue-field elements as theta-coefficients/t-digits
+            lift = T.from_residue(a)
+            if mode == lr.MIXED:
+                assert T.elem(a) == lift
+            else:
+                assert T.elem([a, a]) == lift * (T.one + T.uniformizer)
+        # a residue element of another field, or a ring element, is refused
+        for bad in (S.residue.one, T.one):
+            with pytest.raises(CtxMismatchError):
+                T.teich(bad)
 
 
 def test_trace_norm_in_base():
@@ -173,24 +185,57 @@ def _theta_mulmod(a, b, G, mod):
     return [c % mod for c in out[:m]]
 
 
+def _theta_pow(a, e, G, mod):
+    """a^e in (Z/mod)[theta]/(G), e >= 0, by binary powering."""
+    out = [1] + [0] * (len(G) - 2)
+    for bit in bin(e)[2:]:
+        out = _theta_mulmod(out, out, G, mod)
+        if bit == "1":
+            out = _theta_mulmod(out, a, G, mod)
+    return out
+
+
+def _theta_eval(coeffs, z, G, mod):
+    """sum_j coeffs[j] z^j in (Z/mod)[theta]/(G), by Horner."""
+    acc = [0] * (len(G) - 1)
+    for c in reversed(coeffs):
+        acc = _theta_mulmod(acc, z, G, mod)
+        acc[0] = (acc[0] + c) % mod
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _least_root(small, big, p):
+    """Least root, in coefficient-tuple order read from the top, of the
+    polynomial `small` in F_p[theta]/(big): a brute force over all tuples."""
+    m = len(big) - 1
+    for hi in product(range(p), repeat=m):
+        z = list(hi[::-1])
+        if not any(_theta_eval(small, z, big, p)):
+            return tuple(z)
+    raise AssertionError("no root")
+
+
 def _digits(T, x):
-    """The t-digits of an equal-characteristic element as FFElems."""
+    """The t-digits of an equal-characteristic element as coefficient lists."""
     m = T.m
-    return [T.residue.elem(x.coeffs[i * m:(i + 1) * m]) for i in range(T.prec)]
+    return [list(x.coeffs[i * m:(i + 1) * m]) for i in range(T.prec)]
 
 
 def _oracle_mul(T, x, y):
-    """Product as coefficient tuple: digit-by-digit FFElem convolution
-    (equal) or the theta-polynomial product mod (G, p^N) (mixed)."""
+    """Product as coefficient tuple: digit-by-digit convolution of theta
+    polynomials mod (G, p) (equal) or the theta-polynomial product mod
+    (G, p^N) (mixed)."""
     if T.mode == lr.MIXED:
         return tuple(_theta_mulmod(x.coeffs, y.coeffs, T.poly, T.p ** T.prec))
     a, b = _digits(T, x), _digits(T, y)
     out = []
     for k in range(T.prec):
-        acc = T.residue.zero
+        acc = [0] * T.m
         for i in range(k + 1):
-            acc = acc + a[i] * b[k - i]
-        out.extend(acc.coeffs)
+            prod = _theta_mulmod(a[i], b[k - i], T.poly, T.p)
+            acc = [(u + v) % T.p for u, v in zip(acc, prod)]
+        out.extend(acc)
     return tuple(out)
 
 
@@ -227,7 +272,8 @@ def test_kernel_against_oracles(p, f, d):
                         assert T._eval_int_poly(T.poly, img).is_zero()
                         assert T.residue_of(img) == T.residue.gen ** (q ** k)
                     else:
-                        want = [c.frobenius(f * k) for c in _digits(T, x)]
+                        want = [_theta_pow(c, q ** k, T.poly, p)
+                                for c in _digits(T, x)]
                         assert _digits(T, sx) == want
                 # inv
                 u = x if x.is_unit() else x + T.one
@@ -252,7 +298,9 @@ def test_kernel_against_oracles(p, f, d):
                     if mode == lr.MIXED:
                         assert e == _horner(T, s.coeffs, T.base_gen_image)
                     else:
-                        want = [ff.embed(c, T.residue) for c in _digits(S, s)]
+                        root = list(_least_root(S.poly, T.poly, p))
+                        want = [_theta_eval(c, root, T.poly, p)
+                                for c in _digits(S, s)]
                         assert _digits(T, e) == want
                 # rel_coords round trip
                 coords = T.rel_coords(x)

@@ -179,8 +179,8 @@ def test_milnor_dimensions():
                 span_rows.append([T.residue_of(e) for row in M for e in row])
                 Mx = TO.embed_l(TO.x_elem * b)
                 rad_rows.append([T.residue_of(e) for row in Mx for e in row])
-        assert linalg.ff_rank(span_rows) == d * (d + 1) // 2
-        assert linalg.ff_rank(rad_rows) == d * (d - 1) // 2
+        assert len(linalg.echelon_basis(span_rows)) == d * (d + 1) // 2
+        assert len(linalg.echelon_basis(rad_rows)) == d * (d - 1) // 2
 
 
 def test_peirce_pattern():

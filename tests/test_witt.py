@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from hasseorder import ff
 from hasseorder import localring as lr
 from hasseorder import witt
 from hasseorder.errors import ParameterError
+from test_localring import _theta_mulmod
 
 
 def contexts(p):
     S = lr.base_ring(p, 1, 6, lr.MIXED)
     E = lr.base_ring(p, 1, 6, lr.EQUAL)
-    return [("zmod", 6), ("ff", ff.field(p, 2)), ("local", S), ("local", E)]
+    F = lr.residue_field(p, 2)
+    return [("zmod", 6), ("local", F), ("local", S), ("local", E)]
 
 
 def test_parameter_caps():
@@ -115,8 +116,7 @@ def test_frobenius_congruence_coordinatewise():
                 lambda c: c ** p)
             assert all(c % p == 0 for c in diff.coords)
         # in characteristic p the congruence is an equality
-        F9 = ff.field(p, 2)
-        Wf = witt.WittCtx(p, 4, ("ff", F9))
+        Wf = witt.WittCtx(p, 4, ("local", lr.residue_field(p, 2)))
         for _ in range(10):
             a = Wf.random(rng)
             assert a.frobenius() == \
@@ -139,20 +139,6 @@ def test_serialize_roundtrip_shape():
     W = witt.WittCtx(3, 2, ("zmod", 6))
     v = W.vec([5, 7])
     assert v.serialize() == [5, 7]
-
-
-def _theta_mulmod(a, b, G, mod):
-    """a*b in (Z/mod)[theta]/(G) for theta-coefficient lists; G monic."""
-    m = len(G) - 1
-    out = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    for k in range(2 * m - 2, m - 1, -1):
-        c = out[k]
-        for j in range(m + 1):
-            out[k - m + j] -= c * G[j]
-    return [c % mod for c in out[:m]]
 
 
 def test_equal_lift_product_matches_schoolbook():
