@@ -218,7 +218,8 @@ class DElem:
             raise InternalError("unit part of inversion input is not a unit")
         b = ctx.from_T(ctx.T.from_residue(ctx.T.residue_of(u.coeffs[0]).inv()))
         two = ctx.from_int(2)
-        for _ in range(max(1, math.ceil(math.log2(ctx.d * ctx.prec))) + 1):
+        # u*b - 1 has ord_D >= 1, each step doubles it, and pi_K^N = pi_D^(dN)
+        for _ in range(max(1, math.ceil(math.log2(ctx.d * ctx.prec)))):
             b = b * (two - u * b)
         if not (u * b - ctx.one).is_zero() or not (b * u - ctx.one).is_zero():
             raise InternalError("Newton inversion failed to converge in D")

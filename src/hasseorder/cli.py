@@ -1,6 +1,7 @@
 """Command-line front end: eval / verify / dump.
 
-Exit codes: 0 success, 1 suite failures, 2 parameter or usage errors.
+Exit codes: 0 success, 1 suite failures, 2 parameter or usage errors,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import algebra as almod
@@ -262,7 +264,14 @@ def main(argv=None):
     ap = make_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # e.g. `hasse-order ... | head`: the remaining output has no reader;
+        # send it to devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return 2

@@ -55,17 +55,18 @@ _ARRAY_CODES = (sorted({array(c).itemsize: c for c in "BHILQ"}.items())
 
 
 def power(x, e: int, one):
-    """x**e by square-and-multiply, starting from `one`; e < 0 inverts x."""
+    """x**e by square-and-multiply, starting from the lowest set bit of e
+    (`one` for e = 0); e < 0 inverts x."""
     if e < 0:
         x, e = x.inv(), -e
-    r = one
+    r = None
     while e:
         if e & 1:
-            r = r * x
+            r = x if r is None else r * x
         e >>= 1
         if e:
             x = x * x
-    return r
+    return one if r is None else r
 
 
 def _red_table(poly, m, mod):
@@ -568,8 +569,9 @@ class RingElem:
             return b
         b = ctx.from_residue(b)
         two = ctx.from_int(2)
-        # (p, t) is nilpotent of index e + n - 1 (= N on S and T)
-        for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1))) + 1):
+        # (p, t) is nilpotent of index e + n - 1 (= N on S and T), and each
+        # step doubles the valuation of the error x*b - 1
+        for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1)))):
             b = b * (two - self * b)
         if not (self * b - ctx.one).is_zero():
             raise InternalError("Newton inversion failed to converge")

@@ -214,16 +214,20 @@ class WittCtx:
 
     def ghost_lift(self, v):
         """Ghost components in the lift ring (exact)."""
-        L = self.lift
-        lifted = [L.lift(a) for a in v.coords]
-        out = []
-        for i in range(len(lifted)):
-            acc = L.zero()
-            for j in range(i + 1):
-                acc = L.add(acc, L.mul_int(L.pow(lifted[j], self.p ** (i - j)),
-                                           self.p ** j))
-            out.append(acc)
+        L, p = self.lift, self.p
+        out, powers = [], []  # powers[j] = a_j^(p^(i-j)) in round i
+        for a in v.coords:
+            powers = [L.pow(y, p) for y in powers] + [L.lift(a)]
+            out.append(self._ghost_sum(powers))
         return out
+
+    def _ghost_sum(self, powers):
+        """sum_j p^j powers[j] in the lift ring."""
+        L = self.lift
+        acc = L.zero()
+        for j, y in enumerate(powers):
+            acc = L.add(acc, L.mul_int(y, self.p ** j))
+        return acc
 
     def ghost(self, v):
         """Ghost components reduced back into the coefficient ring."""
@@ -232,15 +236,14 @@ class WittCtx:
     def _solve_ghost(self, targets, n_out):
         """Witt coordinates whose ghost equals the given lift-ring targets."""
         L = self.lift
-        coords_lift = []
+        coords_lift, powers = [], []  # powers[j] = c_j^(p^(i-j)) in round i
         for i in range(n_out):
-            acc = L.zero()
-            for j in range(i):
-                acc = L.add(acc, L.mul_int(L.pow(coords_lift[j], self.p ** (i - j)),
-                                           self.p ** j))
             # keep the full-precision lift-ring coordinate: re-lifting the
             # reduced value would corrupt the remaining divisions
-            coords_lift.append(L.divp(L.sub(targets[i], acc), i))
+            c = L.divp(L.sub(targets[i], self._ghost_sum(powers)), i)
+            coords_lift.append(c)
+            if i + 1 < n_out:
+                powers = [L.pow(y, self.p) for y in powers + [c]]
         return [L.reduce(c) for c in coords_lift]
 
 

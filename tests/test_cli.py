@@ -1,10 +1,17 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 
+import hasseorder
+from hasseorder import algebra as almod
+from hasseorder import localring as lr
 from hasseorder.cli import main
+from hasseorder.parser import evaluate
 
 
 def run(capsys, *argv):
@@ -49,6 +56,48 @@ def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "3 + $")
     assert code == 2
     assert "position 4" in err
+
+
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+@pytest.mark.parametrize("p,f,d", [(2, 4, 4), (7, 2, 4), (11, 2, 3), (13, 2, 4)])
+def test_construction_under_one_second(p, f, d, mode):
+    # the embedding S -> T needs a root of the defining polynomial of F_{p^f}
+    # in F_{p^(fd)}; a search over the p^(fd) field elements took from
+    # seconds to over a minute on the first three
+    start = time.perf_counter()
+    lr.unramified(lr.base_ring(p, f, 8, mode), d)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+def test_eval_p13_f2_d4_against_full_norm_trace(capsys, mode):
+    S = lr.base_ring(13, 2, 8, mode)
+    T = lr.unramified(S, 4)
+    expr = "(2 + th*x)*(1 - 3*th^2*x^3) + 4*%s*x" % ("t" if mode == "equal" else "pK")
+    code, out, _ = run(capsys, "--p", "13", "--f", "2", "--d", "4", "--r", "1", "--N", "8",
+                       "--mode", mode, "--output", "json", "eval", expr)
+    assert code == 0
+    data = json.loads(out)
+    # the d^2 x d^2 oracle: N = Nrd^d and Tr = d*Trd
+    tr, nm = evaluate(almod.make(T, 1), expr).full_norm_trace()
+    AS = almod.make(S, 0)
+    assert AS.from_T(nm) == evaluate(AS, data["Nrd"]) ** 4
+    assert AS.from_T(tr) == evaluate(AS, data["Trd"]) * AS.from_int(4)
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader is gone before the first write, as after `| head -c 50`
+    r, w = os.pipe()
+    os.close(r)
+    src = os.path.dirname(os.path.dirname(hasseorder.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hasseorder", "eval", "1 + x"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_verify_default_passes(capsys):

@@ -103,8 +103,13 @@ def test_embedding():
     assert acc.is_zero()
 
 
-@pytest.mark.parametrize("p,ms,mb", [(2, 1, 3), (2, 2, 4), (2, 3, 6), (3, 1, 2),
-                                     (3, 2, 4), (3, 3, 6), (5, 1, 2), (5, 2, 4)])
+# (p, small.m, big.m) with small.m | big.m and p^big.m small enough for the
+# brute force
+EMBED_GRID = [(p, ms, mb) for p in (2, 3, 5, 7) for ms in (1, 2, 3, 4)
+              for mb in range(ms, 17, ms) if p ** mb <= 20000]
+
+
+@pytest.mark.parametrize("p,ms,mb", EMBED_GRID)
 def test_embedding_root_is_least_brute_force_root(p, ms, mb):
     small, big = lr.residue_field(p, ms), lr.residue_field(p, mb)
     root = ff.embedding_root(small, big)

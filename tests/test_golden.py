@@ -30,6 +30,14 @@ GOLDEN = {
         ["--p", "3", "--f", "2", "--d", "2", "--r", "1", "--N", "8", "--mode", "mixed",
          "--output", "json", "eval", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x"],
         "ded07a261847c196f39b2c1578dcd1f959f831c30eb216fc23d4a96e81819e5d"),
+    "eval-mixed-p5-f2-d3": (
+        ["--p", "5", "--f", "2", "--d", "3", "--r", "1", "--N", "8", "--mode", "mixed",
+         "--output", "json", "eval", "(2 + th*x)*(1 - 3*th^2*x^2) + 4*pK*x"],
+        "aa159570d079491da8992bcf819c91f987323dacc0d9bb642aec1582643fd9bc"),
+    "eval-equal-p5-f2-d3": (
+        ["--p", "5", "--f", "2", "--d", "3", "--r", "1", "--N", "8", "--mode", "equal",
+         "--output", "json", "eval", "(2 + th*x)*(1 - 3*th^2*x^2) + 4*t*x"],
+        "0e76e84b0f4a3e7a0a57b1ace675cd17b4fa1f78098e35f13fa5fa79ab9125b2"),
 }
 
 
