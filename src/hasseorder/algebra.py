@@ -96,9 +96,6 @@ class AlgebraCtx:
         coeffs[0] = t
         return self.elem(0, coeffs)
 
-    def from_S(self, s):
-        return self.from_T(self.T.embed_base(s))
-
     def from_int(self, a):
         return self.from_T(self.T.from_int(a))
 
@@ -116,12 +113,6 @@ class AlgebraCtx:
     def random(self, rng):
         """A random element of the order A (shift 0)."""
         return self.elem(0, [self.T.random(rng) for _ in range(self.d)])
-
-    def random_unit(self, rng):
-        while True:
-            a = self.random(rng)
-            if a.ord() == 0:
-                return a
 
     def __repr__(self):
         return f"Algebra(d={self.d}, r={self.r}, T={self.T!r})"

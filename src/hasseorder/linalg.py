@@ -119,11 +119,6 @@ def kernel_log_size(columns, p, e):
     return ColumnSolver(columns, p, e).kernel_log_size()
 
 
-def smith_exponents(columns, p, e):
-    """Elementary divisor exponents of the column matrix over Z/p^e."""
-    return list(ColumnSolver(columns, p, e).exps)
-
-
 def det_bareiss(mat):
     """Exact integer determinant by fraction-free Gaussian elimination."""
     n = len(mat)
@@ -247,10 +242,6 @@ def rmat_vec(A, v, ctx):
 
 def rmat_scale(A, s):
     return [[s * a for a in row] for row in A]
-
-
-def rmat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def rmat_sub(A, B):

@@ -283,8 +283,11 @@ class LocalRingCtx:
                                             for k in range(2, self.d)]
 
     def _newton_root(self, int_poly, start):
-        """Unique root of int_poly congruent to start mod p, by Newton iteration."""
-        steps = max(1, math.ceil(math.log2(self.e))) + 1
+        """Unique root of int_poly congruent to start mod p, by Newton iteration.
+
+        Each step doubles the p-adic valuation of int_poly(z), which starts
+        at >= 1, so ceil(log2(e)) steps reach p^e (none at e = 1)."""
+        steps = math.ceil(math.log2(self.e))
         consts = [self.from_int(c) for c in int_poly]
         dconsts = [self.from_int(i * int_poly[i]) for i in range(1, len(int_poly))]
         z = start
@@ -360,12 +363,6 @@ class LocalRingCtx:
     def random(self, rng):
         mod = self.modulus
         return RingElem(self, tuple([rng.randrange(mod) for _ in range(self.zp_rank)]))
-
-    def random_unit(self, rng):
-        while True:
-            x = self.random(rng)
-            if x.is_unit():
-                return x
 
     # -- ring-level maps ---------------------------------------------------
 

@@ -438,41 +438,3 @@ def _split_one(module: GradedPhiModule, rule):
 
 def labels_multiset(steps):
     return sorted(s["label"] for s in steps)
-
-
-def decomposition_report(steps):
-    """Ordered labels, bases, and residual norms of a decomposition.
-
-    Each split verifies its short exact sequence at working precision and
-    raises otherwise, so every reported residual is exactly 0.
-    """
-    return {
-        "labels": [s["label"] for s in steps],
-        "bases": [[[[e.serialize() for e in row] for row in b]
-                   for b in s["basis"]] for s in steps],
-        "residuals": [0 for _ in steps],
-    }
-
-
-# ---------------------------------------------------------------------------
-# module file format
-
-def to_file(module: GradedPhiModule):
-    """{"ranks": {g_index: n}, "phi": {g_index: matrix of T-coeff arrays}}."""
-    return {
-        "ranks": {str(k): module.ranks[k] for k in range(module.ctx.d)},
-        "phi": {str(k): [[e.serialize() for e in row]
-                         for row in module.phi[k]]
-                for k in range(module.ctx.d)},
-    }
-
-
-def from_file(ctx: TensorRingCtx, data) -> GradedPhiModule:
-    T, d = ctx.T, ctx.d
-    try:
-        ranks = [int(data["ranks"][str(k)]) for k in range(d)]
-        phi = [[[T.elem(e) for e in row] for row in data["phi"][str(k)]]
-               for k in range(d)]
-    except (KeyError, TypeError) as ex:
-        raise ParameterError(f"malformed module data: {ex}") from ex
-    return GradedPhiModule(ctx, ranks, phi)

@@ -26,6 +26,10 @@ FAULTS = ("ff.mul", "local.sigma", "witt.fv", "algebra.nrd", "tensor.idem",
           "modcat.cycle")
 
 
+def _ser(v):
+    return [x.serialize() for x in v] if isinstance(v, list) else v.serialize()
+
+
 class Recorder:
     def __init__(self, name):
         self.name = name
@@ -37,6 +41,11 @@ class Recorder:
         if not ok:
             self.failures.append({"case": case, "expected": str(expected),
                                   "got": str(got)})
+
+    def check_eq(self, case, expected, got):
+        """check(expected == got), recording both sides serialized (a list
+        entrywise)."""
+        self.check(case, got == expected, _ser(expected), _ser(got))
 
     def report(self):
         return {"name": self.name, "cases": self.cases,
@@ -127,51 +136,49 @@ def suite_witt(cfg, rng, fault):
     rec = Recorder("witt")
     p = cfg["p"]
     S = lr.base_ring(p, cfg["f"], min(cfg["N"], 6), cfg["mode"])
-    # case label -> coefficient ring; "ff" is F_{p^2}
-    coeffs = {"zmod": ("zmod", 6), "ff": ("local", lr.residue_field(p, 2)),
-              "local": ("local", S)}
-    for kind, coeff in coeffs.items():
+    # case label -> coefficient ring; "zmod" is Z/p^6, "ff" is F_{p^2}
+    coeffs = {"zmod": lr.base_ring(p, 1, 6), "ff": lr.residue_field(p, 2),
+              "local": S}
+    for kind, R in coeffs.items():
         for n in (2, 3, 4):
-            W = wmod.WittCtx(p, n, coeff)
+            W = wmod.WittCtx(p, n, R)
             for i in range(8):
                 x, y, z = W.random(rng), W.random(rng), W.random(rng)
                 gx, gy = W.ghost(x), W.ghost(y)
                 gsum = W.ghost(x + y)
                 gprod = W.ghost(x * y)
-                rec.check(f"ghost-add {kind} n={n}",
-                          all(W.coeff_eq(g, a + b)
-                              for g, a, b in zip(gsum, gx, gy)))
-                rec.check(f"ghost-mul {kind} n={n}",
-                          all(W.coeff_eq(g, a * b)
-                              for g, a, b in zip(gprod, gx, gy)))
-                rec.check(f"assoc {kind} n={n}", (x * y) * z == x * (y * z))
-                rec.check(f"distrib {kind} n={n}", x * (y + z) == x * y + x * z)
-                rec.check(f"F-hom {kind} n={n}",
-                          (x * y).frobenius() == x.frobenius() * y.frobenius())
+                rec.check_eq(f"ghost-add {kind} n={n}",
+                             [a + b for a, b in zip(gx, gy)], gsum)
+                rec.check_eq(f"ghost-mul {kind} n={n}",
+                             [a * b for a, b in zip(gx, gy)], gprod)
+                rec.check_eq(f"assoc {kind} n={n}", (x * y) * z, x * (y * z))
+                rec.check_eq(f"distrib {kind} n={n}", x * (y + z), x * y + x * z)
+                rec.check_eq(f"F-hom {kind} n={n}",
+                             (x * y).frobenius(), x.frobenius() * y.frobenius())
                 fv = x.verschiebung().frobenius()
                 if fault == "witt.fv" and i == 0:
                     fv = fv + W.one
                 px = W.zero
                 for _ in range(p):
                     px = px + x
-                rec.check(f"FV=p {kind} n={n}", fv == px)
+                rec.check_eq(f"FV=p {kind} n={n}", px, fv)
                 vy = y.restriction().verschiebung()
-                rec.check(f"projection {kind} n={n}",
-                          x * vy == (x.frobenius() * y.restriction()).verschiebung())
-                a = W.coeff_random(rng)
-                b = W.coeff_random(rng)
-                rec.check(f"teich-mul {kind} n={n}",
-                          W.teich(a) * W.teich(b) == W.teich(a * b))
-                rec.check(f"F-teich {kind} n={n}",
-                          W.teich(a).frobenius() ==
-                          W.resize(n - 1).teich(a ** p))
+                rec.check_eq(f"projection {kind} n={n}", x * vy,
+                             (x.frobenius() * y.restriction()).verschiebung())
+                a = R.random(rng)
+                b = R.random(rng)
+                rec.check_eq(f"teich-mul {kind} n={n}",
+                             W.teich(a) * W.teich(b), W.teich(a * b))
+                rec.check_eq(f"F-teich {kind} n={n}",
+                             W.teich(a).frobenius(), W.resize(n - 1).teich(a ** p))
     # identities over S needing valuations
     for n in (2, 3, 4):
-        W = wmod.WittCtx(p, n, ("local", S))
+        W = wmod.WittCtx(p, n, S)
         for _ in range(8):
             a = W.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(lambda c: c ** p)
-            rec.check(f"F=R^p n={n}", all(c.ord() >= 1 for c in diff.coords))
+            ords = [c.ord() for c in diff.coords]
+            rec.check(f"F=R^p n={n}", min(ords) >= 1, 1, ords)
         piK = S.uniformizer
         for m in (1, 2, 3, 4):
             a = W.vec([S.random(rng) * piK ** m for _ in range(n)])
@@ -185,23 +192,23 @@ def suite_witt(cfg, rng, fault):
         v = W.vec([S.random(rng) * piK for _ in range(n)])
         for _ in range(n - 1):
             v = v.frobenius()
-        rec.check(f"F-kill n={n}",
-                  all(c.ord() >= min(n, S.prec) for c in v.coords))
+        ords = [c.ord() for c in v.coords]
+        rec.check(f"F-kill n={n}", min(ords) >= min(n, S.prec), min(n, S.prec), ords)
     # Galois fixed points on W_n(T), d in {2, 3}
     for dd in (2, 3):
         T = lr.unramified(lr.base_ring(p, cfg["f"], 4, cfg["mode"]), dd)
         Sd = T.base
         for n in (2, 3):
-            W = wmod.WittCtx(p, n, ("local", T))
-            WS = wmod.WittCtx(p, n, ("local", Sd))
+            W = wmod.WittCtx(p, n, T)
+            WS = wmod.WittCtx(p, n, Sd)
             for _ in range(5):
                 a = WS.random(rng)
                 emb = W.vec([T.embed_base(c) for c in a.coords])
-                rec.check(f"galois-embed-fixed d={dd} n={n}",
-                          emb.map_coords(lambda c: T.frobenius(c, 1)) == emb)
-                rec.check(f"galois-F-equivariant d={dd} n={n}",
-                          emb.frobenius().map_coords(lambda c: T.frobenius(c, 1))
-                          == emb.frobenius())
+                rec.check_eq(f"galois-embed-fixed d={dd} n={n}", emb,
+                             emb.map_coords(lambda c: T.frobenius(c, 1)))
+                fe = emb.frobenius()
+                rec.check_eq(f"galois-F-equivariant d={dd} n={n}", fe,
+                             fe.map_coords(lambda c: T.frobenius(c, 1)))
             cols = []
             for i in range(T.zp_rank):
                 v = [0] * T.zp_rank
@@ -215,18 +222,17 @@ def suite_witt(cfg, rng, fault):
     # re-indexing over k_S: phi^n bijective, F = W(phi) o R in char p
     kS = lr.residue_field(p, cfg["f"])
     for n in (2, 3, 4):
-        W = wmod.WittCtx(p, n, ("local", kS))
+        W = wmod.WittCtx(p, n, kS)
         for _ in range(8):
             a = W.random(rng)
             img = a.map_coords(lambda c: kS.frobenius_p(c, n))
             back = img.map_coords(lambda c: kS.frobenius_p(c, -n))
-            rec.check(f"reindex-bijective n={n}", back == a)
-            rec.check(f"F=WphiR n={n}",
-                      a.frobenius() ==
-                      a.restriction().map_coords(lambda c: c ** p))
-            rec.check(f"reindex-F n={n}",
-                      a.frobenius().map_coords(lambda c: kS.frobenius_p(c, n)) ==
-                      img.frobenius())
+            rec.check_eq(f"reindex-bijective n={n}", a, back)
+            fa = a.frobenius()
+            rec.check_eq(f"F=WphiR n={n}", fa,
+                         a.restriction().map_coords(lambda c: c ** p))
+            rec.check_eq(f"reindex-F n={n}",
+                         fa.map_coords(lambda c: kS.frobenius_p(c, n)), img.frobenius())
     return rec.report()
 
 

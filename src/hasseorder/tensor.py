@@ -111,10 +111,6 @@ class TensorRingCtx:
         return TensorOrderElem(self, tuple(coeffs))
 
     @property
-    def order_zero(self):
-        return self.order_elem([self.zero] * self.d)
-
-    @property
     def order_one(self):
         return self.order_scalar(self.one)
 

@@ -3,14 +3,20 @@
 `verify --output json` is compared without its `wall_time` key; dumps and
 evals are compared byte for byte.  A digest changes only when an output
 changes, so a refactor that keeps these digests keeps the reports.
+
+Witt-vector arithmetic is pinned the same way: passing verify reports record
+only case counts, so the coordinates of seeded sums, products, negatives,
+Frobenius and Verschiebung images are digested here directly.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from hasseorder import cli
+from hasseorder import cli, witt
+from hasseorder import localring as lr
 
 FLAGS = ["--p", "3", "--f", "1", "--r", "1", "--N", "8", "--seed", "0"]
 VERIFY = ["--output", "json", "verify"]
@@ -55,3 +61,40 @@ def digest(argv, capsys):
 def test_golden_digest(name, capsys):
     argv, want = GOLDEN[name]
     assert digest(argv, capsys) == want
+
+
+# coefficient ring of each Witt digest, as a function of p
+WITT_RINGS = {
+    "zmod": lambda p: lr.base_ring(p, 1, 6),
+    "ff": lambda p: lr.residue_field(p, 2),
+    "mixed": lambda p: lr.base_ring(p, 2, 6, lr.MIXED),
+    "equal": lambda p: lr.base_ring(p, 1, 6, lr.EQUAL),
+    "T": lambda p: lr.unramified(lr.base_ring(p, 1, 4, lr.EQUAL), 2),
+}
+
+# kind -> SHA-256 of the coordinates of x+y, x*y, -x, F(x), V(x) in W_3
+WITT_GOLDEN = {
+    "T": "b34f6414454f9dccedcb542e12115714d59909e7fd10f97ddbb647bc6419123c",
+    "equal": "ffbc98c1d0bcd7dbe3e22a7d5f557baac269f61f4a1a9262a29571517f8704f3",
+    "ff": "042bcb94f52f2b12393ce7230e3f95b250a47a2cf90ba2352727874d8843a678",
+    "mixed": "e26dc64c066a8247e3a118a8247e46f847a337a0258f800642852e05fbb939c8",
+    "zmod": "a9483ee65aa2251c450a7f2243f78209f969694d0619005049b71b4379e53cf3",
+}
+
+
+def witt_digest(kind):
+    """Each coordinate is written as its flat coefficient tuple."""
+    rows = []
+    for p in (2, 3, 13):
+        W = witt.WittCtx(p, 3, WITT_RINGS[kind](p))
+        rng = random.Random(f"golden-witt:{kind}:{p}")
+        for _ in range(3):
+            x, y = W.random(rng), W.random(rng)
+            for v in (x + y, x * y, -x, x.frobenius(), x.verschiebung()):
+                rows.append([list(c.coeffs) for c in v.coords])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(WITT_RINGS))
+def test_witt_golden_digest(kind):
+    assert witt_digest(kind) == WITT_GOLDEN[kind]

@@ -101,11 +101,6 @@ def test_kernel_log_size():
     assert linalg.kernel_log_size([[1, 0], [0, 1]], 3, 4) == 0
 
 
-def test_smith_exponents():
-    exps = linalg.smith_exponents([[1, 0], [0, 9]], 3, 4)
-    assert sorted(exps) == [0, 2]
-
-
 def test_echelon_basis():
     F = lr.residue_field(2, 2)
     one, zero, g = F.one, F.zero, F.gen

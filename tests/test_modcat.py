@@ -121,29 +121,3 @@ def test_serialize_shape():
     data = mod.serialize()
     assert data["ranks"] == [1, 1]
     assert len(data["phi"]) == 2
-
-
-def test_file_format_roundtrip():
-    import json
-    rng = random.Random(3)
-    for mode in (lr.MIXED, lr.EQUAL):
-        S, T, TO = make(d=2, mode=mode)
-        mod = modcat.scramble(modcat.direct_sum(
-            [modcat.standard(TO, 0), modcat.standard(TO, 1)]), rng)
-        data = json.loads(json.dumps(modcat.to_file(mod)))
-        back = modcat.from_file(TO, data)
-        assert back == mod
-    with pytest.raises(ParameterError):
-        modcat.from_file(TO, {"ranks": {}, "phi": {}})
-
-
-def test_decomposition_report():
-    rng = random.Random(4)
-    S, T, TO = make()
-    mod = modcat.scramble(modcat.direct_sum(
-        [modcat.standard(TO, 1), modcat.standard(TO, 0)]), rng)
-    steps = modcat.decompose(mod)
-    rep = modcat.decomposition_report(steps)
-    assert sorted(rep["labels"]) == [0, 1]
-    assert rep["residuals"] == [0, 0]
-    assert len(rep["bases"]) == 2

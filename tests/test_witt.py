@@ -4,52 +4,59 @@ import pytest
 
 from hasseorder import localring as lr
 from hasseorder import witt
-from hasseorder.errors import ParameterError
+from hasseorder.errors import CtxMismatchError, ParameterError
 from test_localring import _theta_mulmod
 
 
 def contexts(p):
+    """Z/p^6, F_{p^2}, and S in both characteristics."""
+    Z = lr.base_ring(p, 1, 6)
     S = lr.base_ring(p, 1, 6, lr.MIXED)
     E = lr.base_ring(p, 1, 6, lr.EQUAL)
     F = lr.residue_field(p, 2)
-    return [("zmod", 6), ("local", F), ("local", S), ("local", E)]
+    return [Z, F, S, E]
 
 
 def test_parameter_caps():
     with pytest.raises(ParameterError):
-        witt.WittCtx(3, witt.MAX_N + 1, ("zmod", 6))
+        witt.WittCtx(3, witt.MAX_N + 1, lr.base_ring(3, 1, 6))
     with pytest.raises(ParameterError):
-        witt.WittCtx(17, 2, ("zmod", 6))
+        witt.WittCtx(17, 2, lr.base_ring(17, 1, 6))
+    with pytest.raises(ParameterError):
+        witt.WittCtx(5, 2, lr.base_ring(3, 1, 6))
 
 
 def test_ghost_spec_example():
     # p = 3, v = (1, 1, 1) -> ghost (1, 4, 13)
-    W = witt.WittCtx(3, 3, ("zmod", 6))
-    g = W.ghost(W.vec([1, 1, 1]))
-    M = 3 ** 6
-    assert [c % M for c in g] == [1, 4, 13]
+    Z = lr.base_ring(3, 1, 6)
+    W = witt.WittCtx(3, 3, Z)
+    g = W.ghost(W.vec([Z.one] * 3))
+    assert [c.coeffs for c in g] == [(1,), (4,), (13,)]
+    # coordinates are elements of the coefficient ring, not bare ints
+    with pytest.raises(CtxMismatchError):
+        W.vec([1, 1, 1])
+    with pytest.raises(CtxMismatchError):
+        W.teich(lr.base_ring(3, 1, 6).one)
 
 
 def test_ghost_is_ring_hom():
     rng = random.Random(0)
     for p in (2, 3, 5):
-        for coeff in contexts(p):
+        for R in contexts(p):
             for n in (2, 3):
-                W = witt.WittCtx(p, n, coeff)
+                W = witt.WittCtx(p, n, R)
                 for _ in range(10):
                     x, y = W.random(rng), W.random(rng)
                     gx, gy = W.ghost(x), W.ghost(y)
-                    assert all(W.coeff_eq(g, a + b) for g, a, b in
-                               zip(W.ghost(x + y), gx, gy))
-                    assert all(W.coeff_eq(g, a * b) for g, a, b in
-                               zip(W.ghost(x * y), gx, gy))
+                    assert W.ghost(x + y) == [a + b for a, b in zip(gx, gy)]
+                    assert W.ghost(x * y) == [a * b for a, b in zip(gx, gy)]
 
 
 def test_ring_axioms():
     rng = random.Random(1)
     for p in (2, 3):
-        for coeff in contexts(p)[:2]:
-            W = witt.WittCtx(p, 3, coeff)
+        for R in contexts(p)[:2]:
+            W = witt.WittCtx(p, 3, R)
             for _ in range(15):
                 x, y, z = W.random(rng), W.random(rng), W.random(rng)
                 assert (x + y) + z == x + (y + z)
@@ -62,8 +69,8 @@ def test_ring_axioms():
 def test_fv_equals_p():
     rng = random.Random(2)
     for p in (2, 3, 5):
-        for coeff in contexts(p):
-            W = witt.WittCtx(p, 3, coeff)
+        for R in contexts(p):
+            W = witt.WittCtx(p, 3, R)
             x = W.random(rng)
             px = W.zero
             for _ in range(p):
@@ -74,9 +81,9 @@ def test_fv_equals_p():
 def test_frobenius_teichmueller_and_hom():
     rng = random.Random(3)
     for p in (2, 3):
-        for coeff in contexts(p):
-            W = witt.WittCtx(p, 3, coeff)
-            a = W.coeff_random(rng)
+        for R in contexts(p):
+            W = witt.WittCtx(p, 3, R)
+            a = W.ring.random(rng)
             assert W.teich(a).frobenius() == W.resize(2).teich(a ** p)
             x, y = W.random(rng), W.random(rng)
             assert (x * y).frobenius() == x.frobenius() * y.frobenius()
@@ -86,8 +93,8 @@ def test_frobenius_teichmueller_and_hom():
 def test_projection_formula():
     rng = random.Random(4)
     for p in (2, 3):
-        for coeff in contexts(p):
-            W = witt.WittCtx(p, 3, coeff)
+        for R in contexts(p):
+            W = witt.WittCtx(p, 3, R)
             x, y = W.random(rng), W.random(rng)
             vy = y.restriction().verschiebung()
             assert x * vy == \
@@ -103,20 +110,20 @@ def test_frobenius_congruence_coordinatewise():
     rng = random.Random(5)
     for p in (2, 3):
         S = lr.base_ring(p, 1, 6, lr.MIXED)
-        W = witt.WittCtx(p, 4, ("local", S))
+        W = witt.WittCtx(p, 4, S)
         for _ in range(10):
             a = W.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(lambda c: c ** p)
             assert all(c.ord() >= 1 for c in diff.coords)
         # over Z/p^M the difference coordinates are divisible by p
-        Wz = witt.WittCtx(p, 4, ("zmod", 6))
+        Wz = witt.WittCtx(p, 4, lr.base_ring(p, 1, 6))
         for _ in range(10):
             a = Wz.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(
                 lambda c: c ** p)
-            assert all(c % p == 0 for c in diff.coords)
+            assert all(c.ord() >= 1 for c in diff.coords)
         # in characteristic p the congruence is an equality
-        Wf = witt.WittCtx(p, 4, ("local", lr.residue_field(p, 2)))
+        Wf = witt.WittCtx(p, 4, lr.residue_field(p, 2))
         for _ in range(10):
             a = Wf.random(rng)
             assert a.frobenius() == \
@@ -129,16 +136,17 @@ def test_frobenius_filtration():
         S = lr.base_ring(p, 1, 6, lr.MIXED)
         pi = S.uniformizer
         for n in (2, 3, 4):
-            W = witt.WittCtx(p, n, ("local", S))
+            W = witt.WittCtx(p, n, S)
             for m in (1, 2, 3, 4):
                 a = W.vec([S.random(rng) * pi ** m for _ in range(n)])
                 assert all(c.ord() >= m + 1 for c in a.frobenius().coords)
 
 
 def test_serialize_roundtrip_shape():
-    W = witt.WittCtx(3, 2, ("zmod", 6))
-    v = W.vec([5, 7])
-    assert v.serialize() == [5, 7]
+    Z = lr.base_ring(3, 1, 6)
+    W = witt.WittCtx(3, 2, Z)
+    v = W.vec([Z.from_int(5), Z.from_int(7)])
+    assert v.serialize() == [[5], [7]]
 
 
 def test_equal_lift_product_matches_schoolbook():
@@ -148,11 +156,11 @@ def test_equal_lift_product_matches_schoolbook():
     for p in (2, 3, 5):
         for f, d in ((1, 1), (1, 2), (2, 1), (1, 3)):
             E = lr.unramified(lr.base_ring(p, f, 6, lr.EQUAL), d)
-            L = witt.WittCtx(p, 3, ("local", E)).lift
-            ring, m, N = L.ring, E.m, E.prec
-            mod = p ** L.K
+            L = witt.WittCtx(p, 3, E).lift
+            m, N = E.m, E.prec
+            mod = L.modulus
             for _ in range(5):
-                a, b = ring.random(rng), ring.random(rng)
+                a, b = L.random(rng), L.random(rng)
                 digit = lambda x, i: list(x.coeffs[i * m:(i + 1) * m])
                 want = []
                 for k in range(N):
@@ -161,8 +169,40 @@ def test_equal_lift_product_matches_schoolbook():
                         prod = _theta_mulmod(digit(a, i), digit(b, k - i), E.poly, mod)
                         acc = [(x + y) % mod for x, y in zip(acc, prod)]
                     want += acc
-                assert L.mul(a, b).coeffs == tuple(want)
+                assert (a * b).coeffs == tuple(want)
                 # the Frobenius lift: a ring map with t -> t^p, = x^p mod p
-                assert L.phi(L.mul(a, b)) == L.mul(L.phi(a), L.phi(b))
-                diff = L.sub(L.phi(a), L.pow(a, p))
+                assert witt.phi(a * b) == witt.phi(a) * witt.phi(b)
+                diff = witt.phi(a) - a ** p
                 assert all(c % p == 0 for c in diff.coeffs)
+
+
+def _iota(Z, F, v):
+    """W_n(F_q) -> Z_q/p^n, (a_i) -> sum_i p^i [a_i^(p^-i)] (Teichmueller lifts)."""
+    acc = Z.zero
+    for i, a in enumerate(v.coords):
+        acc = acc + Z.teich(F.frobenius_p(a, -i)).scale(Z.p ** i)
+    return acc
+
+
+def test_witt_of_finite_field_is_unramified_ring():
+    """Independent oracle: W_n(F_q) = Z_q/p^n (Serre, Local Fields, II 6).
+
+    The explicit isomorphism iota must carry Witt sums and products to the
+    sums and products of the unramified ring Z_q/p^n; coordinatewise
+    addition, the wrong law, must fail the same additivity check."""
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3):
+            F = lr.residue_field(p, m)
+            for n in (2, 3, 4):
+                Z = lr.base_ring(p, m, n)
+                W = witt.WittCtx(p, n, F)
+                naive_fails = False
+                for _ in range(10):
+                    x, y = W.random(rng), W.random(rng)
+                    ix, iy = _iota(Z, F, x), _iota(Z, F, y)
+                    assert _iota(Z, F, x + y) == ix + iy
+                    assert _iota(Z, F, x * y) == ix * iy
+                    naive = W.vec([a + b for a, b in zip(x.coords, y.coords)])
+                    naive_fails |= _iota(Z, F, naive) != ix + iy
+                assert naive_fails, (p, m, n)
