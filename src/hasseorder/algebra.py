@@ -235,16 +235,15 @@ class DElem:
 
     # -- embedding, reduced and full norm/trace ---------------------------
 
-    def embed(self, t=None):
-        """Matrix of l(a (x) t) on D as a right T-module in basis (pi_D^s).
+    def embed(self):
+        """Matrix of left multiplication by a on D as a right T-module in
+        basis (pi_D^s).
 
-        Entry (j, s) = pi_K^{floor((i+s)/d) + shift} * sigma_r^{-j}(y_i) * t
+        Entry (j, s) = pi_K^{floor((i+s)/d) + shift} * sigma_r^{-j}(y_i)
         with i = (j - s) mod d.
         """
         ctx = self.ctx
         d, T = ctx.d, ctx.T
-        if t is None:
-            t = T.one
         piK = T.uniformizer
         out = []
         for j in range(d):
@@ -256,7 +255,7 @@ class DElem:
                     row.append(T.zero)
                     continue
                 e = (i + s) // d + self.shift
-                entry = T.frobenius(y, -ctx.r * j) * t
+                entry = T.frobenius(y, -ctx.r * j)
                 if e >= 0:
                     if e:
                         entry = entry * piK ** e

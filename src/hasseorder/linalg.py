@@ -244,10 +244,6 @@ def rmat_scale(A, s):
     return [[s * a for a in row] for row in A]
 
 
-def rmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def rmat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 

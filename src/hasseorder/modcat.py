@@ -53,16 +53,14 @@ class GradedPhiModule:
         Raises ValidationError naming the offending starting pieces.
         """
         ctx = self.ctx
-        T = ctx.T
-        piK = T.uniformizer
+        piK = ctx.T.uniformizer
+        tol = ctx.T.prec - self.slack
         report = {}
         bad = []
         for k in range(ctx.d):
             M = phi_composite(self, k, ctx.d)
-            target = linalg.rmat_scale(linalg.rmat_id(T, self.ranks[k]), piK)
-            residual = linalg.rmat_sub(M, target)
-            tol = T.prec - self.slack
-            ok = all(e.ord() >= tol for row in residual for e in row)
+            ok = all((e - piK if i == c else e).ord() >= tol
+                     for i, row in enumerate(M) for c, e in enumerate(row))
             report[k] = ok
             if not ok:
                 bad.append(k)
@@ -86,7 +84,7 @@ class GradedPhiModule:
 class ModuleMap:
     """A degree-1 phi-equivariant map of graded modules: per-piece blocks."""
 
-    def __init__(self, source, target, blocks, check=True):
+    def __init__(self, source, target, blocks):
         if source.ctx is not target.ctx:
             raise CtxMismatchError("source and target from different contexts")
         self.source = source
@@ -98,7 +96,7 @@ class ModuleMap:
             if len(b) != target.ranks[k] or any(len(r) != source.ranks[k]
                                                 for r in b):
                 raise ParameterError(f"map block at g = {k} has wrong shape")
-        if check and not self.is_equivariant():
+        if not self.is_equivariant():
             raise ValidationError("map is not phi-equivariant")
 
     def is_equivariant(self):
@@ -268,9 +266,11 @@ def deg(module: GradedPhiModule, g: int) -> int:
 def phi_composite(module: GradedPhiModule, start: int, steps: int):
     """The composite of `steps` phi-maps out of piece `start`."""
     T = module.ctx.T
-    M = linalg.rmat_id(T, module.ranks[start])
-    cur = start
-    for _ in range(steps):
+    if steps == 0:
+        return linalg.rmat_id(T, module.ranks[start])
+    M = module.phi[start]
+    cur = module.succ(start)
+    for _ in range(steps - 1):
         M = linalg.rmat_mul(module.phi[cur], M, T)
         cur = module.succ(cur)
     return M
@@ -320,7 +320,9 @@ def decompose(module: GradedPhiModule, rule="min"):
 
     Returns a list of steps, each with the label h of the split-off standard
     F(A (x)_S T * e_h), the cycle scalars of the size-1 sub-object, and the
-    per-piece change-of-basis witnesses.  The label multiset realizes the
+    per-piece change-of-basis witnesses.  Each change of basis is elementary
+    (one identity column replaced by a saturated orbit vector), so each
+    quotient is a rank-one update of phi.  The label multiset realizes the
     Krull-Schmidt decomposition.
     """
     module.validate()
@@ -338,6 +340,12 @@ def decompose(module: GradedPhiModule, rule="min"):
 
 
 def _split_one(module: GradedPhiModule, rule):
+    """Split one size-1 sub-object off `module`: (step, quotient).
+
+    The sub-object is spanned by the saturated phi-orbit of one basis
+    vector.  The change of basis is elementary and inverted in closed form;
+    the quotient's phi is a rank-one update of the module's phi.
+    """
     ctx = module.ctx
     T, d = ctx.T, ctx.d
     prec = T.prec
@@ -353,18 +361,13 @@ def _split_one(module: GradedPhiModule, rule):
         return vecs
 
     if rule == "min":
-        best = None
-        for b in range(size):
-            tot = sum(_vec_ord(v, prec) for v in orbit(b))
-            if best is None or tot < best[0]:
-                best = (tot, b)
-        pick = best[1]
+        vecs = min((orbit(b) for b in range(size)),
+                   key=lambda vs: sum(_vec_ord(v, prec) for v in vs))
     elif rule == "first":
-        pick = 0
+        vecs = orbit(0)
     else:
         raise ParameterError(f"unknown selection rule {rule!r}")
 
-    vecs = orbit(pick)
     sat = []
     vmax = 0
     for v in vecs:
@@ -377,15 +380,14 @@ def _split_one(module: GradedPhiModule, rule):
     eff = prec - module.slack - vmax
 
     # cycle scalars: phi[k_j] x'_j = lambda_j x'_{j+1}
+    units = [next(i for i, c in enumerate(s) if c.is_unit()) for s in sat]
+    unit_inv = [s[u].inv() for s, u in zip(sat, units)]
     lambdas = [None] * d
-    units = [None] * d  # unit coordinate index of each saturated vector
-    for j in range(d):
-        units[j] = next(i for i, c in enumerate(sat[j]) if c.is_unit())
     for j in range(d):
         w = linalg.rmat_vec(module.phi[cycle[j]], sat[j], T)
-        nxt = sat[(j + 1) % d]
-        lam = w[units[(j + 1) % d]] * nxt[units[(j + 1) % d]].inv()
-        if any((a - lam * b).ord() < eff for a, b in zip(w, nxt)):
+        j1 = (j + 1) % d
+        lam = w[units[j1]] * unit_inv[j1]
+        if any((a - lam * b).ord() < eff for a, b in zip(w, sat[j1])):
             raise ValidationError("phi-orbit does not span a size-1 "
                                   "sub-object; input is not projective")
         lambdas[j] = lam
@@ -399,33 +401,23 @@ def _split_one(module: GradedPhiModule, rule):
     g0 = cycle[j0]            # source piece of the non-iso, g0 = h o sigma_r
     label = (g0 - ctx.r) % d  # the standard's label h
 
-    # change of basis per piece: first column the saturated orbit vector,
-    # the remaining columns standard basis vectors skipping its unit slot
+    # basis[k] is the identity with column units[j] replaced by sat[j],
+    # moved to the front.  With s, u, v = sat, unit slot and s[u]^{-1} at
+    # the target piece, basis[t]^{-1} phi[k] basis[k] has first column
+    # (lambda_j, w - lambda_j * s), checked above, and lower-right block
+    # phi[k][i][c] - (phi[k][u][c] * v) * s[i] for i != u, c != units[j].
     basis = [None] * d
-    basis_inv = [None] * d
+    new_phi = [None] * d
     for j, k in enumerate(cycle):
-        cols = [sat[j]] + [[T.one if i == c else T.zero for i in range(size)]
-                           for c in range(size) if c != units[j]]
-        B = [[cols[c][i] for c in range(size)] for i in range(size)]
-        basis[k] = B
-        basis_inv[k] = linalg.rmat_inv(B, T)
-
-    new_phi = []
-    residual_ok = True
-    for k in range(d):
-        t = module.succ(k)
-        Mt = linalg.rmat_mul(basis_inv[t],
-                             linalg.rmat_mul(module.phi[k], basis[k], T), T)
-        j = cycle.index(k)
-        # exactness witness: the sub-object line maps by lambda_j at the
-        # representable precision
-        if not ((Mt[0][0] - lambdas[j]).ord() >= eff
-                and all(Mt[i][0].ord() >= eff for i in range(1, size))):
-            residual_ok = False
-        new_phi.append([row[1:] for row in Mt[1:]])
-    if not residual_ok:
-        raise ValidationError("short exact sequence of the split is not exact "
-                              "at precision")
+        j1 = (j + 1) % d
+        s, u, v = sat[j1], units[j1], unit_inv[j1]
+        keep = [c for c in range(size) if c != units[j]]
+        basis[k] = [[sat[j][i]] + [T.one if i == c else T.zero for c in keep]
+                    for i in range(size)]
+        phi = module.phi[k]
+        coef = [phi[u][c] * v for c in keep]
+        new_phi[k] = [[phi[i][c] - a * s[i] for c, a in zip(keep, coef)]
+                      for i in range(size) if i != u]
 
     quotient = GradedPhiModule(ctx, [size - 1] * d, new_phi,
                                slack=module.slack + vmax)

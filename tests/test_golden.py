@@ -6,7 +6,9 @@ changes, so a refactor that keeps these digests keeps the reports.
 
 Witt-vector arithmetic is pinned the same way: passing verify reports record
 only case counts, so the coordinates of seeded sums, products, negatives,
-Frobenius and Verschiebung images are digested here directly.
+Frobenius and Verschiebung images are digested here directly.  The same
+holds for `modcat.decompose`: the labels, cycle scalars, change-of-basis
+witnesses and unit slots of its steps are digested here.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import random
 
 import pytest
 
-from hasseorder import cli, witt
+from hasseorder import cli, modcat, tensor, witt
 from hasseorder import localring as lr
 
 FLAGS = ["--p", "3", "--f", "1", "--r", "1", "--N", "8", "--seed", "0"]
@@ -98,3 +100,43 @@ def witt_digest(kind):
 @pytest.mark.parametrize("kind", sorted(WITT_RINGS))
 def test_witt_golden_digest(kind):
     assert witt_digest(kind) == WITT_GOLDEN[kind]
+
+
+# name -> (p, f, d, r, N, mode) of the seeded scrambled modules
+DECOMPOSE_CONFIGS = {
+    "mixed-d4": (3, 1, 4, 1, 8, lr.MIXED),
+    "equal-d2": (3, 1, 2, 1, 8, lr.EQUAL),
+    "mixed-d1": (3, 1, 1, 0, 8, lr.MIXED),
+}
+
+# name -> SHA-256 of the serialized steps under the rules "min" and "first"
+DECOMPOSE_GOLDEN = {
+    "equal-d2": "7ecb46e7b7d54d5e8312c1e6bbbae02363c0dd32d803fe44aae2eb9cfd736d10",
+    "mixed-d1": "2175852790b90cfcb67e644a54ad23313e06db5811f66299d86e2785e09967de",
+    "mixed-d4": "be87c474f4c8f3950687c63e9dd2096cab7bd15dec439759133e4839fdbf9ac8",
+}
+
+
+def decompose_digest(name):
+    p, f, d, r, N, mode = DECOMPOSE_CONFIGS[name]
+    TO = tensor.make(lr.unramified(lr.base_ring(p, f, N, mode), d), r)
+    rng = random.Random(f"golden-decompose:{name}")
+    rows = []
+    for _ in range(4):
+        labels = [rng.randrange(d) for _ in range(rng.randrange(1, 4))]
+        mod = modcat.scramble(modcat.direct_sum(
+            [modcat.standard(TO, h) for h in labels]), rng)
+        for rule in ("min", "first"):
+            for s in modcat.decompose(mod, rule=rule):
+                rows.append({
+                    "label": s["label"],
+                    "lambdas": [lam.serialize() for lam in s["lambdas"]],
+                    "basis": [[[e.serialize() for e in row] for row in B]
+                              for B in s["basis"]],
+                    "orbit_unit_slots": s["orbit_unit_slots"]})
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_CONFIGS))
+def test_decompose_golden_digest(name):
+    assert decompose_digest(name) == DECOMPOSE_GOLDEN[name]

@@ -121,3 +121,38 @@ def test_serialize_shape():
     data = mod.serialize()
     assert data["ranks"] == [1, 1]
     assert len(data["phi"]) == 2
+
+
+def test_split_one_matches_generic_conjugation():
+    """Each step's quotient is the conjugate B_t^{-1} phi_k B_k by the step's
+    basis witnesses, computed here by a generic inverse and two products:
+    its first column is (lambda_j, 0, ...) to eff digits and its lower-right
+    block is the quotient's phi_k exactly."""
+    rng = random.Random(3)
+    cases = CONFIGS + ((5, 1, 0, lr.MIXED), (3, 1, 0, lr.EQUAL))
+    for (p, d, r, mode) in cases:
+        S, T, TO = make(p=p, d=d, r=r, mode=mode)
+        cycle = [(-TO.r * j) % d for j in range(d)]
+        for size in (1, 2, 3):
+            labels = [rng.randrange(d) for _ in range(size)]
+            mod = modcat.scramble(modcat.direct_sum(
+                [modcat.standard(TO, h) for h in labels]), rng)
+            for rule in ("min", "first"):
+                current = mod
+                for _ in range(size):
+                    step, quotient = modcat._split_one(current, rule)
+                    eff = T.prec - quotient.slack
+                    basis = step["basis"]
+                    for k in range(d):
+                        t = current.succ(k)
+                        Mt = linalg.rmat_mul(
+                            linalg.rmat_inv(basis[t], T),
+                            linalg.rmat_mul(current.phi[k], basis[k], T), T)
+                        lam = step["lambdas"][cycle.index(k)]
+                        assert (Mt[0][0] - lam).ord() >= eff
+                        assert all(row[0].ord() >= eff for row in Mt[1:])
+                        lower = [row[1:] for row in Mt[1:]]
+                        assert len(lower) == len(quotient.phi[k])
+                        assert linalg.rmat_eq(lower, quotient.phi[k])
+                    current = quotient
+                assert current.ranks == [0] * d
