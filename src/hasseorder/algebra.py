@@ -28,26 +28,37 @@ def check_twist(d: int, r: int):
             f"twist r = {r} must satisfy 0 < r < d and gcd(r, d) = 1")
 
 
-def skew_mul(ys, zs, sigma, r, pi, zero):
+def skew_mul(ys, zs, sigma, r, dot, times_pi):
     """Product of sum y_i x^i and sum z_j x^j in R^{tau}{x}/(x^d - pi).
 
     x z = tau(z) x with tau = sigma^r, where sigma(z, k) applies sigma^k to
-    a coefficient of R; pi must be central.  Returns the d coefficients.
+    a coefficient of R; pi must be central.  Output coefficient s is the
+    dot product of the y_i and sigma^{ri}(z_j) with i + j = s, plus
+    times_pi of the dot product of those with i + j = s + d.  Returns the d
+    coefficients.
     """
     d = len(ys)
-    out = [zero] * d
+    # terms[s][w]: the factors of the terms with i + j = s + w*d
+    terms = [(([], []), ([], [])) for _ in range(d)]
     for i, yi in enumerate(ys):
         if yi.is_zero():
             continue
         for j, zj in enumerate(zs):
-            if zj.is_zero():
-                continue
-            term = yi * sigma(zj, r * i)
-            if i + j >= d:
-                term = term * pi
-            s = (i + j) % d
-            out[s] = out[s] + term
+            if not zj.is_zero():
+                left, right = terms[(i + j) % d][i + j >= d]
+                left.append(yi)
+                right.append(sigma(zj, r * i))
+    out = []
+    for below, above in terms:
+        c = dot(*below)
+        if above[0]:
+            c = c + times_pi(dot(*above))
+        out.append(c)
     return out
+
+
+def _times_pi_K(y):
+    return y.shift_down(-1)
 
 
 class AlgebraCtx:
@@ -141,9 +152,8 @@ class DElem:
         a, b = self, other
         if a.shift > b.shift:
             a, b = b, a
-        piK = ctx.T.uniformizer
-        scale = piK ** (b.shift - a.shift)
-        return ctx.elem(a.shift, [x + scale * y
+        up = a.shift - b.shift
+        return ctx.elem(a.shift, [x + y.shift_down(up)
                                   for x, y in zip(a.coeffs, b.coeffs)])
 
     def __sub__(self, other):
@@ -158,7 +168,7 @@ class DElem:
         T = ctx.T
         return ctx.elem(self.shift + other.shift,
                         skew_mul(self.coeffs, other.coeffs, T.frobenius,
-                                 ctx.r, T.uniformizer, T.zero))
+                                 ctx.r, T.dot, _times_pi_K))
 
     def __pow__(self, e: int):
         return power(self, e, self.ctx.one)
@@ -244,7 +254,6 @@ class DElem:
         """
         ctx = self.ctx
         d, T = ctx.d, ctx.T
-        piK = T.uniformizer
         out = []
         for j in range(d):
             row = []
@@ -255,13 +264,7 @@ class DElem:
                     row.append(T.zero)
                     continue
                 e = (i + s) // d + self.shift
-                entry = T.frobenius(y, -ctx.r * j)
-                if e >= 0:
-                    if e:
-                        entry = entry * piK ** e
-                else:
-                    entry = entry.shift_down(-e)
-                row.append(entry)
+                row.append(T.frobenius(y, -ctx.r * j).shift_down(-e))
             out.append(row)
         return out
 
@@ -281,28 +284,40 @@ class DElem:
 
     def _left_mult_matrix(self):
         """Matrix of left multiplication on D as an S-module of rank d^2,
-        in the basis (theta^j * pi_D^i)."""
+        in the basis (theta^j * pi_D^i).
+
+        Read off the skew structure: with a = pi_K^shift sum_k y_k pi_D^k,
+        a * theta^j pi_D^i = sum_k pi_K^shift y_k sigma_r^k(theta^j)
+        pi_D^{k+i}, and pi_D^{k+i} = pi_K pi_D^{k+i-d} once k + i >= d.
+        """
         ctx = self.ctx
         T, S, d = ctx.T, ctx.S, ctx.d
-        piK = T.uniformizer
-        cols = []
-        for i in range(d):
-            for j in range(d):
-                basis = [T.zero] * d
-                basis[i] = T.gen ** j
-                b = DElem(ctx, 0, tuple(basis))
-                c = self * b
-                if c.shift < 0:
-                    raise PrecisionError("left multiplication left the order A")
-                scale = piK ** c.shift
-                col = []
-                for k in range(d):
-                    col.extend(T.rel_coords(c.coeffs[k] * scale))
-                cols.append(col)
-        # cols[i*d+j][k*d+j'] is the (theta^{j'} pi_D^k)-coordinate of
-        # a * theta^j pi_D^i; transpose to act on coordinate columns
+        if self.shift < 0:
+            raise PrecisionError("left multiplication left the order A")
+        powers = [T.gen ** j for j in range(d)]
+        # coords[k][w][j]: S-coordinates of pi_K^{shift+w} y_k sigma_r^k(theta^j),
+        # with w = 1 needed only for k > 0
+        coords = []
+        for k, y in enumerate(self.coeffs):
+            if y.is_zero():
+                coords.append(None)
+                continue
+            prods = [y * T.frobenius(t, ctx.r * k) for t in powers]
+            coords.append([[T.rel_coords(v.shift_down(-self.shift - w)) for v in prods]
+                           for w in range(1 + (k > 0))])
+        zero = [S.zero] * d
         n = d * d
-        return [[cols[cidx][ridx] for cidx in range(n)] for ridx in range(n)]
+        # row k'*d + j' is the (theta^{j'} pi_D^{k'})-coordinate, column
+        # i*d + j is the image of theta^j pi_D^i
+        M = [[None] * n for _ in range(n)]
+        for i in range(d):
+            for kk in range(d):
+                k = (kk - i) % d
+                for j in range(d):
+                    col = coords[k][k + i >= d][j] if coords[k] else zero
+                    for jj in range(d):
+                        M[kk * d + jj][i * d + j] = col[jj]
+        return M
 
     def full_norm_trace(self):
         """Trace and determinant of left multiplication on the d^2-dimensional

@@ -2,12 +2,13 @@
 
 Everything here is exact.  Determinants are computed division-free (Bareiss
 over the integers, Berkowitz over an arbitrary commutative ring) so results
-are correct at full working precision with no valuation loss.
+are correct at full working precision with no valuation loss.  Matrix
+products and Berkowitz's inner products go through the ring's `dot` and
+`matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
+once.
 """
 
 from __future__ import annotations
-
-from operator import mul as _mul
 
 from .errors import NotInvertibleError
 
@@ -158,10 +159,7 @@ def det_berkowitz(mat, zero, one):
     if n == 1:
         return mat[0][0]
 
-    def dot(u, v):
-        terms = map(_mul, u, v)
-        return sum(terms, next(terms, zero))
-
+    dot = zero.ctx.dot
     tail = [-mat[0][0]]  # det(x - A_1) = x + tail[0]
     for i in range(1, n):
         R = mat[i][:i]
@@ -216,28 +214,11 @@ def rmat_zero(ctx, rows, cols):
 
 
 def rmat_mul(A, B, ctx):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        Ai = A[i]
-        row = []
-        for j in range(cols):
-            acc = ctx.zero
-            for k in range(inner):
-                acc = acc + Ai[k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return ctx.matmul(A, B)
 
 
 def rmat_vec(A, v, ctx):
-    out = []
-    for row in A:
-        acc = ctx.zero
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    return [ctx.dot(row, v) for row in A]
 
 
 def rmat_scale(A, s):

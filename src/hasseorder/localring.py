@@ -21,7 +21,10 @@ coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, products go through one
 Kronecker-packed integer multiply (n > 1) or a schoolbook product in theta
 (n = 1), and the Galois and base-ring maps are precomputed Z/p^e-linear maps
-applied to each t-block.
+applied to each t-block.  A sum of products (`dot`, `matmul`) is packed and
+reduced once: each operand is packed into one integer, the integer products
+are added in slots wide enough for the number of terms, and one `finish`
+reduces the sum by G and p^e.
 
 An unramified extension T of relative degree d over a base ring S carries a
 distinguished generator sigma of Gal(T/S): the image of theta is the
@@ -105,15 +108,26 @@ def _schoolbook_mul(m, mod, red):
     return mul
 
 
+# _ROUND[w]: the bytes per slot of values needing w bytes, when an array
+# type holds them
+_ROUND = tuple(next(size for size, _ in _ARRAY_CODES if size >= w)
+               for w in range(_ARRAY_CODES[-1][0] + 1 if _ARRAY_CODES else 0))
+
+
+def _slot_bytes(bound):
+    """Bytes per slot of values up to `bound`: an array itemsize if one is
+    wide enough, else the bytes the values need."""
+    width = (bound.bit_length() + 7) // 8
+    return _ROUND[width] if width < len(_ROUND) else width
+
+
 def _slots(bound):
     """Packing of int sequences into one integer, in slots wide enough for
     values up to `bound`: returns (bits per slot, pack, unpack)."""
-    width = (bound.bit_length() + 7) // 8  # bytes
-    code = next((c for size, c in _ARRAY_CODES if size >= width), None)
+    width = _slot_bytes(bound)
+    code = next((c for size, c in _ARRAY_CODES if size == width), None)
     frm = int.from_bytes
     if code:
-        width = array(code).itemsize
-
         def pack(seq):
             return frm(array(code, seq).tobytes(), "little")
 
@@ -129,18 +143,42 @@ def _slots(bound):
     return 8 * width, pack, unpack
 
 
-def _kronecker_mul(m, n, mod, red):
-    """Product in R_{e,n}, n > 1, by one integer multiply (Kronecker
-    substitution).
+def _term_bound(m, n, mod):
+    """Largest slot value that one product adds to a packed sum before it
+    is finished: the product itself for n = 1, where `finish` unpacks
+    before reducing by G, and the product grown by that reduction for
+    n > 1, where `finish` reduces the packed t-polynomials."""
+    prod = n * m * (mod - 1) ** 2
+    return prod if n == 1 else prod * (1 + (m - 1) * (mod - 1))
 
-    theta^j t^i is packed at slot j*(2n-1) + i, so the t-product of two
-    theta-degrees never spills into the next one.  The theta-reduction then
-    acts on whole packed t-polynomials, truncated at t^n, and only the m*n
-    surviving slots are unpacked and reduced mod p^e.
+
+def _packed_sums(m, n, mod, red, bound):
+    """(pack, finish) for sums of products in R_{e,n} whose slot values
+    stay below `bound` (Kronecker substitution).
+
+    pack(a) is one integer; a sum of products pack(a) * pack(b) is turned
+    back into a coefficient tuple by one finish(c).  For n = 1 theta^j
+    sits in slot j: finish unpacks the 2m-1 product slots and reduces them
+    by G and p^e.  For n > 1 theta^j t^i sits in slot j*(2n-1) + i, so the
+    t-product of two theta-degrees never spills into the next one: finish
+    reduces by G on whole packed t-polynomials, truncated at t^n, and only
+    the m*n surviving slots are unpacked and reduced mod p^e.
     """
+    bits, pack, unpack = _slots(bound)
+    if n == 1:
+        width = 2 * m - 1
+        red = [(m + l, row) for l, row in enumerate(red)]
+
+        def finish(c):
+            out = list(unpack(c, width))
+            for l, row in red:
+                v = out[l]
+                if v:
+                    for j, r in row:
+                        out[j] += v * r
+            return tuple([v % mod for v in out[:m]])
+        return pack, finish
     wt = 2 * n - 1
-    # largest coefficient before the final reduction
-    bits, pack, unpack = _slots(n * m * (mod - 1) ** 2 * (1 + (m - 1) * (mod - 1)))
     seg = bits * wt  # one theta-degree of the product
     tbits = bits * n  # one truncated t-polynomial
     mask = (1 << tbits) - 1
@@ -152,9 +190,7 @@ def _kronecker_mul(m, n, mod, red):
     # slot j*n + i of the unpacked result is the coefficient of t^i theta^j
     put = itemgetter(*[j * n + i for i in range(n) for j in range(m)])
 
-    def mul(a, b):
-        pa = pack(take(a + (0,)))
-        c = pa * (pa if a is b else pack(take(b + (0,))))
+    def finish(c):
         out = [(c >> (j * seg)) & mask for j in range(m)]
         for shift, row in red:
             s = (c >> shift) & mask
@@ -165,6 +201,14 @@ def _kronecker_mul(m, n, mod, red):
         for x in reversed(out):
             acc = (acc << tbits) | x
         return put([v % mod for v in unpack(acc, count)])
+    return (lambda a: pack(take(a + (0,)))), finish
+
+
+def _kronecker_mul(pack, finish):
+    """Product in R_{e,n}, n > 1, by one integer multiply of the packings."""
+    def mul(a, b):
+        pa = pack(a)
+        return finish(pa * (pa if a is b else pack(b)))
     return mul
 
 
@@ -231,9 +275,12 @@ class LocalRingCtx:
         self.residue = self if e * n == 1 else residue_field(p, m)
         self.zp_rank = m * n
         self.modulus = p ** e
-        red = _red_table(self.poly, m, self.modulus)
-        self._mul = (_schoolbook_mul(m, self.modulus, red) if n == 1
-                     else _kronecker_mul(m, n, self.modulus, red))
+        self._red = _red_table(self.poly, m, self.modulus)
+        # packed sums of products: one (pack, finish) per slot width in use
+        self._term_bound = _term_bound(m, n, self.modulus)
+        self._sums = {}
+        self._mul = (_schoolbook_mul(m, self.modulus, self._red) if n == 1
+                     else _kronecker_mul(*self._sum_kernel(1)))
         self._zero_tail = (0,) * (m * (n - 1))
         self.zero = RingElem(self, (0,) * self.zp_rank)
         self.one = self.from_int(1)
@@ -446,6 +493,50 @@ class LocalRingCtx:
                               for j in range(self.d)]
         return [RingElem(base, coord(x.coeffs)) for coord in self._rel_maps]
 
+    # -- sums of products -------------------------------------------------
+
+    def _sum_kernel(self, terms):
+        """(pack, finish) for sums of up to `terms` products, in the
+        narrowest slots that hold them (the slot width grows with terms)."""
+        width = _slot_bytes(max(terms, 1) * self._term_bound)
+        kernel = self._sums.get(width)
+        if kernel is None:
+            kernel = self._sums[width] = _packed_sums(
+                self.m, self.n, self.modulus, self._red, (1 << 8 * width) - 1)
+        return kernel
+
+    def _packings(self, xs, pack):
+        """pack(x.coeffs) for each element x of this ring, 0 for zero."""
+        out = []
+        for x in xs:
+            if x.ctx is not self:
+                raise CtxMismatchError("operands from different ring contexts")
+            out.append(pack(x.coeffs) if any(x.coeffs) else 0)
+        return out
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i]: the integer products of the packings are
+        added, and the sum is reduced by G and p^e once."""
+        pack, finish = self._sum_kernel(len(xs))
+        c = sum(map(_mul, self._packings(xs, pack), self._packings(ys, pack)))
+        return RingElem(self, finish(c)) if c else self.zero
+
+    def matmul(self, A, B):
+        """The matrix product A * B: each entry is packed once, and each
+        output entry is one packed sum, reduced once."""
+        pack, finish = self._sum_kernel(len(B))
+        rows = [self._packings(row, pack) for row in A]
+        cols = [self._packings(col, pack) for col in zip(*B)]
+        zero = self.zero
+        out = []
+        for row in rows:
+            line = []
+            for col in cols:
+                c = sum(map(_mul, row, col))
+                line.append(RingElem(self, finish(c)) if c else zero)
+            out.append(line)
+        return out
+
     # -- Z/p^e module structure (shared linear-algebra interface) ----------
 
     def to_vec(self, x):
@@ -575,12 +666,17 @@ class RingElem:
         return b
 
     def shift_down(self, k: int):
-        """Exact division by the k-th power of the uniformizer."""
+        """Exact division by the k-th power of the uniformizer; k < 0
+        multiplies by its (-k)-th power: scales by p^(-k) when n = 1, shifts
+        the t-blocks up and truncates when n > 1."""
         if k == 0:
             return self
         ctx = self.ctx
         if k < 0:
-            return self * ctx.uniformizer ** (-k)
+            if ctx.n == 1:
+                return self.scale(ctx.p ** -k)
+            km = min(-k, ctx.n) * ctx.m
+            return RingElem(ctx, (0,) * km + self.coeffs[:ctx.zp_rank - km])
         if ctx.n == 1:
             pk = ctx.p ** k
             if any(c % pk for c in self.coeffs):

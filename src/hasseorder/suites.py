@@ -27,7 +27,11 @@ FAULTS = ("ff.mul", "local.sigma", "witt.fv", "algebra.nrd", "tensor.idem",
 
 
 def _ser(v):
-    return [x.serialize() for x in v] if isinstance(v, list) else v.serialize()
+    """v with its elements serialized: lists entrywise, at any depth; a
+    value without `serialize` as it is."""
+    if isinstance(v, list):
+        return [_ser(x) for x in v]
+    return v.serialize() if hasattr(v, "serialize") else v
 
 
 class Recorder:
@@ -37,15 +41,15 @@ class Recorder:
         self.failures = []
 
     def check(self, case, ok, expected="", got=""):
+        """Count a case; on failure record both values, serialized."""
         self.cases += 1
         if not ok:
-            self.failures.append({"case": case, "expected": str(expected),
-                                  "got": str(got)})
+            self.failures.append({"case": case, "expected": str(_ser(expected)),
+                                  "got": str(_ser(got))})
 
     def check_eq(self, case, expected, got):
-        """check(expected == got), recording both sides serialized (a list
-        entrywise)."""
-        self.check(case, got == expected, _ser(expected), _ser(got))
+        """check(got == expected), recording both sides."""
+        self.check(case, got == expected, expected, got)
 
     def report(self):
         return {"name": self.name, "cases": self.cases,
@@ -242,11 +246,10 @@ def suite_algebra(cfg, rng, fault):
     d, N = A.d, A.prec
     for i in range(60):
         a, b, c = A.random(rng), A.random(rng), A.random(rng)
-        rec.check("assoc", (a * b) * c == a * (b * c))
-        rec.check("distrib", a * (b + c) == a * b + a * c)
-        rec.check("embed-mul", linalg.rmat_eq((a * b).embed(),
-                                              linalg.rmat_mul(a.embed(),
-                                                              b.embed(), T)))
+        rec.check_eq("assoc", a * (b * c), (a * b) * c)
+        rec.check_eq("distrib", a * b + a * c, a * (b + c))
+        rec.check_eq("embed-mul", linalg.rmat_mul(a.embed(), b.embed(), T),
+                     (a * b).embed())
         if not (a.is_zero() or b.is_zero()):
             oa, ob = a.ord(), b.ord()
             if oa + ob <= d * (N - 1):
@@ -264,21 +267,22 @@ def suite_algebra(cfg, rng, fault):
             nrd_d = nrd_d * nrd
             trd_d = trd_d + trd
         rec.check("Nrd^d=N", nm == nrd_d, nm.serialize(), nrd_d.serialize())
-        rec.check("d*Trd=Tr", tr == trd_d)
+        rec.check_eq("d*Trd=Tr", trd_d, tr)
         if a.ord() <= d * (N - 2):
             rec.check("ord=vK(Nrd)", a.ord() == nrd.ord(), nrd.ord(), a.ord())
             iv = a.inv()
-            rec.check("inv", (a * iv - A.one).is_zero()
-                      and (iv * a - A.one).is_zero())
+            left, right = a * iv, iv * a
+            rec.check("inv", (left - A.one).is_zero() and (right - A.one).is_zero(),
+                      [A.one, A.one], [left, right])
     piD = A.pi_D
-    rec.check("piD^d=piK", piD ** d == A.from_T(T.uniformizer))
+    rec.check_eq("piD^d=piK", A.from_T(T.uniformizer), piD ** d)
     # twist and conjugation of exact order d on T
     for j in range(T.zp_rank):
         v = [0] * T.zp_rank
         v[j] = 1
         t = A.from_T(T.from_vec(v))
-        rec.check("twist", t.conjugate_by(piD) ==
-                  A.from_T(T.frobenius(T.from_vec(v), A.r)))
+        rec.check_eq("twist", A.from_T(T.frobenius(T.from_vec(v), A.r)),
+                     t.conjugate_by(piD))
     t = A.from_T(T.gen)
     c = t
     order = 0
@@ -443,11 +447,13 @@ def suite_modcat(cfg, rng, fault):
             mod.phi[0] = linalg.rmat_scale(mod.phi[0], piK)
         try:
             mod.validate()
-            rec.check("cycle", True)
+            err = None
         except ValidationError as ex:
-            rec.check("cycle", False, "phi^d = pi_K", str(ex))
+            err = str(ex)
+        rec.check("cycle", err is None, "phi^d = pi_K", err)
+        if err is not None:
             continue
-        rec.check("FH-roundtrip", modcat.F(modcat.H(mod)) == mod)
+        rec.check_eq("FH-roundtrip", mod, modcat.F(modcat.H(mod)))
         for rule in ("min", "first"):
             try:
                 got = modcat.labels_multiset(modcat.decompose(mod, rule=rule))
@@ -465,13 +471,15 @@ def suite_modcat(cfg, rng, fault):
         f = [[T.random(rng) for _ in range(mod.ranks[g])] for _ in range(q)]
         try:
             al = modcat.adjoint(mod, g, f)
-            rec.check("adjoint-equivariant", True)
+            err = None
         except ValidationError as ex:
-            rec.check("adjoint-equivariant", False, "equivariant", str(ex))
+            err = str(ex)
+        rec.check("adjoint-equivariant", err is None, "equivariant", err)
+        if err is not None:
             continue
-        rec.check("adjoint-restriction", linalg.rmat_eq(al.blocks[g], f))
-        rec.check("adjoint-unit",
-                  modcat.deg(modcat.ind(TO, g, q), g) == q)
+        rec.check_eq("adjoint-restriction", f, al.blocks[g])
+        unit = modcat.deg(modcat.ind(TO, g, q), g)
+        rec.check("adjoint-unit", unit == q, q, unit)
     # trd / ird / tr ranks
     for q in (1, 2, 3):
         P = modcat.F(modcat.ird(TO, q))

@@ -99,6 +99,13 @@ class TensorRingCtx:
     def random(self, rng):
         return self.elem([self.T.random(rng) for _ in range(self.d)])
 
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i], componentwise through T.dot."""
+        if not xs:
+            return self.zero
+        return TensorElem(self, tuple(map(self.T.dot, zip(*[x.comps for x in xs]),
+                                          zip(*[y.comps for y in ys]))))
+
     # -- the order A (x)_S T ----------------------------------------------
 
     def order_elem(self, coeffs):
@@ -332,8 +339,8 @@ class TensorOrderElem:
         self._check(other)
         ctx = self.ctx
         return TensorOrderElem(ctx, tuple(skew_mul(
-            self.coeffs, other.coeffs, TensorElem.sigma_left, ctx.r, ctx.piK,
-            ctx.zero)))
+            self.coeffs, other.coeffs, TensorElem.sigma_left, ctx.r, ctx.dot,
+            ctx.piK.__mul__)))
 
     def __pow__(self, e):
         return power(self, e, self.ctx.order_one)

@@ -211,3 +211,44 @@ def test_conjugation():
 def test_hasse_invariant():
     S, T, A = make(p=5, d=3, r=2)
     assert A.hasse_invariant == (2, 3)
+
+
+def left_mult_matrix_oracle(a):
+    """The S-matrix of left multiplication by a through d^2 products
+    a * theta^j pi_D^i in D and the relative coordinates of each."""
+    A = a.ctx
+    T, d = A.T, A.d
+    cols = []
+    for i in range(d):
+        for j in range(d):
+            basis = [T.zero] * d
+            basis[i] = T.gen ** j
+            c = a * algebra.DElem(A, 0, tuple(basis))
+            if c.shift < 0:
+                raise PrecisionError("left multiplication left the order A")
+            scale = T.uniformizer ** c.shift
+            col = []
+            for k in range(d):
+                col.extend(T.rel_coords(c.coeffs[k] * scale))
+            cols.append(col)
+    n = d * d
+    return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
+@pytest.mark.parametrize("p,d,r", ((3, 2, 1), (5, 3, 1), (5, 3, 2), (3, 4, 1)))
+def test_left_mult_matrix_matches_products(p, d, r, mode):
+    S, T, A = make(p=p, d=d, r=r, mode=mode)
+    rng = random.Random(f"left-mult:{p}:{d}:{r}:{mode}")
+    elems = [A.zero, A.one, A.pi_D_pow(d - 1)]
+    for shift in (0, 0, 1, 3):
+        coeffs = [T.random(rng) for _ in range(d)]
+        coeffs[rng.randrange(d)] = T.zero
+        elems.append(A.elem(shift, coeffs))
+    for a in elems:
+        assert a.shift >= 0
+        assert a._left_mult_matrix() == left_mult_matrix_oracle(a)
+    neg = A.elem(-1, [T.one] + [T.random(rng) for _ in range(d - 1)])
+    for route in (algebra.DElem._left_mult_matrix, left_mult_matrix_oracle):
+        with pytest.raises(PrecisionError):
+            route(neg)

@@ -332,3 +332,57 @@ def test_kernel_wide_slots():
         c = lr.RingElem(R, x.coeffs[:2] + (0,) * 6)
         assert all(v % 13 == 0 for v in (R.frobenius_p(c) - c ** 13).coeffs)
         assert R.frobenius_p(R.uniformizer) == R.uniformizer
+
+
+def _naive_dot(R, xs, ys):
+    acc = R.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+@pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
+@pytest.mark.parametrize("m", (1, 2, 4, 8))
+@pytest.mark.parametrize("N", (2, 8, 32))
+def test_dot_and_matmul_match_naive_sums(mode, m, N):
+    R = lr.base_ring(3, m, N, mode)
+    # every coefficient p^e - 1: the largest slot values a sum can reach
+    top = R.from_vec([R.modulus - 1] * R.zp_rank)
+    width = lr._slot_bytes(R._term_bound)
+    if mode == lr.MIXED and N == 32:
+        assert width > 8  # no array type: the bytes fallback of _slots
+    cap = ((1 << 8 * width) - 1) // R._term_bound  # terms the narrowest slots hold
+    rng = random.Random(f"dot:{mode}:{m}:{N}")
+
+    def draw(count):
+        # random elements with zeros mixed in
+        return [R.zero if rng.random() < 0.25 else R.random(rng) for _ in range(count)]
+
+    for terms in (0, 1, 4, cap, cap + 1):
+        for xs, ys in (([top] * terms, [top] * terms), (draw(terms), draw(terms))):
+            assert R.dot(xs, ys) == _naive_dot(R, xs, ys)
+        if not terms:
+            continue  # B = []: no rows to read its columns from
+        for A, B in (([[top] * terms] * 2, [[top] * 3] * terms),
+                     ([draw(terms) for _ in range(2)], [draw(3) for _ in range(terms)])):
+            want = [[_naive_dot(R, row, col) for col in zip(*B)] for row in A]
+            assert R.matmul(A, B) == want
+
+
+def test_dot_rejects_foreign_operands():
+    S, T = ctx_pair()
+    with pytest.raises(CtxMismatchError):
+        T.dot([T.one, S.one], [T.one, T.one])
+    with pytest.raises(CtxMismatchError):
+        T.matmul([[S.one]], [[T.one]])
+
+
+def test_negative_shift_down_is_exact_pi_multiplication():
+    rng = random.Random(8)
+    for mode in (lr.MIXED, lr.EQUAL):
+        S, T = ctx_pair(d=3, N=4, mode=mode)
+        pi = T.uniformizer
+        for _ in range(5):
+            x = T.random(rng)
+            for k in range(1, T.prec + 2):
+                assert x.shift_down(-k) == x * pi ** k
