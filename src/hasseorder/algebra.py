@@ -200,7 +200,12 @@ class DElem:
                      tuple(ctx.T.frobenius(c, ctx.r * k) for c in self.coeffs))
 
     def inv(self):
-        """Two-sided inverse via residue inversion and Newton iteration."""
+        """Two-sided inverse: self = pi_D^v * u with u a unit, and u^{-1}
+        solves one T-linear system.
+
+        In right coordinates b = sum_s pi_D^s t_s, u * b = 1 reads
+        u.embed() * t = e_0; b has left coefficients y_s = sigma_r^s(t_s).
+        """
         ctx = self.ctx
         if self.is_zero():
             raise NotInvertibleError("inverse of 0 in D", ord=None)
@@ -217,13 +222,12 @@ class DElem:
                                 for c in u.coeffs))
         if u.ord() != 0:
             raise InternalError("unit part of inversion input is not a unit")
-        b = ctx.from_T(ctx.T.from_residue(ctx.T.residue_of(u.coeffs[0]).inv()))
-        two = ctx.from_int(2)
-        # u*b - 1 has ord_D >= 1, each step doubles it, and pi_K^N = pi_D^(dN)
-        for _ in range(max(1, math.ceil(math.log2(ctx.d * ctx.prec)))):
-            b = b * (two - u * b)
+        T = ctx.T
+        e0 = [[T.one]] + [[T.zero]] * (ctx.d - 1)
+        t = linalg.solve(u.embed(), e0, T)
+        b = ctx.elem(0, [T.frobenius(ts, ctx.r * s) for s, (ts,) in enumerate(t)])
         if not (u * b - ctx.one).is_zero() or not (b * u - ctx.one).is_zero():
-            raise InternalError("Newton inversion failed to converge in D")
+            raise InternalError("inverse of the unit part fails u * b = b * u = 1")
         return b * ctx.pi_D_pow(-v)
 
     def conjugate_by(self, pi):

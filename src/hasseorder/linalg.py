@@ -5,7 +5,10 @@ over the integers, Berkowitz over an arbitrary commutative ring) so results
 are correct at full working precision with no valuation loss.  Matrix
 products and Berkowitz's inner products go through the ring's `dot` and
 `matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
-once.
+once.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
+identity) eliminates fraction-free with unit pivots and takes the pivots'
+inverses from `inv_all`, which inverts any list of units with a single
+inversion.
 """
 
 from __future__ import annotations
@@ -229,31 +232,71 @@ def rmat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
+def inv_all(xs):
+    """The inverses of the units xs with one inversion (Montgomery): the
+    product of all of them is inverted once, and each inverse is peeled off
+    with the prefix products.
+
+    Raises NotInvertibleError when some x is not a unit.
+    """
+    for x in xs:
+        if not x.is_unit():
+            v = x.ord()
+            raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
+    prefix = []
+    for x in xs:
+        prefix.append(x if not prefix else prefix[-1] * x)
+    if not prefix:
+        return []
+    out = [None] * len(xs)
+    inv = prefix[-1].inv()
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1]
+        inv = inv * xs[i]
+    out[0] = inv
+    return out
+
+
+def solve(A, B, ctx):
+    """The X with A X = B over a local ring, for a square A.
+
+    Fraction-free elimination with unit pivots: each row below the pivot a
+    becomes a*r_i - c_i*r_k, with c_i its entry in the pivot column, so
+    nothing is inverted while eliminating.  One step is the matrix product
+    [a*I | -c] [R; r_k] (`ctx.matmul`), so each entry is packed and reduced
+    once.  Back substitution needs the pivots' inverses, which `inv_all`
+    takes with one inversion.  Raises NotInvertibleError when a column has
+    no unit, i.e. when A is singular modulo the maximal ideal.
+    """
+    n = len(A)
+    zero = ctx.zero
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    # pivot rows, each from its pivot column on
+    pivots = []
+    for _ in range(n):
+        k = next((i for i, row in enumerate(rows) if row[0].is_unit()), None)
+        if k is None:
+            raise NotInvertibleError("matrix over local ring is not invertible")
+        top = rows.pop(k)
+        pivots.append(top)
+        if rows:
+            a = top[0]
+            coef = [[a if j == i else zero for j in range(len(rows))] + [-row[0]]
+                    for i, row in enumerate(rows)]
+            rows = ctx.matmul(coef, [row[1:] for row in rows] + [top[1:]])
+    inverses = inv_all([top[0] for top in pivots])
+    X = [None] * n
+    for k in range(n - 1, -1, -1):
+        top = pivots[k]
+        X[k] = [inverses[k] * (b - ctx.dot(top[1:n - k], [x[c] for x in X[k + 1:]]))
+                for c, b in enumerate(top[n - k:])]
+    return X
+
+
 def rmat_inv(A, ctx):
-    """Inverse of a matrix over a local ring; requires unit pivots.
+    """Inverse of a matrix over a local ring: `solve` against the identity.
 
     Raises NotInvertibleError when the matrix is singular modulo the
     maximal ideal.
     """
-    n = len(A)
-    M = [row[:] for row in A]
-    I = rmat_id(ctx, n)
-    for col in range(n):
-        piv = -1
-        for i in range(col, n):
-            if M[i][col].is_unit():
-                piv = i
-                break
-        if piv < 0:
-            raise NotInvertibleError("matrix over local ring is not invertible")
-        M[col], M[piv] = M[piv], M[col]
-        I[col], I[piv] = I[piv], I[col]
-        inv = M[col][col].inv()
-        M[col] = [inv * c for c in M[col]]
-        I[col] = [inv * c for c in I[col]]
-        for i in range(n):
-            if i != col and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-                I[i] = [a - f * b for a, b in zip(I[i], I[col])]
-    return I
+    return solve(A, rmat_id(ctx, len(A)), ctx)

@@ -333,18 +333,24 @@ class LocalRingCtx:
         """Unique root of int_poly congruent to start mod p, by Newton iteration.
 
         Each step doubles the p-adic valuation of int_poly(z), which starts
-        at >= 1, so ceil(log2(e)) steps reach p^e (none at e = 1)."""
+        at >= 1, so ceil(log2(e)) steps reach p^e (none at e = 1).  No
+        inverse is taken in this ring, whose Frobenius the inverse needs:
+        w ~ 1/G'(z) is seeded with the residue-field inverse, and each step
+        refines it, w <- w(2 - G'(z)w), before z <- z - G(z)w."""
         steps = math.ceil(math.log2(self.e))
         consts = [self.from_int(c) for c in int_poly]
         dconsts = [self.from_int(i * int_poly[i]) for i in range(1, len(int_poly))]
-        z = start
+        two = self.from_int(2)
+        z, w = start, None
         for _ in range(steps):
-            fz = self._horner(consts, z)
             dz = self._horner(dconsts, z)
-            if not dz.is_unit():
-                raise InternalError("Newton derivative is not a unit; "
-                                    "unramified defining data is corrupt")
-            z = z - fz * dz.inv()
+            if w is None:
+                if not dz.is_unit():
+                    raise InternalError("Newton derivative is not a unit; "
+                                        "unramified defining data is corrupt")
+                w = self.from_residue(self.residue_of(dz).inv())
+            w = w * (two - dz * w)
+            z = z - self._horner(consts, z) * w
         if not self._horner(consts, z).is_zero():
             raise InternalError("Newton iteration failed to converge")
         return z
@@ -422,6 +428,8 @@ class LocalRingCtx:
 
     def frobenius_p(self, x, k=1):
         """Absolute p-power Frobenius lift phi^k, fixing t; phi^f = sigma on T."""
+        if self.f == 1:  # phi = sigma, and m = d
+            return self.frobenius(x, k)
         k %= self.m
         if k == 0:
             return x
@@ -646,24 +654,36 @@ class RingElem:
         return any(c % p for c in self.coeffs[:self.ctx.m])
 
     def inv(self):
-        """Newton inverse b <- b(2 - xb) from the residue inverse a^(q-2)."""
+        """x^-1 = y * N(x)^-1 (Itoh-Tsujii): y is the product of the
+        Frobenius conjugates phi^k(x), 0 < k < m, so the norm N(x) = x*y is
+        fixed by phi and lies in the prime ring (Z/p^e)[t]/(t^n).  There a
+        unit is inverted digit by digit: pow(c_0, -1, p^e), then the
+        t-series recurrence b_k = -b_0 * sum_{0<j<=k} c_j b_{k-j}."""
         ctx = self.ctx
         if not self.is_unit():
             v = self.ord()
             raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
-        res = ctx.residue
-        b = power(ctx.residue_of(self), ctx.p ** ctx.m - 2, res.one)
-        if res is ctx:
-            return b
-        b = ctx.from_residue(b)
-        two = ctx.from_int(2)
-        # (p, t) is nilpotent of index e + n - 1 (= N on S and T), and each
-        # step doubles the valuation of the error x*b - 1
-        for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1)))):
-            b = b * (two - self * b)
-        if not (self * b - ctx.one).is_zero():
-            raise InternalError("Newton inversion failed to converge")
-        return b
+        m, mod = ctx.m, ctx.modulus
+        y, c = ctx.one, self
+        for k in range(1, m):
+            c = ctx.frobenius_p(c)
+            y = c if k == 1 else y * c
+        norm = self.coeffs if m == 1 else ctx._mul(self.coeffs, y.coeffs)
+        if any(any(norm[j::m]) for j in range(1, m)):
+            raise InternalError("norm does not lie in the prime ring")
+        digits = norm[::m]
+        b = [pow(digits[0], -1, mod)]
+        for k in range(1, ctx.n):
+            b.append(-b[0] * sum(map(_mul, digits[1:k + 1], reversed(b))) % mod)
+        if ctx.n == 1:
+            y = y.scale(b[0])
+        else:
+            series = [0] * ctx.zp_rank
+            series[::m] = b
+            y = y * RingElem(ctx, tuple(series))
+        if not (self * y - ctx.one).is_zero():
+            raise InternalError("inverse fails the check x * x^-1 = 1")
+        return y
 
     def shift_down(self, k: int):
         """Exact division by the k-th power of the uniformizer; k < 0

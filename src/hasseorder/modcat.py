@@ -33,6 +33,7 @@ class GradedPhiModule:
         # this module; identities hold mod pi_K^{N - slack}
         self.slack = slack
         self.phi = [_mat_copy(m) for m in phi]
+        self._passed = None  # (phi snapshot, report) of the last passing validate
         for k in range(ctx.d):
             m = self.phi[k]
             rows, cols = self.ranks[self.succ(k)], self.ranks[k]
@@ -50,8 +51,14 @@ class GradedPhiModule:
     def validate(self):
         """Check the cycle condition phi^d = pi_K * id; per-g residual report.
 
-        Raises ValidationError naming the offending starting pieces.
+        Raises ValidationError naming the offending starting pieces.  A
+        passing report is kept with a snapshot of phi (the coefficient
+        tuples of its entries) and returned again while phi is unchanged.
         """
+        snapshot = (self.slack, [[[e.coeffs for e in row] for row in m]
+                                 for m in self.phi])
+        if self._passed is not None and self._passed[0] == snapshot:
+            return dict(self._passed[1])
         ctx = self.ctx
         piK = ctx.T.uniformizer
         tol = ctx.T.prec - self.slack
@@ -67,7 +74,8 @@ class GradedPhiModule:
         if bad:
             raise ValidationError(
                 f"cycle condition phi^d = pi_K fails starting at g in {bad}")
-        return report
+        self._passed = (snapshot, report)
+        return dict(report)
 
     def __eq__(self, other):
         return (isinstance(other, GradedPhiModule) and other.ctx is self.ctx
@@ -381,7 +389,7 @@ def _split_one(module: GradedPhiModule, rule):
 
     # cycle scalars: phi[k_j] x'_j = lambda_j x'_{j+1}
     units = [next(i for i, c in enumerate(s) if c.is_unit()) for s in sat]
-    unit_inv = [s[u].inv() for s, u in zip(sat, units)]
+    unit_inv = linalg.inv_all([s[u] for s, u in zip(sat, units)])
     lambdas = [None] * d
     for j in range(d):
         w = linalg.rmat_vec(module.phi[cycle[j]], sat[j], T)

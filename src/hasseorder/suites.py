@@ -77,20 +77,19 @@ def suite_finite_field(cfg, rng, fault):
             ab = a * b
             if fault == "ff.mul" and i == 0:
                 ab = ab + F.one
-            rec.check(f"assoc m={m}", (ab * c) == a * (b * c))
-            rec.check(f"distrib m={m}", a * (b + c) == a * b + a * c)
+            rec.check_eq(f"assoc m={m}", a * (b * c), ab * c)
+            rec.check_eq(f"distrib m={m}", a * b + a * c, a * (b + c))
             if not a.is_zero():
-                rec.check(f"inverse m={m}", a * a.inv() == F.one)
-                rec.check(f"unit-order m={m}", a ** (p ** m - 1) == F.one)
+                rec.check_eq(f"inverse m={m}", F.one, a * a.inv())
+                rec.check_eq(f"unit-order m={m}", F.one, a ** (p ** m - 1))
         # the Frobenius (a linear map) against the power map x -> x^(p^k)
         for _ in range(50):
             a, b = F.random(rng), F.random(rng)
             fa, fb = F.frobenius_p(a), F.frobenius_p(b)
-            rec.check(f"frob-add m={m}", (a + b) ** p == fa + fb)
-            rec.check(f"frob-mul m={m}", (a * b) ** p == fa * fb)
-            rec.check(f"frob-order m={m}",
-                      F.frobenius_p(a, m - 1) == a ** p ** (m - 1)
-                      and a ** p ** m == a)
+            rec.check_eq(f"frob-add m={m}", (a + b) ** p, fa + fb)
+            rec.check_eq(f"frob-mul m={m}", (a * b) ** p, fa * fb)
+            rec.check_eq(f"frob-order m={m}", [a ** p ** (m - 1), a],
+                         [F.frobenius_p(a, m - 1), a ** p ** m])
     return rec.report()
 
 
@@ -101,22 +100,24 @@ def suite_local_ring(cfg, rng, fault):
     for _ in range(100):
         x, y = T.random(rng), T.random(rng)
         if not (x.is_zero() or y.is_zero()):
-            rec.check("ord-mul", (x * y).ord() == min(x.ord() + y.ord(), N))
-        rec.check("ord-add", (x + y).ord() >= min(x.ord(), y.ord()))
+            rec.check_eq("ord-mul", min(x.ord() + y.ord(), N), (x * y).ord())
+        low, o = min(x.ord(), y.ord()), (x + y).ord()
+        rec.check("ord-add", o >= low, low, o)
         sx = T.frobenius(x, 1)
         if fault == "local.sigma":
             sx = sx + T.one
             fault = None
-        rec.check("sigma-add", T.frobenius(x + y, 1) == sx + T.frobenius(y, 1))
-        rec.check("sigma-mul", T.frobenius(x * y, 1) == sx * T.frobenius(y, 1))
-        rec.check("sigma-order", T.frobenius(x, T.d) == x)
+        rec.check_eq("sigma-add", T.frobenius(x + y, 1), sx + T.frobenius(y, 1))
+        rec.check_eq("sigma-mul", T.frobenius(x * y, 1), sx * T.frobenius(y, 1))
+        rec.check_eq("sigma-order", x, T.frobenius(x, T.d))
         tr, nm = T.trace_rel(x), T.norm_rel(x)
-        rec.check("trace-in-S", T.frobenius(tr, 1) == tr)
-        rec.check("norm-in-S", T.frobenius(nm, 1) == nm)
+        rec.check_eq("trace-in-S", tr, T.frobenius(tr, 1))
+        rec.check_eq("norm-in-S", nm, T.frobenius(nm, 1))
         if x.is_unit():
-            rec.check("inv", x * x.inv() == T.one)
+            rec.check_eq("inv", T.one, x * x.inv())
     if T.d > 1 and T.mode == lr.MIXED:
-        rec.check("hensel", T._eval_int_poly(T.poly, T.frobenius(T.gen, 1)).is_zero())
+        rec.check_eq("hensel", T.zero,
+                     T._eval_int_poly(T.poly, T.frobenius(T.gen, 1)))
     # fixed points of sigma = embedded S, by kernel size of (sigma - id)
     cols = []
     for i in range(T.zp_rank):
@@ -127,12 +128,12 @@ def suite_local_ring(cfg, rng, fault):
     klog = linalg.kernel_log_size(cols, T.p, T.zp_exp)
     rec.check("fixed-points", klog == cfg["f"] * N, cfg["f"] * N, klog)
     for _ in range(20):
-        s = S.random(rng)
-        rec.check("embed-fixed", T.frobenius(T.embed_base(s), 1) == T.embed_base(s))
+        e = T.embed_base(S.random(rng))
+        rec.check_eq("embed-fixed", e, T.frobenius(e, 1))
         a = T.residue_of(T.random(rng))
         y = T.teich(a)
-        rec.check("teich-residue", T.residue_of(y) == a)
-        rec.check("teich-stable", y ** (T.p ** T.m) == y)
+        rec.check_eq("teich-residue", a, T.residue_of(y))
+        rec.check_eq("teich-stable", y, y ** (T.p ** T.m))
     return rec.report()
 
 
@@ -352,48 +353,48 @@ def suite_tensor(cfg, rng, fault):
             ek = ek + TO.one
         uk = ek.u_coeffs()
         total = [a + b for a, b in zip(total, uk)]
-        rec.check("idem-square", u_mul(TO, uk, uk) == uk)
-        rec.check("w-delta", all(
-            c == (T.one if j == k else T.zero)
-            for j, c in enumerate(u_eval(TO, uk))))
-    rec.check("idem-sum", total == [T.one] + [T.zero] * (d - 1))
+        rec.check_eq("idem-square", uk, u_mul(TO, uk, uk))
+        rec.check_eq("w-delta", [T.one if j == k else T.zero for j in range(d)],
+                     u_eval(TO, uk))
+    rec.check_eq("idem-sum", [T.one] + [T.zero] * (d - 1), total)
     for j in range(d):
         for k in range(j + 1, d):
-            rec.check("idem-orth",
-                      all(c.is_zero() for c in u_mul(TO, us[j], us[k])))
+            rec.check_eq("idem-orth", [T.zero] * d, u_mul(TO, us[j], us[k]))
     # w is a ring isomorphism; sigma (x) id permutes components
     for _ in range(40):
         x, y = TO.random(rng), TO.random(rng)
         ux, uy = x.u_coeffs(), y.u_coeffs()
-        rec.check("w-roundtrip", TO.elem(ux) == x)
+        rec.check_eq("w-roundtrip", x, TO.elem(ux))
         uxy = u_mul(TO, ux, uy)
-        rec.check("w-mul", (x * y).u_coeffs() == uxy)
-        rec.check("sigma-left-hom",
-                  (x.sigma_left() * y.sigma_left()).u_coeffs()
-                  == u_sigma_left(TO, uxy))
+        rec.check_eq("w-mul", uxy, (x * y).u_coeffs())
+        rec.check_eq("sigma-left-hom", u_sigma_left(TO, uxy),
+                     (x.sigma_left() * y.sigma_left()).u_coeffs())
     for k in range(d):
         e = TO.idempotents[k]
-        rec.check("sigma-idem", e.sigma_left().u_coeffs()
-                  == u_sigma_left(TO, us[k]) == us[(k - 1) % d])
-        rec.check("sigma-right-idem", e.sigma_right(1).u_coeffs()
-                  == [T.frobenius(c, 1) for c in us[k]] == us[(k + 1) % d])
+        # each side of a chained equality against its last term
+        want = us[(k - 1) % d]
+        rec.check_eq("sigma-idem", [want, want],
+                     [e.sigma_left().u_coeffs(), u_sigma_left(TO, us[k])])
+        want = us[(k + 1) % d]
+        rec.check_eq("sigma-right-idem", [want, want],
+                     [e.sigma_right(1).u_coeffs(),
+                      [T.frobenius(c, 1) for c in us[k]]])
     # order relations and embedding
-    rec.check("x^d=piK", TO.x_pow(d) == TO.order_scalar(TO.right(T.uniformizer)))
+    rec.check_eq("x^d=piK", TO.order_scalar(TO.right(T.uniformizer)), TO.x_pow(d))
     for h in range(d):
-        rec.check("x-past-e", TO.x_elem * TO.order_idempotent(h) ==
-                  TO.order_idempotent((h - TO.r) % d) * TO.x_elem)
+        rec.check_eq("x-past-e", TO.order_idempotent((h - TO.r) % d) * TO.x_elem,
+                     TO.x_elem * TO.order_idempotent(h))
     for _ in range(20):
         a, b = A.random(rng), A.random(rng)
-        rec.check("order-compat", TO.order_from_D(a) * TO.order_from_D(b) ==
-                  TO.order_from_D(a * b))
+        rec.check_eq("order-compat", TO.order_from_D(a * b),
+                     TO.order_from_D(a) * TO.order_from_D(b))
         z, w = TO.order_random(rng), TO.order_random(rng)
-        rec.check("l-hom", linalg.rmat_eq(
-            TO.embed_l(z * w),
-            linalg.rmat_mul(TO.embed_l(z), TO.embed_l(w), T)))
+        rec.check_eq("l-hom", TO.embed_l(z * w),
+                     linalg.rmat_mul(TO.embed_l(z), TO.embed_l(w), T))
         M = TO.embed_l(z)
-        rec.check("milnor-member", TO.milnor_member(M))
-        rec.check("milnor-roundtrip",
-                  linalg.rmat_eq(TO.embed_l(TO.milnor_preimage(M)), M))
+        rec.check("milnor-member", TO.milnor_member(M),
+                  "lower triangular mod m_T", M)
+        rec.check_eq("milnor-roundtrip", M, TO.embed_l(TO.milnor_preimage(M)))
     # image mod m_T spans the lower-triangular algebra; radical the strict part
     span_rows = []
     rad_rows = []
@@ -413,13 +414,11 @@ def suite_tensor(cfg, rng, fault):
     rkr = len(linalg.echelon_basis(rad_rows))
     rec.check("radical-dim", rkr == d * (d - 1) // 2, d * (d - 1) // 2, rkr)
     for rows, strict in ((span_rows, False), (rad_rows, True)):
-        ok = True
-        for vec in rows:
-            for j in range(d):
-                for s in range(d):
-                    if (s > j or (strict and s == j)) and not vec[j * d + s].is_zero():
-                        ok = False
-        rec.check("triangular-shape" + ("-strict" if strict else ""), ok)
+        # (row, j, s) of each nonzero residue entry above (or on) the diagonal
+        bad = [(n, j, s) for n, vec in enumerate(rows)
+               for j in range(d) for s in range(d)
+               if (s > j or (strict and s == j)) and not vec[j * d + s].is_zero()]
+        rec.check_eq("triangular-shape" + ("-strict" if strict else ""), [], bad)
     # Peirce pattern
     for h in range(d):
         cnt = 0
@@ -427,8 +426,8 @@ def suite_tensor(cfg, rng, fault):
             info = TO.peirce(g, h)
             if info["cokernel_length"]:
                 cnt += 1
-                rec.check("peirce-cokernel-len", info["cokernel_length"] == 1)
-                rec.check("peirce-position", (g - h - TO.r) % d == 0)
+                rec.check_eq("peirce-cokernel-len", 1, info["cokernel_length"])
+                rec.check_eq("peirce-position", 0, (g - h - TO.r) % d)
         rec.check("peirce-one-per-column", cnt == 1, 1, cnt)
     return rec.report()
 

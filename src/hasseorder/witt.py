@@ -119,12 +119,19 @@ class WittCtx:
     # -- ghost machinery ---------------------------------------------------
 
     def ghost_lift(self, v):
-        """Ghost components in the lift ring (exact)."""
+        """Ghost components in the lift ring (exact), as a tuple.
+
+        They are computed once per vector and lift ring: v keeps the last
+        ones with the lift ring they lie in."""
         L, p = self.lift, self.p
+        if v._ghost is not None and v._ghost[0] is L:
+            return v._ghost[1]
         out, powers = [], []  # powers[j] = a_j^(p^(i-j)) in round i
         for a in v.coords:
             powers = [y ** p for y in powers] + [lr.RingElem(L, a.coeffs)]
             out.append(self._ghost_sum(powers))
+        out = tuple(out)
+        v._ghost = (L, out)
         return out
 
     def _ghost_sum(self, powers):
@@ -154,13 +161,15 @@ class WittCtx:
 
 
 class WittVec:
-    """A length-n Witt vector: coordinates (a_0, ..., a_{n-1})."""
+    """A length-n Witt vector: coordinates (a_0, ..., a_{n-1}), and its
+    ghost components once computed (`WittCtx.ghost_lift`)."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "coords", "_ghost")
 
     def __init__(self, ctx, coords):
         self.ctx = ctx
         self.coords = coords
+        self._ghost = None  # (lift ring, ghost components in it)
 
     def _check(self, other):
         if not isinstance(other, WittVec) or other.ctx.ring is not self.ctx.ring \

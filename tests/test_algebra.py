@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -167,6 +168,48 @@ def test_inverse():
         assert a.inv() * a == A.one
     with pytest.raises(NotInvertibleError):
         A.zero.inv()
+
+
+def newton_inv(a):
+    """Oracle: the Newton inverse in D.  Peel pi_D off on the left, seed
+    with the residue inverse of the unit part's y_0, and iterate
+    b <- b(2 - ub) until pi_D^(dN) = 0."""
+    A = a.ctx
+    d, v = A.d, a.ord()
+    u = algebra.DElem(A, 0, a.coeffs)
+    for _ in range(v % d):
+        u = u._left_div_x()
+    u = algebra.DElem(A, 0, tuple(c.shift_down(v // d - a.shift) for c in u.coeffs))
+    b = A.from_T(A.T.from_residue(A.T.residue_of(u.coeffs[0]).inv()))
+    two = A.from_int(2)
+    for _ in range(max(1, math.ceil(math.log2(d * A.prec)))):
+        b = b * (two - u * b)
+    assert (u * b - A.one).is_zero() and (b * u - A.one).is_zero()
+    return b * A.pi_D_pow(-v)
+
+
+# the acceptance configs (p, d, r, mode) at N = 8, and d = 1
+INVERSE_CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED),
+                   (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL), (3, 1, 0, lr.MIXED),
+                   (5, 1, 0, lr.EQUAL))
+
+
+@pytest.mark.parametrize("p, d, r, mode", INVERSE_CONFIGS)
+def test_inverse_matches_newton_oracle(p, d, r, mode):
+    rng = random.Random(f"inv-oracle:{p}:{d}:{r}:{mode}")
+    S, T, A = make(p=p, d=d, r=r, mode=mode)
+    top = d * (A.prec - 2)
+    ords = set()
+    for k in range(24):
+        # every third element a unit, the others pushed to ord_D in 1..top
+        a = A.random(rng) * A.pi_D_pow(0 if k % 3 == 0 else rng.randint(1, top))
+        if a.is_zero() or a.ord() > top:
+            continue
+        ords.add(a.ord())
+        b = a.inv()
+        want = newton_inv(a)
+        assert (b.shift, b.coeffs) == (want.shift, want.coeffs)
+    assert 0 in ords and len(ords) > 5
 
 
 def test_inverse_precision_guard():

@@ -8,7 +8,8 @@ Witt-vector arithmetic is pinned the same way: passing verify reports record
 only case counts, so the coordinates of seeded sums, products, negatives,
 Frobenius and Verschiebung images are digested here directly.  The same
 holds for `modcat.decompose`: the labels, cycle scalars, change-of-basis
-witnesses and unit slots of its steps are digested here.
+witnesses and unit slots of its steps are digested here, and for the exact
+inverses `RingElem.inv`, `DElem.inv` and `linalg.rmat_inv`.
 """
 
 import hashlib
@@ -17,8 +18,9 @@ import random
 
 import pytest
 
-from hasseorder import cli, modcat, tensor, witt
+from hasseorder import algebra, cli, linalg, modcat, tensor, witt
 from hasseorder import localring as lr
+from hasseorder.errors import NotInvertibleError
 
 FLAGS = ["--p", "3", "--f", "1", "--r", "1", "--N", "8", "--seed", "0"]
 VERIFY = ["--output", "json", "verify"]
@@ -140,3 +142,45 @@ def decompose_digest(name):
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_CONFIGS))
 def test_decompose_golden_digest(name):
     assert decompose_digest(name) == DECOMPOSE_GOLDEN[name]
+
+
+# (p, f, d, r, N) of the seeded inverses, in both modes
+INVERSE_CONFIGS = ((3, 1, 4, 1, 8), (2, 2, 3, 2, 6), (5, 1, 2, 1, 3), (3, 1, 1, 0, 9))
+
+# mode -> SHA-256 of seeded inverses: units of the residue field, S and T;
+# elements of A of ord_D up to d(N-2); 3x3 matrices over T
+INVERSE_GOLDEN = {
+    "equal": "1729c60a9f076fd3e55d54a3322e4e84c00cef15a4ee8b5ac2bf30801399424a",
+    "mixed": "64ea9e63da3839e7a9d7e2876c6c560bd8c04a4ebd67c855ad5d22482482c185",
+}
+
+
+def inverse_digest(mode):
+    rows = []
+    for p, f, d, r, N in INVERSE_CONFIGS:
+        S = lr.base_ring(p, f, N, mode)
+        T = lr.unramified(S, d)
+        A = algebra.make(T, r)
+        rng = random.Random(f"golden-inverse:{mode}:{p}:{f}:{d}")
+        for R in (T.residue, S, T):
+            for _ in range(6):
+                x = R.random(rng)
+                if x.is_unit():
+                    rows.append(x.inv().serialize())
+        for _ in range(6):
+            a = A.random(rng) * A.pi_D_pow(rng.randrange(d * (N - 2) + 1))
+            if not a.is_zero() and a.ord() <= d * (N - 2):
+                rows.append(a.inv().serialize())
+        for _ in range(4):
+            M = [[T.random(rng) for _ in range(3)] for _ in range(3)]
+            try:
+                rows.append([[e.serialize() for e in row]
+                             for row in linalg.rmat_inv(M, T)])
+            except NotInvertibleError:
+                rows.append("singular")
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(INVERSE_GOLDEN))
+def test_inverse_golden_digest(mode):
+    assert inverse_digest(mode) == INVERSE_GOLDEN[mode]

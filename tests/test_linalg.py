@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from hasseorder import linalg
 from hasseorder import localring as lr
 from hasseorder.errors import NotInvertibleError
@@ -126,3 +128,56 @@ def test_rmat_inv():
                 continue
         assert linalg.rmat_eq(linalg.rmat_mul(M, Mi, T), linalg.rmat_id(T, n))
         assert linalg.rmat_eq(linalg.rmat_mul(Mi, M, T), linalg.rmat_id(T, n))
+
+
+def random_invertible(T, n, rng):
+    while True:
+        M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
+        if M and linalg.det_berkowitz(M, T.zero, T.one).is_unit():
+            return M
+
+
+def test_solve_rmat_inv_inv_all_against_identity():
+    rng = random.Random(11)
+    for mode in (lr.MIXED, lr.EQUAL):
+        T = lr.unramified(lr.base_ring(3, 1, 5, mode), 3)
+        for n in (1, 2, 3, 4, 6):
+            M = random_invertible(T, n, rng)
+            # a few right-hand sides, one of them with a single column
+            for k in (1, 3):
+                B = [[T.random(rng) for _ in range(k)] for _ in range(n)]
+                X = linalg.solve(M, B, T)
+                assert linalg.rmat_eq(linalg.rmat_mul(M, X, T), B)
+            Mi = linalg.rmat_inv(M, T)
+            assert linalg.rmat_eq(linalg.rmat_mul(M, Mi, T), linalg.rmat_id(T, n))
+            assert linalg.rmat_eq(linalg.rmat_mul(Mi, M, T), linalg.rmat_id(T, n))
+        units = [x for x in (T.random(rng) for _ in range(12)) if x.is_unit()]
+        assert [x * y for x, y in zip(units, linalg.inv_all(units))] == [T.one] * len(units)
+        assert linalg.inv_all([]) == []
+
+
+def test_solve_rejects_matrices_singular_mod_pi():
+    rng = random.Random(12)
+    T = lr.unramified(lr.base_ring(3, 1, 5, lr.MIXED), 2)
+    pi = T.uniformizer
+    for n in (1, 2, 3):
+        M = random_invertible(T, n, rng)
+        # one column divisible by pi: invertible over K, singular mod pi
+        for row in M:
+            row[n - 1] = row[n - 1] * pi
+        with pytest.raises(NotInvertibleError):
+            linalg.rmat_inv(M, T)
+        with pytest.raises(NotInvertibleError):
+            linalg.solve(M, [[T.one] for _ in range(n)], T)
+    # two equal rows
+    M = random_invertible(T, 3, rng)
+    M[2] = list(M[0])
+    with pytest.raises(NotInvertibleError):
+        linalg.rmat_inv(M, T)
+
+
+def test_inv_all_rejects_a_non_unit():
+    T = lr.unramified(lr.base_ring(3, 1, 5, lr.EQUAL), 2)
+    with pytest.raises(NotInvertibleError) as info:
+        linalg.inv_all([T.one, T.gen + T.one, T.uniformizer ** 3, T.uniformizer])
+    assert info.value.ord == 3  # the first non-unit, not the product

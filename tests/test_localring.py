@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 from itertools import product
@@ -386,3 +387,79 @@ def test_negative_shift_down_is_exact_pi_multiplication():
             x = T.random(rng)
             for k in range(1, T.prec + 2):
                 assert x.shift_down(-k) == x * pi ** k
+
+
+def newton_inv(x):
+    """Oracle: the residue inverse a^(q-2), lifted by Newton steps
+    b <- b(2 - xb) until (p, t)^(e+n-1) = 0."""
+    ctx = x.ctx
+    res = ctx.residue
+    b = lr.power(ctx.residue_of(x), ctx.p ** ctx.m - 2, res.one)
+    if res is ctx:
+        return b
+    b = ctx.from_residue(b)
+    two = ctx.from_int(2)
+    for _ in range(max(1, math.ceil(math.log2(ctx.e + ctx.n - 1)))):
+        b = b * (two - x * b)
+    assert x * b == ctx.one
+    return b
+
+
+def inverse_rings():
+    """Residue fields, S and T over p in {2,3,5,7,13}, f <= 2, d <= 4,
+    N in {2,3,8,9,32}, both modes, and the Witt lift ring of an
+    equal-characteristic ring."""
+    for p, f, d, N, mode in product((2, 3, 5, 7, 13), (1, 2), (1, 2, 3, 4),
+                                    (2, 3, 8, 9, 32), (lr.MIXED, lr.EQUAL)):
+        S = lr.base_ring(p, f, N, mode)
+        T = lr.unramified(S, d)
+        yield from {T.residue, S, T}
+    yield lr.LocalRingCtx(lr.EQUAL, 3, 2, 1, 4, coeff_exp=7)
+
+
+def test_inverse_matches_newton_oracle():
+    rng = random.Random(9)
+    count = 0
+    for R in inverse_rings():
+        for _ in range(3):
+            x = R.random(rng)
+            if not x.is_unit():
+                x = x + R.one
+            if x.is_unit():
+                assert x.inv() == newton_inv(x), R
+                count += 1
+    assert count > 2000
+
+
+def test_inverse_rejects_non_units():
+    for mode in (lr.MIXED, lr.EQUAL):
+        S, T = ctx_pair(d=3, N=5, mode=mode)
+        with pytest.raises(NotInvertibleError) as info:
+            (T.uniformizer ** 2 * T.gen).inv()
+        assert info.value.ord == 2
+
+
+def test_building_a_ring_inverts_only_in_residue_fields(monkeypatch):
+    """Newton's method in a ring under construction takes no inverse there
+    (an inverse needs the ring's Frobenius): residue-field inverses seed it
+    in mixed characteristic, and e = 1 rings need none at all."""
+    seen = []
+    inv = lr.RingElem.inv
+
+    def spy(x):
+        seen.append(x.ctx)
+        return inv(x)
+    monkeypatch.setattr(lr.RingElem, "inv", spy)
+    for p, f, d in ((3, 1, 4), (2, 2, 3), (5, 2, 2), (7, 1, 3)):
+        for mode in (lr.MIXED, lr.EQUAL):
+            seen.clear()
+            S = lr.base_ring(p, f, 8, mode)
+            T = lr.unramified(S, d)
+            T.frobenius_p(T.gen)  # the map the first inverse builds
+            assert all(R.e * R.n == 1 for R in seen)
+            if mode == lr.EQUAL and f == 1:
+                assert seen == []
+    seen.clear()
+    F = lr.LocalRingCtx(lr.MIXED, 5, 3, 1, 1)
+    F.frobenius_p(F.gen)
+    assert seen == []

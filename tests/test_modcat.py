@@ -73,6 +73,33 @@ def test_decompose_rejects_corrupt_module():
         modcat.decompose(mod)
 
 
+def test_validate_reruns_after_phi_changes(monkeypatch):
+    rng = random.Random(5)
+    S, T, TO = make(d=3)
+    calls = []
+    composite = modcat.phi_composite
+
+    def spy(*args):
+        calls.append(args[1:])
+        return composite(*args)
+    monkeypatch.setattr(modcat, "phi_composite", spy)
+    mod = modcat.scramble(modcat.direct_sum(
+        [modcat.standard(TO, h) for h in (0, 2)]), rng)
+    report = mod.validate()
+    assert report == {k: True for k in range(3)} and len(calls) == 3
+    # unchanged phi: the stored report, and decompose's own check is free
+    assert mod.validate() == report and len(calls) == 3
+    modcat.decompose(mod)
+    # one phi entry changed in place after a passing validate
+    mod.phi[1][0][1] = mod.phi[1][0][1] + T.uniformizer ** 2 * T.gen
+    with pytest.raises(ValidationError):
+        mod.validate()
+    with pytest.raises(ValidationError):
+        modcat.decompose(mod)
+    with pytest.raises(ValidationError):
+        mod.validate()
+
+
 def test_deg_ind_and_ranks():
     for (p, d, r, mode) in CONFIGS:
         S, T, TO = make(p=p, d=d, r=r, mode=mode)

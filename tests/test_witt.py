@@ -206,3 +206,19 @@ def test_witt_of_finite_field_is_unramified_ring():
                     naive = W.vec([a + b for a, b in zip(x.coords, y.coords)])
                     naive_fails |= _iota(Z, F, naive) != ix + iy
                 assert naive_fails, (p, m, n)
+
+
+def test_ghost_components_are_kept_per_lift_ring():
+    """A vector keeps its ghost components with the lift ring they lie in;
+    used with a context on another lift ring it gets them there anew."""
+    rng = random.Random(9)
+    for R in contexts(3):
+        W1, W2 = witt.WittCtx(3, 3, R), witt.WittCtx(3, 3, R)
+        assert W1.lift is not W2.lift
+        x, y = W1.random(rng), W2.random(rng)
+        g1 = W1.ghost_lift(x)
+        assert W1.ghost_lift(x) is g1
+        assert all(g.ctx is W2.lift for g in W2.ghost_lift(x))
+        fresh = W2.vec(x.coords)
+        assert y + x == y + fresh and y * x == y * fresh
+        assert x.frobenius() == W1.vec(x.coords).frobenius()
