@@ -6,11 +6,22 @@ Elements are stored as a pi_K-power shift m together with a d-vector
 relation is pi_D * y = sigma_r(y) * pi_D with sigma_r = sigma^r, and
 pi_D^d = pi_K.  The valuation is normalized by ord_D(pi_D) = 1, so
 ord_D(pi_K) = d and ord_D = v_K(Nrd) on the nose.
+
+The product (`skew_mul`, shared with A (x)_S T in `tensor`) runs on
+Kronecker packings of the coefficients (`LocalRingCtx._skew_kernel`).
+Each coefficient of each factor is packed once.  sigma^k is Z/p^e-linear,
+so sigma_r^i(z_j) is formed on the packing of z_j, as m integer
+multiply-adds against the packed columns of sigma^k.  The d^2 integer
+products are summed into one accumulator per x-power, the wrap
+x^d = pi_K is folded into the accumulator below it (p * acc in mixed
+characteristic, a shift by one t-slot in equal characteristic), and each
+output coefficient is reduced by G and p^e once.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul as _mul
 
 from . import linalg
 from .errors import (CtxMismatchError, InternalError, NotInvertibleError,
@@ -28,37 +39,25 @@ def check_twist(d: int, r: int):
             f"twist r = {r} must satisfy 0 < r < d and gcd(r, d) = 1")
 
 
-def skew_mul(ys, zs, sigma, r, dot, times_pi):
-    """Product of sum y_i x^i and sum z_j x^j in R^{tau}{x}/(x^d - pi).
+def skew_mul(ys, zs, twist, fold):
+    """Product of sum y_i x^i and sum z_j x^j in R^{tau}{x}/(x^d - pi), on
+    Kronecker packings.
 
-    x z = tau(z) x with tau = sigma^r, where sigma(z, k) applies sigma^k to
-    a coefficient of R; pi must be central.  Output coefficient s is the
-    dot product of the y_i and sigma^{ri}(z_j) with i + j = s, plus
-    times_pi of the dot product of those with i + j = s + d.  Returns the d
+    ys are the packings of the y_i, zs whatever twist reads of the z_j (both
+    falsy for a zero coefficient), and twist(z, i) is the packing of
+    tau^i(z).  The d^2 integer products y_i * tau^i(z_j) are summed into one
+    accumulator per x-power i + j, and fold(acc_s, acc_{s+d}) folds
+    x^{s+d} = pi x^s into coefficient s and finishes it once.  Returns the d
     coefficients.
     """
     d = len(ys)
-    # terms[s][w]: the factors of the terms with i + j = s + w*d
-    terms = [(([], []), ([], [])) for _ in range(d)]
-    for i, yi in enumerate(ys):
-        if yi.is_zero():
-            continue
-        for j, zj in enumerate(zs):
-            if not zj.is_zero():
-                left, right = terms[(i + j) % d][i + j >= d]
-                left.append(yi)
-                right.append(sigma(zj, r * i))
-    out = []
-    for below, above in terms:
-        c = dot(*below)
-        if above[0]:
-            c = c + times_pi(dot(*above))
-        out.append(c)
-    return out
-
-
-def _times_pi_K(y):
-    return y.shift_down(-1)
+    acc = [0] * (2 * d)
+    for i, y in enumerate(ys):
+        if y:
+            for s, z in enumerate(zs, i):
+                if z:
+                    acc[s] += y * twist(z, i)
+    return [fold(acc[s], acc[s + d]) for s in range(d)]
 
 
 class AlgebraCtx:
@@ -76,6 +75,22 @@ class AlgebraCtx:
         # invariant label attached to this ctx is r/d
         self.hasse_invariant = (r, d)
         self.ord_cap = d * T.prec
+        self._skew = None
+
+    def _kernel(self):
+        """(pack, split, twist, fold) of the product, built on first use:
+        twist(z, i) forms sigma_r^i(z) from the segments of z (split) and
+        the packed columns of sigma^{ri mod d} (LocalRingCtx._skew_kernel)."""
+        if self._skew is None:
+            d = self.d
+            pack, split, columns, fold = self.T._skew_kernel(d)
+            cols = [columns[self.r * i % d] for i in range(d)]
+
+            def twist(z, i):
+                c = cols[i]
+                return z[0] if c is None else sum(map(_mul, z[1], c))
+            self._skew = (pack, split, twist, fold)
+        return self._skew
 
     # -- element constructors ---------------------------------------------
 
@@ -163,12 +178,14 @@ class DElem:
         return DElem(self.ctx, self.shift, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        """Each coefficient is packed once (algebra.skew_mul)."""
         self._check(other)
         ctx = self.ctx
-        T = ctx.T
+        pack, split, twist, fold = ctx._kernel()
         return ctx.elem(self.shift + other.shift,
-                        skew_mul(self.coeffs, other.coeffs, T.frobenius,
-                                 ctx.r, T.dot, _times_pi_K))
+                        skew_mul([pack(y.coeffs) for y in self.coeffs],
+                                 [split(z.coeffs) for z in other.coeffs],
+                                 twist, fold))
 
     def __pow__(self, e: int):
         return power(self, e, self.ctx.one)

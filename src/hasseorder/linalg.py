@@ -1,11 +1,12 @@
 """Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
 
 Everything here is exact.  Determinants are computed division-free (Bareiss
-over the integers, Berkowitz over an arbitrary commutative ring) so results
+over the integers, Berkowitz over a kernel ring `LocalRingCtx`) so results
 are correct at full working precision with no valuation loss.  Matrix
-products and Berkowitz's inner products go through the ring's `dot` and
-`matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
-once.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
+products go through the ring's `dot` and `matmul`
+(`LocalRingCtx.dot`/`matmul`), which reduce each sum of products once;
+Berkowitz packs each entry once and sums its inner products on the
+packings.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
 identity) eliminates fraction-free with unit pivots and takes the pivots'
 inverses from `inv_all`, which inverts any list of units with a single
 inversion.
@@ -149,12 +150,13 @@ def det_bareiss(mat):
 
 
 def det_berkowitz(mat, zero, one):
-    """Division-free determinant over any commutative ring.
+    """Division-free determinant over a kernel ring (`zero.ctx`).
 
     Berkowitz: the characteristic polynomial of each leading block follows
     from that of the previous one by a Toeplitz product.  Only the monic
     polynomial's lower coefficients are kept, and the last step forms the
-    constant term alone.
+    constant term alone.  Each entry is packed once (`_sum_kernel`); a power
+    step re-packs only the vector it multiplies.
     """
     n = len(mat)
     if n == 0:
@@ -162,23 +164,30 @@ def det_berkowitz(mat, zero, one):
     if n == 1:
         return mat[0][0]
 
-    dot = zero.ctx.dot
+    ctx = zero.ctx
+    pack, finish = ctx._sum_kernel(n)
+    packed = [ctx._packings(row, pack) for row in mat]
+
+    def dot(xs, ys):
+        return ctx._packed_dot(xs, ys, finish)
+
     tail = [-mat[0][0]]  # det(x - A_1) = x + tail[0]
     for i in range(1, n):
-        R = mat[i][:i]
-        C = [mat[j][i] for j in range(i)]
-        items = [-mat[i][i], -dot(R, C)]
-        vec = C
+        R = packed[i][:i]
+        vec = [row[i] for row in packed[:i]]
+        block = [row[:i] for row in packed[:i]]
+        items = [-mat[i][i], -dot(R, vec)]
         for _ in range(i - 1):
-            vec = [dot(mat[j][:i], vec) for j in range(i)]
+            vec = ctx._packings([dot(row, vec) for row in block], pack)
             items.append(-dot(R, vec))
         # the next polynomial is the product of the coefficient sequences
         # (1, *items) and (1, *tail), read from the top; below its leading 1,
         # entry k is items[k] + sum_j items[k-1-j] tail[j] + tail[k]
+        pitems, ptail = ctx._packings(items, pack), ctx._packings(tail, pack)
         if i == n - 1:
-            det = items[i] + dot(items[i - 1::-1], tail)
+            det = items[i] + dot(pitems[i - 1::-1], ptail)
             return det if n % 2 == 0 else -det
-        new = [items[0]] + [items[k] + dot(items[k - 1::-1], tail)
+        new = [items[0]] + [items[k] + dot(pitems[k - 1::-1], ptail)
                             for k in range(1, i + 1)]
         tail = [a + b for a, b in zip(new, tail)] + new[i:]
 

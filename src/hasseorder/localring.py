@@ -24,7 +24,11 @@ Kronecker-packed integer multiply (n > 1) or a schoolbook product in theta
 applied to each t-block.  A sum of products (`dot`, `matmul`) is packed and
 reduced once: each operand is packed into one integer, the integer products
 are added in slots wide enough for the number of terms, and one `finish`
-reduces the sum by G and p^e.
+reduces the sum by G and p^e.  The skew product of the order A
+(`algebra.skew_mul`) runs on the same packings (`_skew_kernel`): sigma^k
+acts on a packing through the packed columns sigma^k(theta^l), the wrap
+x^d = pi_K is folded into the packed sum (p times it for n = 1, a shift by
+one t-slot for n > 1), and each output coefficient is finished once.
 
 An unramified extension T of relative degree d over a base ring S carries a
 distinguished generator sigma of Gal(T/S): the image of theta is the
@@ -293,7 +297,9 @@ class LocalRingCtx:
         self._to_base_map = None
         self._rel_maps = None
         self._setup_base_embedding()
+        self._sigma_rows = [None]
         self._sigma_maps = [None]
+        self._skews = {}
         if d > 1:
             self._setup_sigma()
         self._verify()
@@ -318,16 +324,20 @@ class LocalRingCtx:
         return _block_map(self._power_rows(z, self.m), self.m, self.n, self.modulus)
 
     def _setup_sigma(self):
+        m, n, mod = self.m, self.n, self.modulus
         z = self._newton_root(self.poly, self.gen ** (self.p ** self.f))
-        sigma = self._ring_map(z)
+        rows = [None, self._power_rows(z, m)]
+        sigma = _block_map(rows[1], m, n, mod)
         images = [self.gen, z]
         for _ in range(2, self.d + 1):
             images.append(RingElem(self, sigma(images[-1].coeffs)))
         # consistency: applying sigma to sigma^{d-1}(theta) must return theta
         if images[self.d] != self.gen:
             raise InternalError("sigma does not have order d on the generator")
-        self._sigma_maps = [None, sigma] + [self._ring_map(images[k])
-                                            for k in range(2, self.d)]
+        rows += [self._power_rows(images[k], m) for k in range(2, self.d)]
+        # the matrices of sigma^k, 0 < k < d, for the maps and the skew kernel
+        self._sigma_rows = rows
+        self._sigma_maps = [None, sigma] + [_block_map(r, m, n, mod) for r in rows[2:]]
 
     def _newton_root(self, int_poly, start):
         """Unique root of int_poly congruent to start mod p, by Newton iteration.
@@ -506,11 +516,73 @@ class LocalRingCtx:
     def _sum_kernel(self, terms):
         """(pack, finish) for sums of up to `terms` products, in the
         narrowest slots that hold them (the slot width grows with terms)."""
-        width = _slot_bytes(max(terms, 1) * self._term_bound)
+        return self._slot_kernel(_slot_bytes(max(terms, 1) * self._term_bound))
+
+    def _slot_kernel(self, width):
+        """(pack, finish) in slots of `width` bytes, a `_slot_bytes` value."""
         kernel = self._sums.get(width)
         if kernel is None:
             kernel = self._sums[width] = _packed_sums(
                 self.m, self.n, self.modulus, self._red, (1 << 8 * width) - 1)
+        return kernel
+
+    def _skew_kernel(self, terms):
+        """(pack, split, columns, fold) for the skew products of
+        `algebra.skew_mul` over this ring, which run on packings: each
+        output coefficient sums `terms` products y * sigma^k(z) and folds
+        in the wrap pi * (the sum above x^d) before its one finish.
+
+        sigma^k is Z/p^e-linear, so it acts on a packing: split(a) is the
+        packing of a with its theta-segments, None for zero (for n = 1 the
+        segments are the coefficients, for n > 1 the packed t-polynomials),
+        and columns[k][l], the packing of sigma^k(theta^l), makes
+        sum_l segs[l] * columns[k][l] the packing of sigma^k(a), unreduced
+        (columns[0] is None: sigma^0(a) is the packing itself).
+
+        fold(lo, hi) is the element lo + pi * hi of two such sums: lo + p*hi
+        for n = 1, and for n > 1 hi shifted up one t-slot, after `low`
+        drops the slots t^(n-1).. that t * hi truncates (they would spill
+        into the next theta-segment).  The slots hold `terms` times
+        _term_bound, grown by the unreduced operand, m(p^e - 1), and by the
+        fold: the `terms` products of one coefficient split between lo and
+        hi, so lo + p*hi stays below p times their bound, and for n > 1 the
+        shifted hi adds its terms to the slots of lo.
+        """
+        kernel = self._skews.get(terms)
+        if kernel is None:
+            m, n, mod = self.m, self.n, self.modulus
+            wrap = self.p if n == 1 else 1
+            width = _slot_bytes(terms * self._term_bound * m * (mod - 1) * wrap)
+            pack, finish = self._slot_kernel(width)
+            bits = 8 * width
+            seg = bits * (2 * n - 1)  # one theta-degree of a product
+            columns = [None] + [[sum(c << (j * seg) for j, c in enumerate(col))
+                                 for col in zip(*rows)]
+                                for rows in self._sigma_rows[1:]]
+            zero = self.zero
+            if n == 1:
+                p = self.p
+
+                def split(a):
+                    x = pack(a)
+                    return (x, a) if x else None
+
+                def fold(lo, hi):
+                    c = lo + p * hi
+                    return RingElem(self, finish(c)) if c else zero
+            else:
+                mask = (1 << seg) - 1
+                low = sum(((1 << bits * (n - 1)) - 1) << (j * seg)
+                          for j in range(2 * m - 1))
+
+                def split(a):
+                    x = pack(a)
+                    return (x, [(x >> (l * seg)) & mask for l in range(m)]) if x else None
+
+                def fold(lo, hi):
+                    c = lo + ((hi & low) << bits)
+                    return RingElem(self, finish(c)) if c else zero
+            kernel = self._skews[terms] = (pack, split, columns, fold)
         return kernel
 
     def _packings(self, xs, pack):
@@ -526,7 +598,11 @@ class LocalRingCtx:
         """sum_i xs[i] * ys[i]: the integer products of the packings are
         added, and the sum is reduced by G and p^e once."""
         pack, finish = self._sum_kernel(len(xs))
-        c = sum(map(_mul, self._packings(xs, pack), self._packings(ys, pack)))
+        return self._packed_dot(self._packings(xs, pack), self._packings(ys, pack), finish)
+
+    def _packed_dot(self, pxs, pys, finish):
+        """sum_i pxs[i] * pys[i] of packings, finished into an element."""
+        c = sum(map(_mul, pxs, pys))
         return RingElem(self, finish(c)) if c else self.zero
 
     def matmul(self, A, B):
@@ -535,15 +611,7 @@ class LocalRingCtx:
         pack, finish = self._sum_kernel(len(B))
         rows = [self._packings(row, pack) for row in A]
         cols = [self._packings(col, pack) for col in zip(*B)]
-        zero = self.zero
-        out = []
-        for row in rows:
-            line = []
-            for col in cols:
-                c = sum(map(_mul, row, col))
-                line.append(RingElem(self, finish(c)) if c else zero)
-            out.append(line)
-        return out
+        return [[self._packed_dot(row, col, finish) for col in cols] for row in rows]
 
     # -- Z/p^e module structure (shared linear-algebra interface) ----------
 
@@ -642,8 +710,8 @@ class RingElem:
     def ord(self) -> int:
         """Uniformizer-adic valuation; ctx.prec means zero at this precision."""
         ctx = self.ctx
-        if ctx.n == 1:  # p-adic
-            return min(_val(c, ctx.p, ctx.prec) for c in self.coeffs)
+        if ctx.n == 1:  # p-adic: the least valuation is that of the gcd
+            return _val(math.gcd(*self.coeffs), ctx.p, ctx.prec)
         for k, c in enumerate(self.coeffs):  # t-adic: first nonzero t-block
             if c:
                 return k // ctx.m

@@ -13,7 +13,12 @@ them.  Component k of a u-polynomial is its value at sigma^k(theta), the
 k-th root of G(u) = prod_k (u - sigma^k(theta)).  The pairwise differences
 of the roots are units because T/S is unramified, so the Vandermonde
 matrix on the roots is invertible and the two bases convert exactly at
-precision N.
+precision N: `elem` multiplies by it (one packed dot per root) and
+`u_coeffs` by its inverse.
+
+A product in A (x)_S T is `algebra.skew_mul` once per component g: the
+twist sigma_r (x) id rotates components, so lane g of sigma_r^i(z_j) is
+the packing of component (g + ri) mod d of z_j, and no sigma is applied.
 """
 
 from __future__ import annotations
@@ -59,8 +64,11 @@ class TensorRingCtx:
                                         "units; extension is not unramified")
         # the Vandermonde matrix on the roots takes u-coefficients to
         # components; its inverse takes them back
-        self._to_u = linalg.rmat_inv([[rt ** j for j in range(d)]
-                                      for rt in self.roots], T)
+        self._from_u = [[rt ** j for j in range(d)] for rt in self.roots]
+        self._to_u = linalg.rmat_inv(self._from_u, T)
+        # the twist sigma_r (x) id of the order rotates components: lane g
+        # of sigma_r^i(z) is component (g + r i) mod d of z
+        self._lanes = [[(g + r * i) % d for i in range(d)] for g in range(d)]
         self.zero = TensorElem(self, (T.zero,) * d)
         self.one = TensorElem(self, (T.one,) * d)
         self.idempotents = [TensorElem(self, tuple(T.one if j == k else T.zero
@@ -71,10 +79,12 @@ class TensorRingCtx:
     # -- T (x)_S T elements ------------------------------------------------
 
     def elem(self, coeffs):
-        """The element sum_j coeffs[j] u^j (any number of u-coefficients)."""
+        """The element sum_j coeffs[j] u^j (at most d u-coefficients): its
+        components are the Vandermonde matrix times the coefficients."""
         coeffs = list(coeffs)
-        return TensorElem(self, tuple(self.T._horner(coeffs, rt)
-                                      for rt in self.roots))
+        if len(coeffs) > self.d:
+            raise ParameterError(f"expected at most {self.d} u-coefficients")
+        return TensorElem(self, tuple(linalg.rmat_vec(self._from_u, coeffs, self.T)))
 
     @property
     def u_elem(self):
@@ -98,13 +108,6 @@ class TensorRingCtx:
 
     def random(self, rng):
         return self.elem([self.T.random(rng) for _ in range(self.d)])
-
-    def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i], componentwise through T.dot."""
-        if not xs:
-            return self.zero
-        return TensorElem(self, tuple(map(self.T.dot, zip(*[x.comps for x in xs]),
-                                          zip(*[y.comps for y in ys]))))
 
     # -- the order A (x)_S T ----------------------------------------------
 
@@ -336,11 +339,19 @@ class TensorOrderElem:
         return TensorOrderElem(self.ctx, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        """One skew product (algebra.skew_mul) per Galois component g: the
+        twist picks the rotated component packings of the z_j, and each
+        component is packed once."""
         self._check(other)
         ctx = self.ctx
-        return TensorOrderElem(ctx, tuple(skew_mul(
-            self.coeffs, other.coeffs, TensorElem.sigma_left, ctx.r, ctx.dot,
-            ctx.piK.__mul__)))
+        pack, _, _, fold = ctx.T._skew_kernel(ctx.d)
+        ys = [[pack(c.coeffs) for c in y.comps] for y in self.coeffs]
+        zs = [[pack(c.coeffs) for c in z.comps] for z in other.coeffs]
+        lanes = [skew_mul([y[g] for y in ys], zs,
+                          lambda z, i, rot=rot: z[rot[i]], fold)
+                 for g, rot in enumerate(ctx._lanes)]
+        return TensorOrderElem(ctx, tuple(TensorElem(ctx, comps)
+                                          for comps in zip(*lanes)))
 
     def __pow__(self, e):
         return power(self, e, self.ctx.order_one)

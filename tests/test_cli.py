@@ -10,7 +10,9 @@ import pytest
 import hasseorder
 from hasseorder import algebra as almod
 from hasseorder import localring as lr
+from hasseorder import suites
 from hasseorder.cli import main
+from hasseorder.errors import InternalError
 from hasseorder.parser import evaluate
 
 
@@ -110,6 +112,41 @@ def test_verify_default_passes(capsys):
     assert all(not s["failures"] for s in report["suites"])
     assert {s["name"] for s in report["suites"]} == {
         "finite_field", "local_ring", "witt", "algebra", "tensor", "modcat"}
+
+
+def test_verify_records_failed_inverses(capsys, monkeypatch):
+    """An inverse that fails its own check (InternalError) is recorded as a
+    failure of its case, with expected one and got the message, and every
+    suite still runs."""
+    msg = "inverse fails the check x * x^-1 = 1"
+    failed = set()
+
+    def fail_first(cls):
+        real = cls.inv
+
+        def inv(self):
+            # the first inverse a suite check takes in each ring fails
+            if (sys._getframe(1).f_code is suites._inverse.__code__
+                    and self.ctx not in failed):
+                failed.add(self.ctx)
+                raise InternalError(msg)
+            return real(self)
+        monkeypatch.setattr(cls, "inv", inv)
+
+    fail_first(lr.RingElem)
+    fail_first(almod.DElem)
+    code, out, _ = run(capsys, "--output", "json", "verify")
+    assert code == 1
+    report = json.loads(out)
+    assert [s["name"] for s in report["suites"]] == list(suites.SUITES)
+    got = [(s["name"], f) for s in report["suites"] for f in s["failures"]]
+    one_T = "[1, 0]"
+    assert got == [
+        ("finite_field", {"case": "inverse m=1", "expected": "[1]", "got": msg}),
+        ("finite_field", {"case": "inverse m=2", "expected": one_T, "got": msg}),
+        ("local_ring", {"case": "inv", "expected": one_T, "got": msg}),
+        ("algebra", {"case": "inv", "got": msg,
+                     "expected": str({"shift": 0, "coeffs": [[1, 0], [0, 0]]})})]
 
 
 def test_verify_suite_selection(capsys):

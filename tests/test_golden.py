@@ -184,3 +184,55 @@ def inverse_digest(mode):
 @pytest.mark.parametrize("mode", sorted(INVERSE_GOLDEN))
 def test_inverse_golden_digest(mode):
     assert inverse_digest(mode) == INVERSE_GOLDEN[mode]
+
+
+# name -> (p, f, d, r, N, mode) of the seeded products in A and A (x)_S T
+PRODUCT_CONFIGS = {
+    "equal-p3-d2": (3, 1, 2, 1, 8, lr.EQUAL),
+    "equal-p5-f2-d3": (5, 2, 3, 1, 5, lr.EQUAL),
+    "mixed-p2-f2-d3": (2, 2, 3, 2, 6, lr.MIXED),
+    "mixed-p3-d4": (3, 1, 4, 1, 8, lr.MIXED),
+}
+
+# name -> SHA-256 of seeded products a*b, b*a in A (shifts -1, 0, 3; zero,
+# all-(p^e-1) and random coefficients) and z*w in A (x)_S T
+PRODUCT_GOLDEN = {
+    "equal-p3-d2": "77ea733d16f97036cbbc340b76af073847af70c024efe013b510d6101db59425",
+    "equal-p5-f2-d3": "802f56e3255619bb057f2b5ad2b6b675814d8b3d343646a8c0d94b62cb993d0f",
+    "mixed-p2-f2-d3": "d40f20524cab16c8cd292735ed73557ca0aa976be30006b8cc946860711614a6",
+    "mixed-p3-d4": "29d5e7ef3ca20b655a2cb21eaee37e0ce224da431d8860fb66dcff919d098eed",
+}
+
+
+def _coeff(R, rng):
+    """Zero, the all-(p^e-1) element or a random element of R."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return R.zero
+    if kind == 1:
+        return R.from_vec([R.modulus - 1] * R.zp_rank)
+    return R.random(rng)
+
+
+def product_digest(name):
+    p, f, d, r, N, mode = PRODUCT_CONFIGS[name]
+    T = lr.unramified(lr.base_ring(p, f, N, mode), d)
+    A, TO = algebra.make(T, r), tensor.make(T, r)
+    rng = random.Random(f"golden-product:{name}")
+    rows = []
+    for shift in (-1, 0, 3):
+        for _ in range(4):
+            a = A.elem(shift, [_coeff(T, rng) for _ in range(d)])
+            b = A.elem(rng.choice((-1, 0, 3)), [_coeff(T, rng) for _ in range(d)])
+            rows += [(a * b).serialize(), (b * a).serialize()]
+    for _ in range(4):
+        z = TO.order_elem([TO.from_components([_coeff(T, rng) for _ in range(d)])
+                           for _ in range(d)])
+        w = TO.order_random(rng)
+        rows += [(z * w).serialize(), (w * z).serialize()]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CONFIGS))
+def test_product_golden_digest(name):
+    assert product_digest(name) == PRODUCT_GOLDEN[name]

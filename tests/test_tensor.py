@@ -79,6 +79,18 @@ def test_w_is_ring_isomorphism():
             assert (x + y).u_coeffs() == [a + b for a, b in zip(ux, uy)]
 
 
+def test_elem_matches_horner_oracle():
+    # the Vandermonde product against evaluation at each root by Horner
+    rng = random.Random(3)
+    for (p, d, r, mode) in CONFIGS:
+        S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
+        for k in range(d + 1):
+            a = [T.random(rng) for _ in range(k)]
+            assert list(TO.elem(a).components()) == u_eval(TO, a)
+        with pytest.raises(ParameterError):
+            TO.elem([T.one] * (d + 1))
+
+
 def test_sigma_actions_permute_idempotents():
     rng = random.Random(5)
     for (p, d, r, mode) in CONFIGS:
