@@ -350,9 +350,9 @@ class DElem:
         tr = S.zero
         for i in range(n):
             tr = tr + M[i][i]
-        if S.zp_rank == 1:  # S = Z/p^N: integer determinant
-            ints = [[row[i].coeffs[0] for i in range(n)] for row in M]
-            det = S.from_int(linalg.det_bareiss(ints) % S.modulus)
+        if S.zp_rank == 1:  # S = Z/p^N: integer elimination
+            ints = [[x.coeffs[0] for x in row] for row in M]
+            det = S.from_int(linalg.det_mod_pe(ints, S.p, S.e))
         else:
             det = linalg.det_berkowitz(M, S.zero, S.one)
         return tr, det

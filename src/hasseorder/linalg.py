@@ -1,8 +1,11 @@
 """Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
 
-Everything here is exact.  Determinants are computed division-free (Bareiss
-over the integers, Berkowitz over a kernel ring `LocalRingCtx`) so results
-are correct at full working precision with no valuation loss.  Matrix
+Everything here is exact.  A determinant over a kernel ring `LocalRingCtx`
+is computed division-free (Berkowitz), so it is correct at full working
+precision with no valuation loss.  Over S = Z/p^N, an integer matrix,
+`det_mod_pe` eliminates with unit pivots mod p^N: a column with no unit is
+divided by p and the working modulus drops by p, so the determinant stays
+exact in O(n^3) operations on integers below p^N.  Matrix
 products go through the ring's `dot` and `matmul`
 (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products once;
 Berkowitz packs each entry once and sums its inner products on the
@@ -116,37 +119,41 @@ class ColumnSolver:
         return sum(min(a, self.e) for a in self.exps) + self.e * (self.ncols - len(self.exps))
 
 
-def solve_columns(columns, b, p, e):
-    return ColumnSolver(columns, p, e).solve(b)
-
-
 def kernel_log_size(columns, p, e):
     return ColumnSolver(columns, p, e).kernel_log_size()
 
 
-def det_bareiss(mat):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
+def det_mod_pe(mat, p, e):
+    """Determinant mod p^e of an integer matrix, by elimination with unit
+    pivots over Z/p^e.
+
+    The pivot row moves to the top of the remaining rows (a sign per row it
+    passes).  A column with no unit is divisible by p: it is divided by p,
+    and the determinant gains the factor p.  The quotient is known mod
+    p^(e-1) only, but p times its determinant needs no more, so the working
+    modulus drops to p^(e-1) and the result stays exact at p^e.
+    """
+    top_mod = mod = p ** e
+    det = 1
+    rows = [list(row) for row in mat]
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0] % p), None)
+        if k is None:
+            if mod == p:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+            mod //= p
+            det *= p
+            for row in rows:
+                row[0] //= p
+            continue
+        top = rows.pop(k)
+        a = top[0]
+        det = (-det if k % 2 else det) * a % top_mod
+        inv = pow(a, -1, mod)
+        rest = top[1:]
+        rows = [[(x - f * y) % mod for x, y in zip(row[1:], rest)]
+                if (f := row[0] * inv % mod) else row[1:] for row in rows]
+    return det % top_mod
 
 
 def det_berkowitz(mat, zero, one):

@@ -76,12 +76,13 @@ def power(x, e: int, one):
     return one if r is None else r
 
 
-def _red_table(poly, m, mod):
-    """theta^(m+l) reduced mod (G, p^e) for 0 <= l <= m-2, as sparse rows
-    [(j, c_j)] with theta^(m+l) = sum_j c_j theta^j."""
+def _red_table(poly, m, mod, count=None):
+    """theta^(m+l) reduced mod (G, p^e) for 0 <= l < count, as sparse rows
+    [(j, c_j)] with theta^(m+l) = sum_j c_j theta^j.  The default count,
+    m - 1, covers the product of two elements."""
     top = [(-c) % mod for c in poly[:m]]  # theta^m
     cur, rows = top, []
-    for _ in range(m - 1):
+    for _ in range(m - 1 if count is None else count):
         rows.append([(j, c) for j, c in enumerate(cur) if c])
         lead = cur[-1]
         cur = [0] + cur[:-1]
@@ -162,15 +163,16 @@ def _packed_sums(m, n, mod, red, bound):
 
     pack(a) is one integer; a sum of products pack(a) * pack(b) is turned
     back into a coefficient tuple by one finish(c).  For n = 1 theta^j
-    sits in slot j: finish unpacks the 2m-1 product slots and reduces them
-    by G and p^e.  For n > 1 theta^j t^i sits in slot j*(2n-1) + i, so the
+    sits in slot j: finish unpacks the m + len(red) slots (2m-1 for the
+    rows of a product) and reduces them by G and p^e.  For n > 1 theta^j
+    t^i sits in slot j*(2n-1) + i, so the
     t-product of two theta-degrees never spills into the next one: finish
     reduces by G on whole packed t-polynomials, truncated at t^n, and only
     the m*n surviving slots are unpacked and reduced mod p^e.
     """
     bits, pack, unpack = _slots(bound)
     if n == 1:
-        width = 2 * m - 1
+        width = m + len(red)
         red = [(m + l, row) for l, row in enumerate(red)]
 
         def finish(c):
@@ -294,7 +296,6 @@ class LocalRingCtx:
         self.uniformizer = (self.from_int(p) if n == 1 else
                             RingElem(self, (0,) * m + (1,) + (0,) * (m * (n - 1) - 1)))
         self._frobp_maps = {}
-        self._to_base_map = None
         self._rel_maps = None
         self._setup_base_embedding()
         self._sigma_rows = [None]
@@ -383,8 +384,8 @@ class LocalRingCtx:
         # residue-field embedding root (already exact when e = 1)
         r = ffmod.embedding_root(base.residue, self.residue)
         self.base_gen_image = self._newton_root(base.poly, self.from_residue(r))
-        self._embed_rows = self._power_rows(self.base_gen_image, base.m)
-        self._embed_map = _block_map(self._embed_rows, base.m, self.n, self.modulus)
+        self._embed_map = _block_map(self._power_rows(self.base_gen_image, base.m),
+                                     base.m, self.n, self.modulus)
 
     def _verify(self):
         if self.d > 1:
@@ -463,25 +464,15 @@ class LocalRingCtx:
         return RingElem(self, self._embed_map(x.coeffs))
 
     def to_base(self, x):
-        """Preimage in S of an element of the embedded base ring.
+        """Preimage in S of an element of the embedded base ring: its
+        relative coordinate 0.
 
         Raises InternalError when x does not lie in the embedded image.
         """
         base = self.base
         if base is None:
             return x
-        if self._to_base_map is None:
-            # a left inverse P of the embedding matrix E: row i of P solves
-            # sum_r P[i][r] * E[r] = (unit vector i)
-            rows = []
-            for i in range(base.m):
-                unit = [int(c == i) for c in range(base.m)]
-                row = linalg.solve_columns(self._embed_rows, unit, self.p, self.e)
-                if row is None:
-                    raise InternalError("base embedding has no left inverse")
-                rows.append(tuple(row))
-            self._to_base_map = _block_map(rows, self.m, self.n, self.modulus)
-        y = RingElem(base, self._to_base_map(x.coeffs))
+        y = RingElem(base, self._rel_coord_maps()[0](x.coeffs))
         if self.embed_base(y) != x:
             raise InternalError("element does not lie in the embedded base ring")
         return y
@@ -491,8 +482,12 @@ class LocalRingCtx:
         base = self.base
         if base is None:
             return [x]
-        fb, m = base.m, self.m
+        return [RingElem(base, coord(x.coeffs)) for coord in self._rel_coord_maps()]
+
+    def _rel_coord_maps(self):
+        """The maps taking x to its relative coordinate j, built on first use."""
         if self._rel_maps is None:
+            fb, m = self.base.m, self.m
             # basis theta^j * theta_S^l (index j*f + l) of one t-block; rows
             # j*f .. j*f + f-1 of its inverse give coordinate j of every t-block
             cols = []
@@ -509,7 +504,7 @@ class LocalRingCtx:
             rows = [tuple(col[i] for col in inv_cols) for i in range(m)]
             self._rel_maps = [_block_map(rows[j * fb:(j + 1) * fb], m, self.n, self.modulus)
                               for j in range(self.d)]
-        return [RingElem(base, coord(x.coeffs)) for coord in self._rel_maps]
+        return self._rel_maps
 
     # -- sums of products -------------------------------------------------
 

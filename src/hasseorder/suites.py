@@ -105,6 +105,18 @@ def suite_finite_field(cfg, rng, fault):
     return rec.report()
 
 
+def _fixed_log_size(T):
+    """log_p of the number of fixed points of sigma on T: the kernel size
+    of sigma - id, from its columns on the unit vectors."""
+    cols = []
+    for i in range(T.zp_rank):
+        v = [0] * T.zp_rank
+        v[i] = 1
+        e = T.from_vec(v)
+        cols.append(T.to_vec(T.frobenius(e, 1) - e))
+    return linalg.kernel_log_size(cols, T.p, T.zp_exp)
+
+
 def suite_local_ring(cfg, rng, fault):
     rec = Recorder("local_ring")
     S, T, _, _ = _contexts(cfg)
@@ -133,13 +145,7 @@ def suite_local_ring(cfg, rng, fault):
         rec.check_eq("hensel", T.zero,
                      T._eval_int_poly(T.poly, T.frobenius(T.gen, 1)))
     # fixed points of sigma = embedded S, by kernel size of (sigma - id)
-    cols = []
-    for i in range(T.zp_rank):
-        v = [0] * T.zp_rank
-        v[i] = 1
-        e = T.from_vec(v)
-        cols.append(T.to_vec(T.frobenius(e, 1) - e))
-    klog = linalg.kernel_log_size(cols, T.p, T.zp_exp)
+    klog = _fixed_log_size(T)
     rec.check("fixed-points", klog == cfg["f"] * N, cfg["f"] * N, klog)
     for _ in range(20):
         e = T.embed_base(S.random(rng))
@@ -228,13 +234,7 @@ def suite_witt(cfg, rng, fault):
                 fe = emb.frobenius()
                 rec.check_eq(f"galois-F-equivariant d={dd} n={n}", fe,
                              fe.map_coords(lambda c: T.frobenius(c, 1)))
-            cols = []
-            for i in range(T.zp_rank):
-                v = [0] * T.zp_rank
-                v[i] = 1
-                e = T.from_vec(v)
-                cols.append(T.to_vec(T.frobenius(e, 1) - e))
-            klog = linalg.kernel_log_size(cols, T.p, T.zp_exp)
+            klog = _fixed_log_size(T)
             # coordinatewise action: fixed set size is (size of S)^n
             rec.check(f"galois-rank d={dd} n={n}", n * klog == n * cfg["f"] * 4,
                       n * cfg["f"] * 4, n * klog)

@@ -13,6 +13,18 @@ components w_i = sum_{j<=i} p^j a_j^{p^{i-j}} are combined in L, and the
 resulting coordinates are solved top-down with exact divisions by p^i.  L carries
 n + 2 extra digits of p-adic precision so every division is exact before
 the final reduction back to R.
+
+The ghost arithmetic runs on L's flat coefficient tuples: a `RingElem` is
+built only where the API hands one out, for the reduced coordinates and
+for `ghost`/`ghost_lift`.  Sums and negatives of ghost components are left
+unreduced until the solve reduces them mod p^K; products go through L's
+kernel product.  Each p-th power is one call of the context's `_pth`
+(`_pth_power`): pow(c, p, p^K) when L has one coefficient, and when L is a
+polynomial ring in t alone (m = 1) or in theta alone (n = 1), one integer
+power of its Kronecker packing, in slots wide enough for every coefficient
+of the unreduced power, k^(p-1) (p^K - 1)^p for k coefficients, then
+truncated at t^n or reduced by G.  Lifts with m, n > 1 square and multiply.
+`WittCtx.resize` keeps the context of each length it builds.
 """
 
 from __future__ import annotations
@@ -28,14 +40,6 @@ MAX_P = 13
 
 # ---------------------------------------------------------------------------
 # the lift ring
-
-def divp(a, i):
-    """Exact division of a lift-ring element by p^i."""
-    pi = a.ctx.p ** i
-    if any(c % pi for c in a.coeffs):
-        raise InternalError("inexact division by p^i in Witt ghost solve")
-    return lr.RingElem(a.ctx, tuple([c // pi for c in a.coeffs]))
-
 
 def phi(a):
     """The Frobenius lift of the lift ring: the p-power lift phi on theta
@@ -64,12 +68,45 @@ def _lift_ring(R, K):
     return L
 
 
+def _pth_power(L):
+    """The p-th power on coefficient tuples of the lift ring L.
+
+    One coefficient (m = n = 1) is raised by pow(c, p, p^K).  A polynomial
+    in t (m = 1) or in theta (n = 1) with k coefficients takes one integer
+    power of its Kronecker packing (`localring._packed_sums`), in slots that
+    hold every coefficient of the unreduced power, at most
+    k^(p-1) (p^K - 1)^p.  `finish` truncates it at t^n (with m = 1 the
+    packing has one theta-segment, which the power's t-slots past 2n-1
+    cannot spill into), or reduces its p(m-1)+1 slots by G with the rows
+    for theta^m .. theta^(p(m-1)).  The remaining lifts (m, n > 1) square
+    and multiply."""
+    p, m, n, mod = L.p, L.m, L.n, L.modulus
+    if L.zp_rank == 1:
+        return lambda a: (pow(a[0], p, mod),)
+    if m > 1 and n > 1:
+        return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
+    red = lr._red_table(L.poly, m, mod, (p - 1) * (m - 1))
+    pack, finish = lr._packed_sums(m, n, mod, red, (m * n) ** (p - 1) * (mod - 1) ** p)
+    return lambda a: finish(pack(a) ** p)
+
+
+def _add(a, b):
+    return list(map(operator.add, a, b))
+
+
+def _sub(a, b):
+    return list(map(operator.sub, a, b))
+
+
 class WittCtx:
     """Length-n p-typical Witt vectors over a kernel ring R.
 
-    `lift` is the lift ring; `resize` passes it on to the contexts of other
-    lengths as long as its precision suffices, because `frobenius` solves a
-    long vector's ghost components in the shorter context.
+    `lift` is the lift ring, and `_pth` its p-th power on coefficient tuples
+    (`_pth_power`), built once.  `resize(n2)` returns the context of length
+    n2, built on first use and then kept; the contexts on one lift ring
+    share that cache.  It passes `lift` on as long as its precision
+    suffices, because `frobenius` solves a long vector's ghost components in
+    the shorter context; a context built on a new lift starts its own cache.
     """
 
     def __init__(self, p, n, R, _lift=None):
@@ -83,13 +120,20 @@ class WittCtx:
         self.n = n
         self.ring = R
         self.lift = _lift if _lift is not None else _lift_ring(R, R.e + n + 2)
+        self._pth = _pth_power(self.lift)
         self._pw = [p ** j for j in range(n)]
+        self._sizes = {n: self}
 
     def resize(self, n2):
-        if n2 == self.n:
-            return self
-        lift = self.lift if self.lift.e >= self.ring.e + n2 else None
-        return WittCtx(self.p, n2, self.ring, lift)
+        ctx = self._sizes.get(n2)
+        if ctx is None:
+            if self.lift.e >= self.ring.e + n2:
+                ctx = WittCtx(self.p, n2, self.ring, self.lift)
+                ctx._sizes = self._sizes
+            else:
+                ctx = WittCtx(self.p, n2, self.ring)
+            self._sizes[n2] = ctx
+        return ctx
 
     # -- vectors -----------------------------------------------------------
 
@@ -118,58 +162,72 @@ class WittCtx:
 
     # -- ghost machinery ---------------------------------------------------
 
-    def ghost_lift(self, v):
-        """Ghost components in the lift ring (exact), as a tuple.
-
-        They are computed once per vector and lift ring: v keeps the last
-        ones with the lift ring they lie in."""
-        L, p = self.lift, self.p
+    def _ghost(self, v):
+        """Ghost components of v in the lift ring (exact), as coefficient
+        tuples.  They are computed once per vector and lift ring: v keeps
+        the last ones with the lift ring they lie in."""
+        L = self.lift
         if v._ghost is not None and v._ghost[0] is L:
             return v._ghost[1]
+        pth = self._pth
         out, powers = [], []  # powers[j] = a_j^(p^(i-j)) in round i
         for a in v.coords:
-            powers = [y ** p for y in powers] + [lr.RingElem(L, a.coeffs)]
+            powers = [pth(y) for y in powers] + [a.coeffs]
             out.append(self._ghost_sum(powers))
         out = tuple(out)
-        v._ghost = (L, out)
+        v._ghost = (L, out, None)
         return out
 
     def _ghost_sum(self, powers):
         """sum_j p^j powers[j] in the lift ring, with one reduction."""
-        L = self.lift
         if not powers:
-            return L.zero
-        mod, pw = L.modulus, self._pw
-        return lr.RingElem(L, tuple([sum(map(operator.mul, pw, col)) % mod
-                                     for col in zip(*[y.coeffs for y in powers])]))
+            return self.lift.zero.coeffs
+        mod, pw = self.lift.modulus, self._pw
+        return tuple([sum(map(operator.mul, pw, col)) % mod for col in zip(*powers)])
+
+    def ghost_lift(self, v):
+        """Ghost components in the lift ring (exact), as a tuple of elements,
+        kept with the vector like the coefficient tuples they wrap."""
+        gs = self._ghost(v)
+        elems = v._ghost[2]
+        if elems is None:
+            elems = tuple([lr.RingElem(self.lift, g) for g in gs])
+            v._ghost = (self.lift, gs, elems)
+        return elems
 
     def ghost(self, v):
         """Ghost components reduced back into the coefficient ring."""
-        return [self.ring.from_vec(g.coeffs) for g in self.ghost_lift(v)]
+        return [self.ring.from_vec(g) for g in self._ghost(v)]
 
     def _solve_ghost(self, targets, n_out):
-        """Witt coordinates whose ghost equals the given lift-ring targets."""
-        coords_lift, powers = [], []  # powers[j] = c_j^(p^(i-j)) in round i
+        """Witt coordinates whose ghost components are the given coefficient
+        tuples of the lift ring (which need not be reduced)."""
+        mod, pw, pth = self.lift.modulus, self._pw, self._pth
+        coords, powers = [], []  # powers[j] = c_j^(p^(i-j)) in round i
         for i in range(n_out):
+            pi = pw[i]
+            diff = [(t - s) % mod for t, s in zip(targets[i], self._ghost_sum(powers))]
+            if any(c % pi for c in diff):
+                raise InternalError("inexact division by p^i in Witt ghost solve")
             # keep the full-precision lift-ring coordinate: re-lifting the
             # reduced value would corrupt the remaining divisions
-            c = divp(targets[i] - self._ghost_sum(powers), i)
-            coords_lift.append(c)
+            c = tuple([c // pi for c in diff])
+            coords.append(c)
             if i + 1 < n_out:
-                powers = [y ** self.p for y in powers + [c]]
-        return tuple([self.ring.from_vec(c.coeffs) for c in coords_lift])
+                powers = [pth(y) for y in powers + [c]]
+        return tuple([self.ring.from_vec(c) for c in coords])
 
 
 class WittVec:
     """A length-n Witt vector: coordinates (a_0, ..., a_{n-1}), and its
-    ghost components once computed (`WittCtx.ghost_lift`)."""
+    ghost components once computed (`WittCtx._ghost`)."""
 
     __slots__ = ("ctx", "coords", "_ghost")
 
     def __init__(self, ctx, coords):
         self.ctx = ctx
         self.coords = coords
-        self._ghost = None  # (lift ring, ghost components in it)
+        self._ghost = None  # (lift ring, ghost tuples in it, their elements)
 
     def _check(self, other):
         if not isinstance(other, WittVec) or other.ctx.ring is not self.ctx.ring \
@@ -179,22 +237,21 @@ class WittVec:
     def _binop(self, other, combine):
         self._check(other)
         ctx = self.ctx
-        targets = [combine(a, b)
-                   for a, b in zip(ctx.ghost_lift(self), ctx.ghost_lift(other))]
+        targets = [combine(a, b) for a, b in zip(ctx._ghost(self), ctx._ghost(other))]
         return WittVec(ctx, ctx._solve_ghost(targets, ctx.n))
 
     def __add__(self, other):
-        return self._binop(other, operator.add)
+        return self._binop(other, _add)
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub)
+        return self._binop(other, _sub)
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul)
+        return self._binop(other, self.ctx.lift._mul)
 
     def __neg__(self):
         ctx = self.ctx
-        targets = [-g for g in ctx.ghost_lift(self)]
+        targets = [[-c for c in g] for g in ctx._ghost(self)]
         return WittVec(ctx, ctx._solve_ghost(targets, ctx.n))
 
     def frobenius(self):
@@ -202,7 +259,7 @@ class WittVec:
         ctx = self.ctx
         if ctx.n < 2:
             raise ParameterError("F needs Witt length >= 2")
-        targets = ctx.ghost_lift(self)[1:]
+        targets = ctx._ghost(self)[1:]
         short = ctx.resize(ctx.n - 1)
         return WittVec(short, short._solve_ghost(targets, short.n))
 

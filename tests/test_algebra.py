@@ -7,6 +7,7 @@ from hasseorder import algebra, linalg
 from hasseorder import localring as lr
 from hasseorder.errors import (NotInvertibleError, ParameterError,
                                PrecisionError)
+from test_linalg import det_bareiss
 
 
 def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
@@ -295,3 +296,16 @@ def test_left_mult_matrix_matches_products(p, d, r, mode):
     for route in (algebra.DElem._left_mult_matrix, left_mult_matrix_oracle):
         with pytest.raises(PrecisionError):
             route(neg)
+
+
+def test_full_norm_determinant_against_bareiss_at_d8():
+    """The 64x64 full_norm_trace matrices of mixed d = 8: the elimination
+    mod p^N against Bareiss over the integers, reduced mod p^N."""
+    S, T, A = make(p=3, d=8, r=1)
+    rng = random.Random("full-norm-d8")
+    for shift in (0, 1, 5):
+        a = A.elem(shift, [T.random(rng) for _ in range(8)])
+        ints = [[x.coeffs[0] for x in row] for row in a._left_mult_matrix()]
+        det = det_bareiss(ints) % S.modulus
+        assert linalg.det_mod_pe(ints, S.p, S.e) == det
+        assert a.full_norm_trace()[1] == S.from_int(det)

@@ -104,6 +104,34 @@ def test_witt_golden_digest(kind):
     assert witt_digest(kind) == WITT_GOLDEN[kind]
 
 
+# kind -> SHA-256 of x+y, x*y, -x, F(x), V(R(x)) in W_MAX_N, p in (2, 3, 5, 13)
+WITT_MAX_N_GOLDEN = {
+    "T": "96a5fbc930a6a59602672a8fadff65c7a33ee877bd196eeb9511fc8d49c1ab2b",
+    "equal": "60f3b10ff588e590fe98689324afc5f4566902ffe5f61f5e9edbd7f6b97d5e04",
+    "ff": "8ddf9bdfde85cc0037c906b367972b60ed5b425399478b13400c04cb359bd851",
+    "mixed": "d0e066c4ca4bc986cb157321cac46158049e1e57f04f95e709d5c54283cbc8fd",
+    "zmod": "e3bf38d4d25edbd8c446160e59749b7c18ce94164b9b0ea79e7783d6ebfdc219",
+}
+
+
+def witt_max_n_digest(kind):
+    rows = []
+    for p in (2, 3, 5, 13):
+        W = witt.WittCtx(p, witt.MAX_N, WITT_RINGS[kind](p))
+        rng = random.Random(f"golden-witt-max-n:{kind}:{p}")
+        for _ in range(3):
+            x, y = W.random(rng), W.random(rng)
+            for v in (x + y, x * y, -x, x.frobenius(),
+                      x.restriction().verschiebung()):
+                rows.append([list(c.coeffs) for c in v.coords])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(WITT_RINGS))
+def test_witt_golden_digest_max_n(kind):
+    assert witt_max_n_digest(kind) == WITT_MAX_N_GOLDEN[kind]
+
+
 # name -> (p, f, d, r, N, mode) of the seeded scrambled modules
 DECOMPOSE_CONFIGS = {
     "mixed-d4": (3, 1, 4, 1, 8, lr.MIXED),

@@ -22,12 +22,55 @@ def det_leibniz(mat, zero):
     return acc
 
 
+def det_bareiss(mat):
+    """Oracle: the exact integer determinant by fraction-free Gaussian
+    elimination (Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    M = [list(map(int, row)) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
 def test_det_bareiss_vs_leibniz():
     rng = random.Random(0)
     for n in (1, 2, 3, 4, 5):
         M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         zero = 0
-        assert linalg.det_bareiss(M) == det_leibniz(M, zero)
+        assert det_bareiss(M) == det_leibniz(M, zero)
+
+
+def test_det_mod_pe_vs_bareiss():
+    """The elimination mod p^N against Bareiss over the integers, reduced:
+    entries scaled by p^0..p^3 make columns without a unit, so the
+    division by p and the drop of the working modulus are exercised."""
+    rng = random.Random(4)
+    for p in (2, 3, 5, 7):
+        for N in (1, 2, 3, 4, 8):
+            mod = p ** N
+            for n in range(1, 7):
+                for _ in range(40):
+                    M = [[rng.randrange(-mod, mod) * p ** rng.randrange(4)
+                          for _ in range(n)] for _ in range(n)]
+                    assert linalg.det_mod_pe(M, p, N) == det_bareiss(M) % mod
+    assert linalg.det_mod_pe([], 3, 4) == 1
+    assert linalg.det_mod_pe([[0, 1], [0, 2]], 3, 4) == 0
 
 
 class _Fq:
@@ -82,7 +125,7 @@ def test_column_solver():
         x_true = [rng.randrange(pe) for _ in range(ncols)]
         b = [sum(cols[j][i] * x_true[j] for j in range(ncols)) % pe
              for i in range(nrows)]
-        x = linalg.solve_columns(cols, b, p, e)
+        x = linalg.ColumnSolver(cols, p, e).solve(b)
         assert x is not None
         got = [sum(cols[j][i] * x[j] for j in range(ncols)) % pe
                for i in range(nrows)]
@@ -91,7 +134,7 @@ def test_column_solver():
 
 def test_solver_reports_unsolvable():
     # column (3, 0) over Z/81 cannot produce (1, 0)
-    assert linalg.solve_columns([[3, 0]], [1, 0], 3, 4) is None
+    assert linalg.ColumnSolver([[3, 0]], 3, 4).solve([1, 0]) is None
 
 
 def test_kernel_log_size():

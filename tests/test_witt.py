@@ -222,3 +222,39 @@ def test_ghost_components_are_kept_per_lift_ring():
         fresh = W2.vec(x.coords)
         assert y + x == y + fresh and y * x == y * fresh
         assert x.frobenius() == W1.vec(x.coords).frobenius()
+
+
+def test_pth_power_matches_square_and_multiply():
+    """Each lift ring's p-th power against localring.power in the lift ring,
+    on zero, all-(p^K - 1) (the largest slot values) and random
+    coefficients: lifts of Z/p^6, F_{p^2}, mixed and equal S at f = 1, 2,
+    and equal T at d = 2, 3."""
+    rng = random.Random(10)
+    for p in (2, 3, 5, 7, 13):
+        rings = contexts(p) + [lr.base_ring(p, 2, 6, lr.MIXED),
+                               lr.base_ring(p, 2, 6, lr.EQUAL)]
+        rings += [lr.unramified(lr.base_ring(p, 1, 4, lr.EQUAL), d) for d in (2, 3)]
+        for R in rings:
+            for n in range(1, witt.MAX_N + 1):
+                W = witt.WittCtx(p, n, R)
+                L = W.lift
+                top = L.from_vec([L.modulus - 1] * L.zp_rank)
+                for a in [L.zero, top] + [L.random(rng) for _ in range(2)]:
+                    assert W._pth(a.coeffs) == lr.power(a, p, L.one).coeffs, (p, R, n)
+
+
+def test_resize_keeps_its_contexts():
+    """resize builds each length once; it passes the lift ring on while
+    its precision suffices and builds a new one when it is short."""
+    rng = random.Random(11)
+    R = lr.base_ring(3, 1, 6)
+    W = witt.WittCtx(3, 1, R)  # lift precision e + 3
+    W4 = W.resize(4)
+    assert W.resize(4) is W4 and W.resize(1) is W and W4.resize(4) is W4
+    assert W4.lift is not W.lift and W4.lift.e >= R.e + 4
+    assert W.resize(3).lift is W.lift
+    W3 = W4.resize(3)
+    assert W3.lift is W4.lift
+    x = W4.random(rng)
+    assert x.frobenius().ctx is W3
+    assert x.restriction().ctx is W3 and x.restriction().verschiebung().ctx is W4
