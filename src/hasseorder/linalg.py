@@ -1,18 +1,15 @@
 """Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
 
-Everything here is exact.  A determinant over a kernel ring `LocalRingCtx`
-is computed division-free (Berkowitz), so it is correct at full working
-precision with no valuation loss.  Over S = Z/p^N, an integer matrix,
-`det_mod_pe` eliminates with unit pivots mod p^N: a column with no unit is
-divided by p and the working modulus drops by p, so the determinant stays
-exact in O(n^3) operations on integers below p^N.  Matrix
-products go through the ring's `dot` and `matmul`
-(`LocalRingCtx.dot`/`matmul`), which reduce each sum of products once;
-Berkowitz packs each entry once and sums its inner products on the
-packings.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
-identity) eliminates fraction-free with unit pivots and takes the pivots'
-inverses from `inv_all`, which inverts any list of units with a single
-inversion.
+Everything here is exact.  Determinants over a kernel ring `LocalRingCtx`
+are division-free (Berkowitz); over S = Z/p^N, `det_mod_pe` eliminates an
+integer matrix with unit pivots mod p^N, dividing a column without a unit
+by p.  Both are exact at full working precision.  Matrix products go
+through the ring's `dot` and `matmul` (`LocalRingCtx.dot`/`matmul`), which
+reduce each sum of products once; Berkowitz packs each entry once and sums
+its inner products on the packings.  Over a local ring, `solve` (and
+`rmat_inv`, a solve against the identity) eliminates fraction-free with
+unit pivots and takes the pivots' inverses from `inv_all`, which inverts
+any list of units with a single inversion.
 """
 
 from __future__ import annotations
@@ -125,14 +122,10 @@ def kernel_log_size(columns, p, e):
 
 def det_mod_pe(mat, p, e):
     """Determinant mod p^e of an integer matrix, by elimination with unit
-    pivots over Z/p^e.
-
-    The pivot row moves to the top of the remaining rows (a sign per row it
-    passes).  A column with no unit is divisible by p: it is divided by p,
-    and the determinant gains the factor p.  The quotient is known mod
-    p^(e-1) only, but p times its determinant needs no more, so the working
-    modulus drops to p^(e-1) and the result stays exact at p^e.
-    """
+    pivots over Z/p^e (a sign per row the pivot row passes).  A column with
+    no unit is divided by p, and the determinant gains the factor p: the
+    quotient is known mod p^(e-1) only, but p times its determinant needs
+    no more, so the working modulus drops to p^(e-1)."""
     top_mod = mod = p ** e
     det = 1
     rows = [list(row) for row in mat]

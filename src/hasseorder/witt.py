@@ -73,20 +73,23 @@ def _pth_power(L):
 
     One coefficient (m = n = 1) is raised by pow(c, p, p^K).  A polynomial
     in t (m = 1) or in theta (n = 1) with k coefficients takes one integer
-    power of its Kronecker packing (`localring._packed_sums`), in slots that
-    hold every coefficient of the unreduced power, at most
-    k^(p-1) (p^K - 1)^p.  `finish` truncates it at t^n (with m = 1 the
-    packing has one theta-segment, which the power's t-slots past 2n-1
-    cannot spill into), or reduces its p(m-1)+1 slots by G with the rows
-    for theta^m .. theta^(p(m-1)).  The remaining lifts (m, n > 1) square
-    and multiply."""
+    power of its Kronecker packing, in slots that hold every coefficient of
+    the unreduced power, at most k^(p-1) (p^K - 1)^p: the power in t is
+    truncated at t^n, and the p(m-1)+1 slots of the power in theta are
+    reduced by G (`localring._packed_sums`, with the rows for theta^m ..
+    theta^(p(m-1))).  The remaining lifts (m, n > 1) square and multiply."""
     p, m, n, mod = L.p, L.m, L.n, L.modulus
     if L.zp_rank == 1:
         return lambda a: (pow(a[0], p, mod),)
     if m > 1 and n > 1:
         return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
+    bound = (m * n) ** (p - 1) * (mod - 1) ** p
+    if m == 1:
+        bits, pack, unpack = lr._slots(bound)
+        mask = (1 << bits * n) - 1
+        return lambda a: tuple([c % mod for c in unpack((pack(a) ** p) & mask, n)])
     red = lr._red_table(L.poly, m, mod, (p - 1) * (m - 1))
-    pack, finish = lr._packed_sums(m, n, mod, red, (m * n) ** (p - 1) * (mod - 1) ** p)
+    pack, finish = lr._packed_sums(m, 1, mod, red, bound)
     return lambda a: finish(pack(a) ** p)
 
 
