@@ -68,6 +68,14 @@ def _lift_ring(R, K):
     return L
 
 
+# The largest packed p-th power, in bits, taken as one integer power.  Its
+# slots widen with p, and past about 4k bits (from p = 7 on) square-and-multiply
+# through the kernel product is faster: on a 2-core Xeon under Python 3.11,
+# every lift up to 3.5k bits was faster packed, and most from 4.7k bits on
+# were slower, up to 50 times at p = 13, n = 32.
+PACKED_POWER_BITS = 4096
+
+
 def _pth_power(L):
     """The p-th power on coefficient tuples of the lift ring L.
 
@@ -77,13 +85,16 @@ def _pth_power(L):
     the unreduced power, at most k^(p-1) (p^K - 1)^p: the power in t is
     truncated at t^n, and the p(m-1)+1 slots of the power in theta are
     reduced by G (`localring._packed_sums`, with the rows for theta^m ..
-    theta^(p(m-1))).  The remaining lifts (m, n > 1) square and multiply."""
+    theta^(p(m-1))).  Lifts with m, n > 1, and powers whose packing exceeds
+    PACKED_POWER_BITS, square and multiply."""
     p, m, n, mod = L.p, L.m, L.n, L.modulus
     if L.zp_rank == 1:
         return lambda a: (pow(a[0], p, mod),)
-    if m > 1 and n > 1:
+    k = m * n
+    bound = k ** (p - 1) * (mod - 1) ** p
+    if (m > 1 and n > 1) or \
+            8 * lr._slot_bytes(bound) * (p * (k - 1) + 1) > PACKED_POWER_BITS:
         return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
-    bound = (m * n) ** (p - 1) * (mod - 1) ** p
     if m == 1:
         bits, pack, unpack = lr._slots(bound)
         mask = (1 << bits * n) - 1
