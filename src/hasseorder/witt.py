@@ -23,7 +23,8 @@ kernel product.  Each p-th power is one call of the context's `_pth`
 polynomial ring in t alone (m = 1) or in theta alone (n = 1), one integer
 power of its Kronecker packing, in slots wide enough for every coefficient
 of the unreduced power, k^(p-1) (p^K - 1)^p for k coefficients, then
-truncated at t^n or reduced by G.  Lifts with m, n > 1 square and multiply.
+truncated at t^n or reduced by G.  Lifts with m, n > 1, and packings wider
+than `_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
 `WittCtx.resize` keeps the context of each length it builds.
 """
 
@@ -73,7 +74,7 @@ def _lift_ring(R, K):
 # through the kernel product is faster: on a 2-core Xeon under Python 3.11,
 # every lift up to 3.5k bits was faster packed, and most from 4.7k bits on
 # were slower, up to 50 times at p = 13, n = 32.
-PACKED_POWER_BITS = 4096
+_PACKED_POWER_BITS = 4096
 
 
 def _pth_power(L):
@@ -86,14 +87,14 @@ def _pth_power(L):
     truncated at t^n, and the p(m-1)+1 slots of the power in theta are
     reduced by G (`localring._packed_sums`, with the rows for theta^m ..
     theta^(p(m-1))).  Lifts with m, n > 1, and powers whose packing exceeds
-    PACKED_POWER_BITS, square and multiply."""
+    _PACKED_POWER_BITS, square and multiply."""
     p, m, n, mod = L.p, L.m, L.n, L.modulus
     if L.zp_rank == 1:
         return lambda a: (pow(a[0], p, mod),)
     k = m * n
     bound = k ** (p - 1) * (mod - 1) ** p
     if (m > 1 and n > 1) or \
-            8 * lr._slot_bytes(bound) * (p * (k - 1) + 1) > PACKED_POWER_BITS:
+            8 * lr._slot_bytes(bound) * (p * (k - 1) + 1) > _PACKED_POWER_BITS:
         return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
     if m == 1:
         bits, pack, unpack = lr._slots(bound)
