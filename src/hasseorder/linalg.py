@@ -1,15 +1,17 @@
 """Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
 
-Everything here is exact.  Determinants over a kernel ring `LocalRingCtx`
-are division-free (Berkowitz); over S = Z/p^N, `det_mod_pe` eliminates an
-integer matrix with unit pivots mod p^N, dividing a column without a unit
-by p.  Both are exact at full working precision.  Matrix products go
-through the ring's `dot` and `matmul` (`LocalRingCtx.dot`/`matmul`), which
-reduce each sum of products once; Berkowitz packs each entry once and sums
-its inner products on the packings.  Over a local ring, `solve` (and
-`rmat_inv`, a solve against the identity) eliminates fraction-free with
-unit pivots and takes the pivots' inverses from `inv_all`, which inverts
-any list of units with a single inversion.
+Everything here is exact.  Over Z/p^e, integer matrices are eliminated
+with unit pivots: `det_mod_pe` (the determinant over S = Z/p^N) divides a
+column without a unit by p, `kernel_log_size` a block without a unit, and
+`inv_mod_pe` inverts by Gauss-Jordan.  Determinants over a kernel ring
+`LocalRingCtx` are division-free (Berkowitz); both are exact at full
+working precision.  Matrix products go through the ring's `dot` and
+`matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
+once; Berkowitz packs each entry once and sums its inner products on the
+packings.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
+identity) eliminates fraction-free with unit pivots and takes the pivots'
+inverses from `inv_all`, which inverts any list of units with a single
+inversion.
 """
 
 from __future__ import annotations
@@ -28,96 +30,52 @@ def _val(c, p, cap):
     return v
 
 
-class ColumnSolver:
-    """Solve sum_j x_j * col_j = b over Z/p^e, reusing one Smith-type reduction.
-
-    Row and column transforms L, R with L*A*R = diag(p^{a_i}) are kept so
-    repeated solves are cheap.
-    """
-
-    def __init__(self, columns, p, e):
-        self.p = p
-        self.e = e
-        self.pe = p ** e
-        self.nrows = len(columns[0]) if columns else 0
-        self.ncols = len(columns)
-        A = [[columns[j][i] % self.pe for j in range(self.ncols)]
-             for i in range(self.nrows)]
-        L = [[1 if i == j else 0 for j in range(self.nrows)] for i in range(self.nrows)]
-        R = [[1 if i == j else 0 for j in range(self.ncols)] for i in range(self.ncols)]
-        exps = []
-        pe, pp = self.pe, self.p
-        t = 0
-        while t < min(self.nrows, self.ncols):
-            best, bi, bj = e + 1, -1, -1
-            for i in range(t, self.nrows):
-                for j in range(t, self.ncols):
-                    v = _val(A[i][j], pp, e)
-                    if v < best:
-                        best, bi, bj = v, i, j
-            if bi < 0 or best >= e:
-                break
-            if bi != t:
-                A[t], A[bi] = A[bi], A[t]
-                L[t], L[bi] = L[bi], L[t]
-            if bj != t:
-                for row in A:
-                    row[t], row[bj] = row[bj], row[t]
-                for row in R:
-                    row[t], row[bj] = row[bj], row[t]
-            a = best
-            pa = pp ** a
-            unit = A[t][t] // pa
-            uinv = pow(unit, -1, pe)
-            A[t] = [(uinv * c) % pe for c in A[t]]
-            L[t] = [(uinv * c) % pe for c in L[t]]
-            for i in range(self.nrows):
-                if i != t and A[i][t]:
-                    factor = A[i][t] // pa
-                    A[i] = [(A[i][j] - factor * A[t][j]) % pe for j in range(self.ncols)]
-                    L[i] = [(L[i][j] - factor * L[t][j]) % pe for j in range(self.nrows)]
-            for j in range(self.ncols):
-                if j != t and A[t][j]:
-                    factor = A[t][j] // pa
-                    for row in A:
-                        row[j] = (row[j] - factor * row[t]) % pe
-                    for row in R:
-                        row[j] = (row[j] - factor * row[t]) % pe
-            exps.append(a)
-            t += 1
-        self.exps = exps
-        self.L = L
-        self.R = R
-
-    def solve(self, b):
-        """One solution x (list of ints mod p^e) of A x = b, or None."""
-        pe, pp = self.pe, self.p
-        y = []
-        for i in range(self.nrows):
-            Li = self.L[i]
-            y.append(sum(Li[j] * b[j] for j in range(self.nrows)) % pe)
-        z = [0] * self.ncols
-        for i in range(self.nrows):
-            if i < len(self.exps):
-                pa = pp ** self.exps[i]
-                if y[i] % pa:
-                    return None
-                z[i] = (y[i] // pa) % pe
-            elif y[i] % pe:
-                return None
-        x = []
-        for i in range(self.ncols):
-            Ri = self.R[i]
-            x.append(sum(Ri[j] * z[j] for j in range(self.ncols)) % pe)
-        return x
-
-    def kernel_log_size(self):
-        """log_p of the number of solutions of A x = 0 over Z/p^e."""
-        return sum(min(a, self.e) for a in self.exps) + self.e * (self.ncols - len(self.exps))
-
-
 def kernel_log_size(columns, p, e):
-    return ColumnSolver(columns, p, e).kernel_log_size()
+    """log_p of the number of x over Z/p^e with sum_j x_j * columns[j] = 0.
+
+    Elimination with unit pivots on the columns: a pivot taken after s
+    divisions is the invariant factor p^s and adds s.  When no entry of the
+    remaining block is a unit, the block is divided by p: the shift s grows
+    by one, and the modulus drops to p^(e-s).  Each column left without a
+    pivot adds e."""
+    mod = p ** e
+    cols = [[c % mod for c in col] for col in columns]
+    size = shift = 0
+    while cols and mod > 1:
+        hit = next(((j, i) for j, col in enumerate(cols)
+                    for i, c in enumerate(col) if c % p), None)
+        if hit is None:
+            shift += 1
+            mod //= p
+            cols = [[c // p for c in col] for col in cols]
+            continue
+        j, i = hit
+        top = cols.pop(j)
+        inv = pow(top.pop(i), -1, mod)
+        cols = [[(x - f * y) % mod for x, y in zip(col, top)]
+                if (f := col.pop(i) * inv % mod) else col for col in cols]
+        size += shift
+    return size + e * len(cols)
+
+
+def inv_mod_pe(mat, p, e):
+    """Inverse mod p^e of a square integer matrix, by Gauss-Jordan with unit
+    pivots on [mat | I].  Raises NotInvertibleError when a column has no
+    unit mod p, i.e. when the matrix is singular mod p."""
+    mod = p ** e
+    n = len(mat)
+    rows = [[c % mod for c in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(mat)]
+    for c in range(n):
+        k = next((i for i in range(c, n) if rows[i][c] % p), None)
+        if k is None:
+            raise NotInvertibleError(f"matrix is singular mod {p}")
+        rows[c], rows[k] = rows[k], rows[c]
+        inv = pow(rows[c][c], -1, mod)
+        top = rows[c] = [x * inv % mod for x in rows[c]]
+        rows = [[(x - f * y) % mod for x, y in zip(row, top)]
+                if i != c and (f := row[c]) else row for i, row in enumerate(rows)]
+    return [row[n:] for row in rows]
 
 
 def det_mod_pe(mat, p, e):

@@ -165,10 +165,10 @@ def _packed_sums(m, n, mod, red, bound):
     back into a coefficient tuple by one finish(c).  For n = 1 theta^j
     sits in slot j: finish unpacks the m + len(red) slots (2m-1 for the
     rows of a product) and reduces them by G and p^e.  For n > 1 theta^j
-    t^i sits in slot j*(2n-1) + i, so the
-    t-product of two theta-degrees never spills into the next one: finish
-    reduces by G on whole packed t-polynomials, truncated at t^n, and only
-    the m*n surviving slots are unpacked and reduced mod p^e.
+    t^i sits in slot j*(2n-1) + i, so the t-product of two theta-degrees
+    never spills into the next one: finish reduces by G on whole packed
+    t-polynomials, truncated at t^n, and only the m*n surviving slots are
+    unpacked and reduced mod p^e.  For m = 1 that is one mask at t^n.
     """
     bits, pack, unpack = _slots(bound)
     if n == 1:
@@ -184,6 +184,9 @@ def _packed_sums(m, n, mod, red, bound):
                         out[j] += v * r
             return tuple([v % mod for v in out[:m]])
         return pack, finish
+    if m == 1:  # one t-polynomial: truncate at t^n
+        mask = (1 << bits * n) - 1
+        return pack, lambda c: tuple([v % mod for v in unpack(c & mask, n)])
     wt = 2 * n - 1
     seg = bits * wt  # one theta-degree of the product
     tbits = bits * n  # one truncated t-polynomial
@@ -488,20 +491,19 @@ class LocalRingCtx:
         """The maps taking x to its relative coordinate j, built on first use."""
         if self._rel_maps is None:
             fb, m = self.base.m, self.m
-            # basis theta^j * theta_S^l (index j*f + l) of one t-block; rows
-            # j*f .. j*f + f-1 of its inverse give coordinate j of every t-block
-            cols = []
+            # basis theta^j * theta_S^l (index j*f + l) of one t-block, by
+            # running products; rows j*f .. j*f + f-1 of its inverse give
+            # coordinate j of every t-block
+            cols, gj = [], self.one
             for j in range(self.d):
+                b = gj = gj * self.gen if j else gj
                 for l in range(fb):
-                    cols.append((self.gen ** j * self.base_gen_image ** l).coeffs[:m])
-            solver = linalg.ColumnSolver(cols, self.p, self.e)
-            inv_cols = []
-            for r in range(m):
-                sol = solver.solve([int(c == r) for c in range(m)])
-                if sol is None:
-                    raise InternalError("relative coordinate solve failed")
-                inv_cols.append(sol)
-            rows = [tuple(col[i] for col in inv_cols) for i in range(m)]
+                    b = b * self.base_gen_image if l else b
+                    cols.append(b.coeffs[:m])
+            try:
+                rows = linalg.inv_mod_pe(list(zip(*cols)), self.p, self.e)
+            except NotInvertibleError:
+                raise InternalError("relative coordinate solve failed") from None
             self._rel_maps = [_block_map(rows[j * fb:(j + 1) * fb], m, self.n, self.modulus)
                               for j in range(self.d)]
         return self._rel_maps

@@ -22,9 +22,10 @@ kernel product.  Each p-th power is one call of the context's `_pth`
 (`_pth_power`): pow(c, p, p^K) when L has one coefficient, and when L is a
 polynomial ring in t alone (m = 1) or in theta alone (n = 1), one integer
 power of its Kronecker packing, in slots wide enough for every coefficient
-of the unreduced power, k^(p-1) (p^K - 1)^p for k coefficients, then
-truncated at t^n or reduced by G.  Lifts with m, n > 1, and packings wider
-than `_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
+of the unreduced power, k^(p-1) (p^K - 1)^p for k coefficients, then one
+`finish` of the kernel's packed sums in those slots: a mask at t^n, or the
+reduction by G.  Lifts with m, n > 1, and packings wider than
+`_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
 `WittCtx.resize` keeps the context of each length it builds.
 """
 
@@ -83,11 +84,11 @@ def _pth_power(L):
     One coefficient (m = n = 1) is raised by pow(c, p, p^K).  A polynomial
     in t (m = 1) or in theta (n = 1) with k coefficients takes one integer
     power of its Kronecker packing, in slots that hold every coefficient of
-    the unreduced power, at most k^(p-1) (p^K - 1)^p: the power in t is
-    truncated at t^n, and the p(m-1)+1 slots of the power in theta are
-    reduced by G (`localring._packed_sums`, with the rows for theta^m ..
-    theta^(p(m-1))).  Lifts with m, n > 1, and powers whose packing exceeds
-    _PACKED_POWER_BITS, square and multiply."""
+    the unreduced power, at most k^(p-1) (p^K - 1)^p, and is finished by
+    `localring._packed_sums`: the power in t is masked at t^n, and the
+    p(m-1)+1 slots of the power in theta are reduced by G, with the rows for
+    theta^m .. theta^(p(m-1)).  Lifts with m, n > 1, and powers whose
+    packing exceeds _PACKED_POWER_BITS, square and multiply."""
     p, m, n, mod = L.p, L.m, L.n, L.modulus
     if L.zp_rank == 1:
         return lambda a: (pow(a[0], p, mod),)
@@ -96,12 +97,8 @@ def _pth_power(L):
     if (m > 1 and n > 1) or \
             8 * lr._slot_bytes(bound) * (p * (k - 1) + 1) > _PACKED_POWER_BITS:
         return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
-    if m == 1:
-        bits, pack, unpack = lr._slots(bound)
-        mask = (1 << bits * n) - 1
-        return lambda a: tuple([c % mod for c in unpack((pack(a) ** p) & mask, n)])
     red = lr._red_table(L.poly, m, mod, (p - 1) * (m - 1))
-    pack, finish = lr._packed_sums(m, 1, mod, red, bound)
+    pack, finish = lr._packed_sums(m, n, mod, red, bound)
     return lambda a: finish(pack(a) ** p)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hasseorder import linalg
 from hasseorder import localring as lr
 from hasseorder.errors import NotInvertibleError
+from hasseorder.linalg import _val
 from test_localring import _theta_mulmod
 
 
@@ -73,6 +74,96 @@ def test_det_mod_pe_vs_bareiss():
     assert linalg.det_mod_pe([[0, 1], [0, 2]], 3, 4) == 0
 
 
+# Oracle for kernel_log_size and inv_mod_pe: a full Smith-type reduction
+# that keeps both transforms.
+class ColumnSolver:
+    """Solve sum_j x_j * col_j = b over Z/p^e, reusing one Smith-type reduction.
+
+    Row and column transforms L, R with L*A*R = diag(p^{a_i}) are kept so
+    repeated solves are cheap.
+    """
+
+    def __init__(self, columns, p, e):
+        self.p = p
+        self.e = e
+        self.pe = p ** e
+        self.nrows = len(columns[0]) if columns else 0
+        self.ncols = len(columns)
+        A = [[columns[j][i] % self.pe for j in range(self.ncols)]
+             for i in range(self.nrows)]
+        L = [[1 if i == j else 0 for j in range(self.nrows)] for i in range(self.nrows)]
+        R = [[1 if i == j else 0 for j in range(self.ncols)] for i in range(self.ncols)]
+        exps = []
+        pe, pp = self.pe, self.p
+        t = 0
+        while t < min(self.nrows, self.ncols):
+            best, bi, bj = e + 1, -1, -1
+            for i in range(t, self.nrows):
+                for j in range(t, self.ncols):
+                    v = _val(A[i][j], pp, e)
+                    if v < best:
+                        best, bi, bj = v, i, j
+            if bi < 0 or best >= e:
+                break
+            if bi != t:
+                A[t], A[bi] = A[bi], A[t]
+                L[t], L[bi] = L[bi], L[t]
+            if bj != t:
+                for row in A:
+                    row[t], row[bj] = row[bj], row[t]
+                for row in R:
+                    row[t], row[bj] = row[bj], row[t]
+            a = best
+            pa = pp ** a
+            unit = A[t][t] // pa
+            uinv = pow(unit, -1, pe)
+            A[t] = [(uinv * c) % pe for c in A[t]]
+            L[t] = [(uinv * c) % pe for c in L[t]]
+            for i in range(self.nrows):
+                if i != t and A[i][t]:
+                    factor = A[i][t] // pa
+                    A[i] = [(A[i][j] - factor * A[t][j]) % pe for j in range(self.ncols)]
+                    L[i] = [(L[i][j] - factor * L[t][j]) % pe for j in range(self.nrows)]
+            for j in range(self.ncols):
+                if j != t and A[t][j]:
+                    factor = A[t][j] // pa
+                    for row in A:
+                        row[j] = (row[j] - factor * row[t]) % pe
+                    for row in R:
+                        row[j] = (row[j] - factor * row[t]) % pe
+            exps.append(a)
+            t += 1
+        self.exps = exps
+        self.L = L
+        self.R = R
+
+    def solve(self, b):
+        """One solution x (list of ints mod p^e) of A x = b, or None."""
+        pe, pp = self.pe, self.p
+        y = []
+        for i in range(self.nrows):
+            Li = self.L[i]
+            y.append(sum(Li[j] * b[j] for j in range(self.nrows)) % pe)
+        z = [0] * self.ncols
+        for i in range(self.nrows):
+            if i < len(self.exps):
+                pa = pp ** self.exps[i]
+                if y[i] % pa:
+                    return None
+                z[i] = (y[i] // pa) % pe
+            elif y[i] % pe:
+                return None
+        x = []
+        for i in range(self.ncols):
+            Ri = self.R[i]
+            x.append(sum(Ri[j] * z[j] for j in range(self.ncols)) % pe)
+        return x
+
+    def kernel_log_size(self):
+        """log_p of the number of solutions of A x = 0 over Z/p^e."""
+        return sum(min(a, self.e) for a in self.exps) + self.e * (self.ncols - len(self.exps))
+
+
 class _Fq:
     """Oracle element of F_p[theta]/(G): a coefficient tuple with the
     schoolbook product, sharing no code with the library kernel."""
@@ -125,7 +216,7 @@ def test_column_solver():
         x_true = [rng.randrange(pe) for _ in range(ncols)]
         b = [sum(cols[j][i] * x_true[j] for j in range(ncols)) % pe
              for i in range(nrows)]
-        x = linalg.ColumnSolver(cols, p, e).solve(b)
+        x = ColumnSolver(cols, p, e).solve(b)
         assert x is not None
         got = [sum(cols[j][i] * x[j] for j in range(ncols)) % pe
                for i in range(nrows)]
@@ -134,7 +225,7 @@ def test_column_solver():
 
 def test_solver_reports_unsolvable():
     # column (3, 0) over Z/81 cannot produce (1, 0)
-    assert linalg.ColumnSolver([[3, 0]], 3, 4).solve([1, 0]) is None
+    assert ColumnSolver([[3, 0]], 3, 4).solve([1, 0]) is None
 
 
 def test_kernel_log_size():
@@ -144,6 +235,70 @@ def test_kernel_log_size():
     assert linalg.kernel_log_size([[0]], 3, 4) == 4
     # an invertible map has trivial kernel
     assert linalg.kernel_log_size([[1, 0], [0, 1]], 3, 4) == 0
+
+
+def test_kernel_log_size_vs_column_solver():
+    """The unit-pivot kernel size against the Smith-type oracle on every
+    shape up to 6x6, empty and non-square ones included: entries scaled by
+    p^0..p^3 leave blocks without a unit, so the division by p and the drop
+    of the working modulus are exercised."""
+    rng = random.Random(5)
+    count = 0
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 4, 8):
+            mod = p ** e
+            for ncols in range(7):
+                for nrows in range(7):
+                    for _ in range(5):
+                        cols = [[rng.randrange(mod) * p ** rng.randrange(4)
+                                 for _ in range(nrows)] for _ in range(ncols)]
+                        want = ColumnSolver(cols, p, e).kernel_log_size()
+                        assert linalg.kernel_log_size(cols, p, e) == want, (p, e, cols)
+                        count += 1
+    assert count >= 4800
+
+
+def _mat_mul_mod(A, B, mod):
+    return [[sum(a * b for a, b in zip(row, col)) % mod for col in zip(*B)] for row in A]
+
+
+def test_inv_mod_pe():
+    """inv_mod_pe gives a two-sided inverse mod p^e, equal to the oracle's
+    solves against the unit vectors, and rejects a nonzero matrix that is
+    singular mod p."""
+    rng = random.Random(6)
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 4, 8):
+            mod = p ** e
+            for n in range(7):
+                for _ in range(4):
+                    while True:
+                        M = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+                        if linalg.det_mod_pe(M, p, 1):
+                            break
+                    X = linalg.inv_mod_pe(M, p, e)
+                    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+                    assert _mat_mul_mod(M, X, mod) == eye
+                    assert _mat_mul_mod(X, M, mod) == eye
+                    solver = ColumnSolver([list(col) for col in zip(*M)], p, e)
+                    assert [list(col) for col in zip(*X)] == \
+                        [solver.solve(unit) for unit in eye]
+                    if n * e > 1:  # a nonzero matrix singular mod p exists
+                        # one column times p, or one row a multiple of another
+                        # plus p times a third
+                        S = [row[:] for row in M]
+                        k = rng.randrange(n)
+                        if n > 1 and rng.randrange(2):
+                            c, o = rng.randrange(1, p), rng.randrange(n)
+                            S[k] = [(c * a + p * b) % mod
+                                    for a, b in zip(S[k - 1], S[o])]
+                        else:
+                            for row in S:
+                                row[k] = row[k] * p % mod
+                        assert any(map(any, S))
+                        with pytest.raises(NotInvertibleError):
+                            linalg.inv_mod_pe(S, p, e)
+    assert linalg.inv_mod_pe([], 3, 4) == []
 
 
 def test_echelon_basis():

@@ -125,16 +125,18 @@ def test_trace_norm_in_base():
 def test_rel_coords_roundtrip():
     rng = random.Random(3)
     for mode in (lr.MIXED, lr.EQUAL):
-        S, T = ctx_pair(p=3, f=2, d=2, N=4, mode=mode)
-        for _ in range(20):
-            x = T.random(rng)
-            coords = T.rel_coords(x)
-            assert len(coords) == T.d
-            acc = T.zero
-            for j, s in enumerate(coords):
-                assert s.ctx is S
-                acc = acc + T.embed_base(s) * T.gen ** j
-            assert acc == x
+        for p, f, d, N in ((3, 2, 2, 4), (3, 1, 4, 8), (3, 1, 8, 8), (2, 2, 4, 8),
+                           (5, 2, 3, 8)):
+            S, T = ctx_pair(p=p, f=f, d=d, N=N, mode=mode)
+            for _ in range(20):
+                x = T.random(rng)
+                coords = T.rel_coords(x)
+                assert len(coords) == T.d
+                acc = T.zero
+                for j, s in enumerate(coords):
+                    assert s.ctx is S
+                    acc = acc + T.embed_base(s) * T.gen ** j
+                assert acc == x
 
 
 def test_frobenius_p_lift():
