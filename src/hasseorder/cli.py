@@ -12,11 +12,8 @@ import math
 import os
 import sys
 
-from . import algebra as almod
 from . import linalg
-from . import localring as lr
 from . import suites as suitemod
-from . import tensor as tnmod
 from .errors import HasseOrderError, ParameterError, ParseError
 from .parser import evaluate
 
@@ -50,7 +47,7 @@ def _fmt_theta(coeffs, modulus=None):
 def fmt_ring(x):
     """RingElem in a readable canonical form."""
     ctx = x.ctx
-    if ctx.mode == lr.MIXED:
+    if ctx.n == 1:
         return _fmt_theta(x.coeffs, ctx.modulus)
     m = ctx.m
     terms = []
@@ -82,18 +79,11 @@ def fmt_delem(a):
     return f"{pref} * ({body})"
 
 
-def fmt_matrix(M):
-    return "[" + ", ".join(
-        "[" + ", ".join(fmt_ring(e) for e in row) + "]" for row in M) + "]"
-
-
 # ---------------------------------------------------------------------------
 
 def build_contexts(args):
-    S = lr.base_ring(args.p, args.f, args.N, args.mode)
-    T = lr.unramified(S, args.d)
-    r = args.r if args.d > 1 else 0
-    return S, T, almod.make(T, r), tnmod.make(T, r)
+    """(S, T, A, A (x)_S T) for the parsed options `args`."""
+    return suitemod._contexts(vars(args))
 
 
 def config_dict(args):
@@ -120,7 +110,8 @@ def cmd_eval(args):
         print(f"ord_D: {out['ord_D']}")
         print(f"Trd: {out['Trd']}")
         print(f"Nrd: {out['Nrd']}")
-        print(f"embed: {fmt_matrix(a.embed())}")
+        rows = ", ".join("[" + ", ".join(row) + "]" for row in out["embed"])
+        print(f"embed: [{rows}]")
     return 0
 
 

@@ -30,12 +30,13 @@ acts on a packing through the packed columns sigma^k(theta^l), the wrap
 x^d = pi_K is folded into the packed sum (p times it for n = 1, a shift by
 one t-slot for n > 1), and each output coefficient is finished once.
 
-An unramified extension T of relative degree d over a base ring S carries a
-distinguished generator sigma of Gal(T/S): the image of theta is the
-Hensel/Newton lift of theta^q (exact in equal characteristic, where sigma
-acts coefficientwise by the q-power Frobenius of the residue field).
-Contexts are immutable after construction and all element operations are
-pure.
+Every ring carries the absolute Frobenius lift phi, fixing t: the image of
+theta is the Hensel/Newton lift of theta^p (exact when e = 1, where phi acts
+coefficientwise by the p-power Frobenius of the residue field).  An
+unramified extension T of relative degree d over a base ring S with residue
+field F_q, q = p^f, carries the distinguished generator sigma = phi^f of
+Gal(T/S).  Contexts are immutable after construction and all element
+operations are pure.
 """
 
 from __future__ import annotations
@@ -250,36 +251,31 @@ def _block_map(rows, k, n, mod):
 
 
 class LocalRingCtx:
-    """S or its unramified extension T, truncated at precision N.
+    """The ring R_{e,n} over the residue field F_{p^m}, m = f*d: the base
+    ring S when d = 1 and `base` is None, else the unramified extension T of
+    relative degree d over `base`, a ring with the same (p, f, e, n).
 
-    `coeff_exp` lifts an equal-characteristic ring to coefficients in
-    Z/p^coeff_exp, the ring (Z/p^e)[theta]/(G)[t]/(t^N) that the Witt-vector
-    ghost method computes in; the default keeps the coefficients in F_p.
+    Its precision N is e for n = 1 and n for n > 1.  A ring with e > 1 and
+    n > 1 is the lift (Z/p^e)[theta]/(G)[t]/(t^n) of an equal-characteristic
+    ring that the Witt-vector ghost method computes in.
     """
 
-    def __init__(self, mode, p, f, d, prec, base=None, coeff_exp=None):
+    def __init__(self, p, f, d, e, n, base=None):
         if not ffmod.is_prime(p):
             raise ParameterError(f"p = {p} is not prime")
         if f < 1 or d < 1:
             raise ParameterError("degrees must be >= 1")
-        if prec < 1:
-            raise ParameterError("precision N must be >= 1")
-        if mode == MIXED:
-            e, n = prec, 1
-        elif mode == EQUAL:
-            e, n = coeff_exp or 1, prec
-        else:
-            raise ParameterError(f"unknown mode {mode!r}")
-        self.mode = mode
+        if e < 1 or n < 1:
+            raise ParameterError("exponents e, n must be >= 1")
         self.p = p
         self.f = f
         self.d = d
-        self.prec = prec
+        self.prec = e if n == 1 else n
         self.base = base  # None when this ring is the base S
         self.m = m = f * d  # absolute residue degree
         self.poly = ffmod.defining_poly(p, m)  # G, coefficients in {0..p-1}
-        # all elements are vectors over Z/p^zp_exp of length zp_rank
-        self.e = self.zp_exp = e
+        # all elements are vectors over Z/p^e of length zp_rank
+        self.e = e
         self.n = n
         self.residue = self if e * n == 1 else residue_field(p, m)
         self.zp_rank = m * n
@@ -298,14 +294,10 @@ class LocalRingCtx:
                     else self.zero)
         self.uniformizer = (self.from_int(p) if n == 1 else
                             RingElem(self, (0,) * m + (1,) + (0,) * (m * (n - 1) - 1)))
-        self._frobp_maps = {}
+        self._phis = {}
         self._rel_maps = None
         self._setup_base_embedding()
-        self._sigma_rows = [None]
-        self._sigma_maps = [None]
         self._skews = {}
-        if d > 1:
-            self._setup_sigma()
         self._verify()
 
     # -- construction internals -------------------------------------------
@@ -323,25 +315,31 @@ class LocalRingCtx:
             zj = zj * z
         return [tuple(col[i] for col in cols) for i in range(self.m)]
 
-    def _ring_map(self, z):
-        """The endomorphism theta -> z (z constant in t) on coefficient tuples."""
-        return _block_map(self._power_rows(z, self.m), self.m, self.n, self.modulus)
+    def _phi(self, k):
+        """(rows, block map) of phi^k, 0 < k < m, built on first use.
 
-    def _setup_sigma(self):
-        m, n, mod = self.m, self.n, self.modulus
-        z = self._newton_root(self.poly, self.gen ** (self.p ** self.f))
-        rows = [None, self._power_rows(z, m)]
-        sigma = _block_map(rows[1], m, n, mod)
-        images = [self.gen, z]
-        for _ in range(2, self.d + 1):
-            images.append(RingElem(self, sigma(images[-1].coeffs)))
-        # consistency: applying sigma to sigma^{d-1}(theta) must return theta
-        if images[self.d] != self.gen:
-            raise InternalError("sigma does not have order d on the generator")
-        rows += [self._power_rows(images[k], m) for k in range(2, self.d)]
-        # the matrices of sigma^k, 0 < k < d, for the maps and the skew kernel
-        self._sigma_rows = rows
-        self._sigma_maps = [None, sigma] + [_block_map(r, m, n, mod) for r in rows[2:]]
+        The first use builds phi from phi(theta), the Newton root of G near
+        theta^p, and applies it to find the images phi^k(theta), k <= m,
+        checking phi^m(theta) = theta; phi^k is built from its image."""
+        phis = self._phis
+        if not phis:
+            z = self._newton_root(self.poly, self.gen ** self.p)
+            _, step = phis[1] = self._endo(z)
+            images = [self.gen, z]
+            for _ in range(1, self.m):
+                images.append(RingElem(self, step(images[-1].coeffs)))
+            if images.pop() != self.gen:
+                raise InternalError("phi does not have order m on the generator")
+            self._phi_images = images
+        phi = phis.get(k)
+        if phi is None:
+            phi = phis[k] = self._endo(self._phi_images[k])
+        return phi
+
+    def _endo(self, z):
+        """(rows, block map) of the endomorphism theta -> z, z constant in t."""
+        rows = self._power_rows(z, self.m)
+        return rows, _block_map(rows, self.m, self.n, self.modulus)
 
     def _newton_root(self, int_poly, start):
         """Unique root of int_poly congruent to start mod p, by Newton iteration.
@@ -434,29 +432,15 @@ class LocalRingCtx:
     # -- ring-level maps ---------------------------------------------------
 
     def frobenius(self, x, k=1):
-        """sigma^{k mod d}(x): the relative Frobenius generator of Gal(T/S)."""
-        k %= self.d
-        if k == 0:
-            return x
-        return RingElem(self, self._sigma_maps[k](x.coeffs))
+        """sigma^k(x) = phi^(f (k mod d))(x): sigma = phi^f generates Gal(T/S)."""
+        return self.frobenius_p(x, self.f * (k % self.d))
 
     def frobenius_p(self, x, k=1):
-        """Absolute p-power Frobenius lift phi^k, fixing t; phi^f = sigma on T."""
-        if self.f == 1:  # phi = sigma, and m = d
-            return self.frobenius(x, k)
+        """Absolute p-power Frobenius lift phi^(k mod m), fixing t."""
         k %= self.m
         if k == 0:
             return x
-        phi = self._frobp_maps.get(k)
-        if phi is None:
-            if 1 not in self._frobp_maps:
-                z = self._newton_root(self.poly, self.gen ** self.p)
-                self._frobp_maps[1] = self._ring_map(z)
-            z = self.gen.coeffs
-            for _ in range(k):
-                z = self._frobp_maps[1](z)
-            phi = self._frobp_maps[k] = self._ring_map(RingElem(self, z))
-        return RingElem(self, phi(x.coeffs))
+        return RingElem(self, self._phi(k)[1](x.coeffs))
 
     def embed_base(self, x):
         """Image of a base-ring element under the stored embedding S -> T."""
@@ -532,9 +516,10 @@ class LocalRingCtx:
         sigma^k is Z/p^e-linear, so it acts on a packing: split(a) is the
         packing of a with its theta-segments, None for zero (for n = 1 the
         segments are the coefficients, for n > 1 the packed t-polynomials),
-        and columns[k][l], the packing of sigma^k(theta^l), makes
-        sum_l segs[l] * columns[k][l] the packing of sigma^k(a), unreduced
-        (columns[0] is None: sigma^0(a) is the packing itself).
+        and columns[k][l], the packing of sigma^k(theta^l), read from the
+        rows of phi^(fk), makes sum_l segs[l] * columns[k][l] the packing of
+        sigma^k(a), unreduced (columns[0] is None: sigma^0(a) is the packing
+        itself).
 
         fold(lo, hi) is the element lo + pi * hi of two such sums: lo + p*hi
         for n = 1, and for n > 1 hi shifted up one t-slot, after `low`
@@ -547,7 +532,7 @@ class LocalRingCtx:
         """
         kernel = self._skews.get(terms)
         if kernel is None:
-            m, n, mod = self.m, self.n, self.modulus
+            f, m, n, mod = self.f, self.m, self.n, self.modulus
             wrap = self.p if n == 1 else 1
             width = _slot_bytes(terms * self._term_bound * m * (mod - 1) * wrap)
             pack, finish = self._slot_kernel(width)
@@ -555,7 +540,7 @@ class LocalRingCtx:
             seg = bits * (2 * n - 1)  # one theta-degree of a product
             columns = [None] + [[sum(c << (j * seg) for j, c in enumerate(col))
                                  for col in zip(*rows)]
-                                for rows in self._sigma_rows[1:]]
+                                for rows, _ in map(self._phi, range(f, m, f))]
             zero = self.zero
             if n == 1:
                 p = self.p
@@ -656,8 +641,8 @@ class LocalRingCtx:
         return acc
 
     def __repr__(self):
-        return (f"LocalRing({self.mode}, p={self.p}, f={self.f}, d={self.d}, "
-                f"N={self.prec})")
+        return (f"LocalRing(p={self.p}, f={self.f}, d={self.d}, e={self.e}, "
+                f"n={self.n})")
 
 
 class RingElem:
@@ -798,13 +783,17 @@ def _check_prec(prec):
 @functools.lru_cache(maxsize=None)
 def residue_field(p: int, m: int) -> LocalRingCtx:
     """F_{p^m}: the ring R_{e,n} at (e, n) = (1, 1), with Frobenius frobenius_p."""
-    return LocalRingCtx(MIXED, p, m, 1, 1)
+    return LocalRingCtx(p, m, 1, 1, 1)
 
 
 def base_ring(p: int, f: int, prec: int, mode: str = MIXED) -> LocalRingCtx:
-    """The base ring S with residue field F_{p^f} at precision N."""
+    """The base ring S with residue field F_{p^f} at precision N: (e, n) is
+    (N, 1) in mixed and (1, N) in equal characteristic."""
     _check_prec(prec)
-    return LocalRingCtx(mode, p, f, 1, prec)
+    if mode not in (MIXED, EQUAL):
+        raise ParameterError(f"unknown mode {mode!r}")
+    e, n = (prec, 1) if mode == MIXED else (1, prec)
+    return LocalRingCtx(p, f, 1, e, n)
 
 
 def unramified(S: LocalRingCtx, d: int) -> LocalRingCtx:
@@ -816,4 +805,4 @@ def unramified(S: LocalRingCtx, d: int) -> LocalRingCtx:
         raise ParameterError("base of an unramified extension must be a base ring")
     if d == 1:
         return S
-    return LocalRingCtx(S.mode, S.p, S.f, d, S.prec, base=S)
+    return LocalRingCtx(S.p, S.f, d, S.e, S.n, base=S)

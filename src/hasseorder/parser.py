@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .algebra import AlgebraCtx
 from .errors import ParseError
-from .localring import EQUAL
 
 
 class _Lexer:
@@ -118,7 +117,7 @@ class Parser:
         if kind == "th":
             return ctx.from_T(ctx.T.gen)
         if kind == "t":
-            if ctx.T.mode != EQUAL:
+            if ctx.T.n == 1:
                 raise ParseError("symbol 't' is only defined in equal "
                                  "characteristic", pos)
             return ctx.from_T(ctx.T.uniformizer)

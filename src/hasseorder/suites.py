@@ -67,12 +67,12 @@ def _inverse(rec, case, one, x):
 
 
 def _contexts(cfg):
+    """(S, T, A, A (x)_S T) for a config with keys p, f, d, r, N, mode;
+    the twist r is 0 when d = 1."""
     S = lr.base_ring(cfg["p"], cfg["f"], cfg["N"], cfg["mode"])
     T = lr.unramified(S, cfg["d"])
     r = cfg["r"] if cfg["d"] > 1 else 0
-    A = almod.make(T, r)
-    TO = tnmod.make(T, r)
-    return S, T, A, TO
+    return S, T, almod.make(T, r), tnmod.make(T, r)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def _fixed_log_size(T):
         v[i] = 1
         e = T.from_vec(v)
         cols.append(T.to_vec(T.frobenius(e, 1) - e))
-    return linalg.kernel_log_size(cols, T.p, T.zp_exp)
+    return linalg.kernel_log_size(cols, T.p, T.e)
 
 
 def suite_local_ring(cfg, rng, fault):
@@ -141,7 +141,7 @@ def suite_local_ring(cfg, rng, fault):
             iv = _inverse(rec, "inv", T.one, x)
             if iv is not None:
                 rec.check_eq("inv", T.one, x * iv)
-    if T.d > 1 and T.mode == lr.MIXED:
+    if T.d > 1 and T.n == 1:
         rec.check_eq("hensel", T.zero,
                      T._eval_int_poly(T.poly, T.frobenius(T.gen, 1)))
     # fixed points of sigma = embedded S, by kernel size of (sigma - id)

@@ -1,11 +1,11 @@
 """p-typical Witt vectors W_n over a truncated local ring R.
 
-R is any kernel ring `LocalRingCtx`: Z/p^M is `base_ring(p, 1, M)`, F_q is
-`residue_field(p, m)`, and S, T are the rings of the algebra.  All ring laws
-are computed by the ghost-lift method: coordinates are lifted into the
-lift ring
+R is any kernel ring `LocalRingCtx`, R_{e,n_R} over F_{p^m}: Z/p^M is
+`base_ring(p, 1, M)`, F_q is `residue_field(p, m)`, and S, T are the rings of
+the algebra.  All ring laws are computed by the ghost-lift method:
+coordinates are lifted into the lift ring, the kernel ring at (K, n_R),
 
-    L = (Z/p^K)[theta]/(G)[t]/(t^n),
+    L = (Z/p^K)[theta]/(G)[t]/(t^n_R),
 
 a truncation of a p-torsion-free ring with R's flat coordinates and the
 Frobenius lift `phi` (the p-power lift on theta, t -> t^p).  The ghost
@@ -59,10 +59,7 @@ def phi(a):
 
 def _lift_ring(R, K):
     """The lift of R with p-adic precision K, its Frobenius lift checked."""
-    if R.n == 1:
-        L = lr.LocalRingCtx(lr.MIXED, R.p, R.m, 1, K)
-    else:
-        L = lr.LocalRingCtx(lr.EQUAL, R.p, R.m, 1, R.n, coeff_exp=K)
+    L = lr.LocalRingCtx(R.p, R.m, 1, K, R.n)
     g, t = L.gen, L.uniformizer
     if any(c % L.p for c in (phi(g) - g ** L.p).coeffs) or \
             (L.n > 1 and phi(t) != t ** L.p):

@@ -265,7 +265,7 @@ def test_criterion_8():
             # rank comparison: log_p |ker(sigma - 1)| per coordinate equals
             # log_p |S|, so the coordinatewise fixed set has the size of
             # W_n(S); embedded vectors are fixed, so the two sets coincide
-            klog = linalg.kernel_log_size(cols, T.p, T.zp_exp)
+            klog = linalg.kernel_log_size(cols, T.p, T.e)
             assert klog == Sd.prec
             for n in (2, 3):
                 W = witt.WittCtx(p, n, T)

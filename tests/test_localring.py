@@ -23,6 +23,12 @@ def test_bad_parameters():
         lr.base_ring(3, 1, 1, lr.MIXED)
     with pytest.raises(ParameterError):
         lr.base_ring(3, 0, 4, lr.MIXED)
+    with pytest.raises(ParameterError):
+        lr.base_ring(3, 1, 4, "p-adic")
+    with pytest.raises(ParameterError):
+        lr.LocalRingCtx(3, 1, 1, 0, 1)
+    with pytest.raises(ParameterError):
+        lr.LocalRingCtx(3, 1, 1, 1, 0)
 
 
 def test_spec_example_theta_squared():
@@ -43,8 +49,8 @@ def test_spec_example_theta_squared():
 def test_sigma_is_ring_hom_of_order_d():
     rng = random.Random(0)
     for mode in (lr.MIXED, lr.EQUAL):
-        for d in (2, 3):
-            S, T = ctx_pair(p=3, d=d, N=5, mode=mode)
+        for p, f, d in ((3, 1, 2), (3, 1, 3), (5, 2, 3), (2, 3, 2)):
+            S, T = ctx_pair(p=p, f=f, d=d, N=5, mode=mode)
             for _ in range(50):
                 x, y = T.random(rng), T.random(rng)
                 assert T.frobenius(x + y, 1) == \
@@ -52,6 +58,10 @@ def test_sigma_is_ring_hom_of_order_d():
                 assert T.frobenius(x * y, 1) == \
                     T.frobenius(x, 1) * T.frobenius(y, 1)
                 assert T.frobenius(x, d) == x
+                # sigma = phi^f, and phi has order m = f*d
+                for k in range(-d, 2 * d):
+                    assert T.frobenius(x, k) == T.frobenius_p(x, T.f * k)
+                assert T.frobenius_p(x, T.m) == x
             # sigma fixes exactly the embedded base
             s = S.random(rng)
             e = T.embed_base(s)
@@ -229,7 +239,7 @@ def _oracle_mul(T, x, y):
     """Product as coefficient tuple: digit-by-digit convolution of theta
     polynomials mod (G, p) (equal) or the theta-polynomial product mod
     (G, p^N) (mixed)."""
-    if T.mode == lr.MIXED:
+    if T.n == 1:
         return tuple(_theta_mulmod(x.coeffs, y.coeffs, T.poly, T.p ** T.prec))
     a, b = _digits(T, x), _digits(T, y)
     out = []
@@ -316,7 +326,7 @@ def test_kernel_against_oracles(p, f, d):
 
 def test_kernel_wide_slots():
     # coefficients mod 13^9 in t-length 4: packed slots exceed 64 bits
-    R = lr.LocalRingCtx(lr.EQUAL, 13, 2, 1, 4, coeff_exp=9)
+    R = lr.LocalRingCtx(13, 2, 1, 9, 4)
     mod = 13 ** 9
     rng = random.Random(5)
     for _ in range(5):
@@ -416,7 +426,7 @@ def inverse_rings():
         S = lr.base_ring(p, f, N, mode)
         T = lr.unramified(S, d)
         yield from {T.residue, S, T}
-    yield lr.LocalRingCtx(lr.EQUAL, 3, 2, 1, 4, coeff_exp=7)
+    yield lr.LocalRingCtx(3, 2, 1, 7, 4)
 
 
 def test_inverse_matches_newton_oracle():
@@ -462,6 +472,6 @@ def test_building_a_ring_inverts_only_in_residue_fields(monkeypatch):
             if mode == lr.EQUAL and f == 1:
                 assert seen == []
     seen.clear()
-    F = lr.LocalRingCtx(lr.MIXED, 5, 3, 1, 1)
+    F = lr.LocalRingCtx(5, 3, 1, 1, 1)
     F.frobenius_p(F.gen)
     assert seen == []
