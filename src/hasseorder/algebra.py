@@ -9,13 +9,14 @@ ord_D(pi_K) = d and ord_D = v_K(Nrd) on the nose.
 
 The product (`skew_mul`, shared with A (x)_S T in `tensor`) runs on
 Kronecker packings of the coefficients (`LocalRingCtx._skew_kernel`).
-Each coefficient of each factor is packed once.  sigma^k is Z/p^e-linear,
-so sigma_r^i(z_j) is formed on the packing of z_j, as m integer
-multiply-adds against the packed columns of sigma^k.  The d^2 integer
-products are summed into one accumulator per x-power, the wrap
-x^d = pi_K is folded into the accumulator below it (p * acc in mixed
-characteristic, a shift by one t-slot in equal characteristic), and each
-output coefficient is reduced by G and p^e once.
+Each coefficient is packed once and keeps its packing for later products
+(`RingElem._packing`).  sigma^k is Z/p^e-linear, so sigma_r^i(z_j) is
+formed on the packing of z_j, as m integer multiply-adds against the
+packed columns of sigma^k.  The d^2 integer products are summed into one
+accumulator per x-power, the wrap x^d = pi_K is folded into the
+accumulator below it (p * acc in mixed characteristic, a shift by one
+t-slot in equal characteristic), and each output coefficient is reduced by
+G and p^e once.
 """
 
 from __future__ import annotations
@@ -178,13 +179,13 @@ class DElem:
         return DElem(self.ctx, self.shift, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        """Each coefficient is packed once (algebra.skew_mul)."""
+        """Each coefficient is packed at most once (algebra.skew_mul)."""
         self._check(other)
         ctx = self.ctx
         pack, split, twist, fold = ctx._kernel()
         return ctx.elem(self.shift + other.shift,
-                        skew_mul([pack(y.coeffs) for y in self.coeffs],
-                                 [split(z.coeffs) for z in other.coeffs],
+                        skew_mul([y._packing(pack) for y in self.coeffs],
+                                 [split(z) for z in other.coeffs],
                                  twist, fold))
 
     def __pow__(self, e: int):

@@ -18,17 +18,28 @@ The residue field F_{p^m} itself is the case (e, n) = (1, 1)
 
 An element is the flat tuple of its m*n coefficients in [0, p^e): the
 coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
-families: sums act on the tuples directly, products go through one
-Kronecker-packed integer multiply (n > 1) or a schoolbook product in theta
-(n = 1), and the Galois and base-ring maps are precomputed Z/p^e-linear maps
-applied to each t-block.  A sum of products (`dot`, `matmul`) is packed and
-reduced once: each operand is packed into one integer, the integer products
-are added in slots wide enough for the number of terms, and one `finish`
-reduces the sum by G and p^e.  The skew product of the order A
-(`algebra.skew_mul`) runs on the same packings (`_skew_kernel`): sigma^k
-acts on a packing through the packed columns sigma^k(theta^l), the wrap
-x^d = pi_K is folded into the packed sum (p times it for n = 1, a shift by
-one t-slot for n > 1), and each output coefficient is finished once.
+families: sums act on the tuples directly, and the Galois and base-ring
+maps are precomputed Z/p^e-linear maps applied to each t-block.  A product
+is one integer multiply of Kronecker packings, finished by one reduction by
+G and p^e, when n > 1, and when n = 1 with m >= 4 and e > 1; the residue
+fields (e = n = 1) and the rings of n = 1 with m <= 3 keep the schoolbook
+product in theta, which is faster there on fresh operands.  A sum of
+products (`dot`, `matmul`) is packed and reduced once: each operand is
+packed into one integer, the integer products are added in slots wide
+enough for the number of terms, and one `finish` reduces the sum.  The skew
+product of the order A (`algebra.skew_mul`) runs on the same packings
+(`_skew_kernel`): sigma^k acts on a packing through the packed columns
+sigma^k(theta^l), the wrap x^d = pi_K is folded into the packed sum (p times
+it for n = 1, a shift by one t-slot for n > 1), and each output coefficient
+is finished once.
+
+Each element is packed at most once per kernel: it keeps its packing
+together with the pack function of the kernel that made it
+(`RingElem._packing`), and every packed consumer (the product, `dot`,
+`matmul`, Berkowitz, `linalg.solve`, the skew products of A and of
+A (x)_S T) reads it from there.  Kernels of different slot widths have
+different pack functions, so an element passed from one to another is
+packed again for the new one.
 
 Every ring carries the absolute Frobenius lift phi, fixing t: the image of
 theta is the Hensel/Newton lift of theta^p (exact when e = 1, where phi acts
@@ -129,7 +140,8 @@ def _slot_bytes(bound):
 
 def _slots(bound):
     """Packing of int sequences into one integer, in slots wide enough for
-    values up to `bound`: returns (bits per slot, pack, unpack)."""
+    values up to `bound`: returns (bits per slot, pack, unpack), where
+    unpack(x, count) is the list of the count slots of x."""
     width = _slot_bytes(bound)
     code = next((c for size, c in _ARRAY_CODES if size == width), None)
     frm = int.from_bytes
@@ -138,7 +150,7 @@ def _slots(bound):
             return frm(array(code, seq).tobytes(), "little")
 
         def unpack(x, count):
-            return array(code, x.to_bytes(count * width, "little"))
+            return array(code, x.to_bytes(count * width, "little")).tolist()
     else:
         def pack(seq):
             return frm(b"".join([c.to_bytes(width, "little") for c in seq]), "little")
@@ -177,7 +189,7 @@ def _packed_sums(m, n, mod, red, bound):
         red = [(m + l, row) for l, row in enumerate(red)]
 
         def finish(c):
-            out = list(unpack(c, width))
+            out = unpack(c, width)
             for l, row in red:
                 v = out[l]
                 if v:
@@ -215,7 +227,8 @@ def _packed_sums(m, n, mod, red, bound):
 
 
 def _kronecker_mul(pack, finish):
-    """Product in R_{e,n}, n > 1, by one integer multiply of the packings."""
+    """Product of coefficient tuples by one integer multiply of their
+    packings (the rings with a packed product, `LocalRingCtx._prod`)."""
     def mul(a, b):
         pa = pack(a)
         return finish(pa * (pa if a is b else pack(b)))
@@ -284,8 +297,13 @@ class LocalRingCtx:
         # packed sums of products: one (pack, finish) per slot width in use
         self._term_bound = _term_bound(m, n, self.modulus)
         self._sums = {}
-        self._mul = (_schoolbook_mul(m, self.modulus, self._red) if n == 1
-                     else _kronecker_mul(*self._sum_kernel(1)))
+        # (pack, finish) of a single product when products are packed: for
+        # n > 1, and for n = 1 when m >= 4 and e > 1 (in the residue fields,
+        # e = 1, the schoolbook product stays faster on fresh operands)
+        self._prod = self._sum_kernel(1) if n > 1 or (m >= 4 and e > 1) else None
+        # the product of coefficient tuples
+        self._mul = (_schoolbook_mul(m, self.modulus, self._red) if self._prod is None
+                     else _kronecker_mul(*self._prod))
         self._zero_tail = (0,) * (m * (n - 1))
         self.zero = RingElem(self, (0,) * self.zp_rank)
         self.one = self.from_int(1)
@@ -514,10 +532,11 @@ class LocalRingCtx:
         in the wrap pi * (the sum above x^d) before its one finish.
 
         sigma^k is Z/p^e-linear, so it acts on a packing: split(a) is the
-        packing of a with its theta-segments, None for zero (for n = 1 the
-        segments are the coefficients, for n > 1 the packed t-polynomials),
-        and columns[k][l], the packing of sigma^k(theta^l), read from the
-        rows of phi^(fk), makes sum_l segs[l] * columns[k][l] the packing of
+        packing of the element a (`RingElem._packing`) with its
+        theta-segments, None for zero (for n = 1 the segments are the
+        coefficients, for n > 1 the packed t-polynomials), and
+        columns[k][l], the packing of sigma^k(theta^l), read from the rows
+        of phi^(fk), makes sum_l segs[l] * columns[k][l] the packing of
         sigma^k(a), unreduced (columns[0] is None: sigma^0(a) is the packing
         itself).
 
@@ -546,8 +565,8 @@ class LocalRingCtx:
                 p = self.p
 
                 def split(a):
-                    x = pack(a)
-                    return (x, a) if x else None
+                    x = a._packing(pack)
+                    return (x, a.coeffs) if x else None
 
                 def fold(lo, hi):
                     c = lo + p * hi
@@ -558,7 +577,7 @@ class LocalRingCtx:
                           for j in range(2 * m - 1))
 
                 def split(a):
-                    x = pack(a)
+                    x = a._packing(pack)
                     return (x, [(x >> (l * seg)) & mask for l in range(m)]) if x else None
 
                 def fold(lo, hi):
@@ -568,12 +587,13 @@ class LocalRingCtx:
         return kernel
 
     def _packings(self, xs, pack):
-        """pack(x.coeffs) for each element x of this ring, 0 for zero."""
+        """The packing of each element x of this ring (`RingElem._packing`)."""
         out = []
         for x in xs:
             if x.ctx is not self:
                 raise CtxMismatchError("operands from different ring contexts")
-            out.append(pack(x.coeffs) if any(x.coeffs) else 0)
+            c = x._packed  # _packing's cache hit, inline on this hot path
+            out.append(c[1] if c is not None and c[0] is pack else x._packing(pack))
         return out
 
     def dot(self, xs, ys):
@@ -646,13 +666,32 @@ class LocalRingCtx:
 
 
 class RingElem:
-    """Element of a LocalRingCtx: its flat coefficient tuple over Z/p^e."""
+    """Element of a LocalRingCtx: its flat coefficient tuple over Z/p^e, and
+    its Kronecker packing once a packed kernel asked for it (`_packing`).
 
-    __slots__ = ("ctx", "coeffs")
+    The product of two elements is packed (the packings multiplied as
+    integers, then finished) when n > 1, and when n = 1 with m >= 4 and
+    e > 1; the residue fields (e = n = 1) and the rings of n = 1 with m <= 3
+    take the schoolbook product in theta."""
+
+    __slots__ = ("ctx", "coeffs", "_packed")
 
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
         self.coeffs = coeffs
+        self._packed = None  # (pack, pack(coeffs)) of the last kernel asked
+
+    def _packing(self, pack):
+        """pack(coeffs), 0 for zero, for a kernel's pack function: computed
+        once per kernel, since the element keeps the last packing with the
+        pack function that made it (kernels of different slot widths have
+        different pack functions)."""
+        cached = self._packed
+        if cached is not None and cached[0] is pack:
+            return cached[1]
+        x = pack(self.coeffs) if any(self.coeffs) else 0
+        self._packed = (pack, x)
+        return x
 
     def _check(self, other):
         if not isinstance(other, RingElem) or other.ctx is not self.ctx:
@@ -676,7 +715,16 @@ class RingElem:
 
     def __mul__(self, other):
         self._check(other)
-        return RingElem(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        if ctx._prod is None:
+            return RingElem(ctx, ctx._mul(self.coeffs, other.coeffs))
+        pack, finish = ctx._prod
+        # _packing's cache hit, inline on this hot path
+        a, b = self._packed, other._packed
+        a = a[1] if a is not None and a[0] is pack else self._packing(pack)
+        b = b[1] if b is not None and b[0] is pack else other._packing(pack)
+        c = a * b
+        return RingElem(ctx, finish(c)) if c else ctx.zero
 
     def scale(self, c: int):
         """Product with the integer c."""

@@ -8,9 +8,9 @@ test harness can prove the suites are non-vacuous.
 
 from __future__ import annotations
 
-import time
-
 import random
+import time
+import weakref
 
 from . import algebra as almod
 from . import linalg
@@ -341,17 +341,25 @@ def u_eval(TO, a):
     return [TO.T._horner(a, rt) for rt in TO.roots]
 
 
+# the matrix of the oracle sigma (x) id, one per tensor context
+_U_SIGMA = weakref.WeakKeyDictionary()
+
+
 def u_sigma_left(TO, a):
     """Oracle sigma (x) id on u-coefficients: u = theta (x) 1 goes to
     sigma(theta) (x) 1, written in the u-basis through the S-coordinates of
-    sigma(theta); the coefficients (the right factor) stay."""
+    sigma(theta); the coefficients (the right factor) stay.  The map is
+    T-linear in the u-coefficients: its d x d matrix has the columns
+    sigma(theta)^k in the u-basis, taken by u_mul once per context."""
     T = TO.T
-    img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
-    acc = [T.zero] * TO.d
-    for c in reversed(a):
-        acc = u_mul(TO, acc, img)
-        acc[0] = acc[0] + c
-    return acc
+    M = _U_SIGMA.get(TO)
+    if M is None:
+        img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
+        cols = [[T.one] + [T.zero] * (TO.d - 1)]
+        for _ in range(1, TO.d):
+            cols.append(u_mul(TO, cols[-1], img))
+        M = _U_SIGMA[TO] = [list(row) for row in zip(*cols)]
+    return linalg.rmat_vec(M, a, T)
 
 
 def suite_tensor(cfg, rng, fault):

@@ -341,12 +341,12 @@ class TensorOrderElem:
     def __mul__(self, other):
         """One skew product (algebra.skew_mul) per Galois component g: the
         twist picks the rotated component packings of the z_j, and each
-        component is packed once."""
+        component is packed at most once (`RingElem._packing`)."""
         self._check(other)
         ctx = self.ctx
         pack, _, _, fold = ctx.T._skew_kernel(ctx.d)
-        ys = [[pack(c.coeffs) for c in y.comps] for y in self.coeffs]
-        zs = [[pack(c.coeffs) for c in z.comps] for z in other.coeffs]
+        ys = [[c._packing(pack) for c in y.comps] for y in self.coeffs]
+        zs = [[c._packing(pack) for c in z.comps] for z in other.coeffs]
         lanes = [skew_mul([y[g] for y in ys], zs,
                           lambda z, i, rot=rot: z[rot[i]], fold)
                  for g, rot in enumerate(ctx._lanes)]

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from hasseorder import algebra, linalg, tensor
 from hasseorder import localring as lr
 from hasseorder.errors import (CtxMismatchError, InternalError,
                                NotInvertibleError, ParameterError,
@@ -347,6 +348,40 @@ def test_kernel_wide_slots():
         assert R.frobenius_p(R.uniformizer) == R.uniformizer
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("N", (2, 8, 32))
+def test_packed_product_matches_schoolbook(p, N):
+    # the packed n = 1 product at every m, whether or not the ring uses it
+    rng = random.Random(f"prod:{p}:{N}")
+    for m in range(1, 9):
+        R = lr.base_ring(p, m, N, lr.MIXED)
+        assert (R._prod is not None) == (m >= 4)
+        if N == 32 and m > 1:  # (p^32 - 1)^2 fits 64 bits only at p = 2
+            assert lr._slot_bytes(R._term_bound) > 8  # the bytes fallback
+        mod = R.modulus
+        school = lr._schoolbook_mul(m, mod, R._red)
+        packed = lr._kronecker_mul(*R._sum_kernel(1))
+        zero, top = (0,) * m, (mod - 1,) * m
+        cases = [(zero, zero), (zero, top), (top, zero), (top, top)]
+        for _ in range(6):
+            x = R.random(rng).coeffs
+            cases += [(x, R.random(rng).coeffs), (x, x), (x, top), (zero, x)]
+        for a, b in cases:
+            want = school(a, b)
+            assert packed(a, b) == want
+            assert (lr.RingElem(R, a) * lr.RingElem(R, b)).coeffs == want
+
+
+def test_products_choose_the_packed_kernel_by_m_and_e():
+    for p, f, d, N, mode in product((2, 3), (1, 2), (1, 2, 3, 4), (2, 8),
+                                    (lr.MIXED, lr.EQUAL)):
+        S = lr.base_ring(p, f, N, mode)
+        for R in (S, lr.unramified(S, d), S.residue):
+            assert (R._prod is not None) == (R.n > 1 or (R.m >= 4 and R.e > 1))
+            if R._prod is not None:
+                assert R._prod == R._sum_kernel(1)
+
+
 def _naive_dot(R, xs, ys):
     acc = R.zero
     for x, y in zip(xs, ys):
@@ -380,6 +415,47 @@ def test_dot_and_matmul_match_naive_sums(mode, m, N):
                      ([draw(terms) for _ in range(2)], [draw(3) for _ in range(terms)])):
             want = [[_naive_dot(R, row, col) for col in zip(*B)] for row in A]
             assert R.matmul(A, B) == want
+
+
+@pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
+def test_packing_cache_follows_the_kernel(mode):
+    """One element passes through kernels of several slot widths, each
+    after every other: every result equals the one computed from a fresh
+    copy of the element, which packs anew, and the element's equality and
+    hash stay.  The dot of cap + 1 terms packs in wider slots than the
+    product, so a packing kept without its kernel would be misread."""
+    S, T = ctx_pair(d=4, N=8, mode=mode)
+    A, TO = algebra.make(T, 1), tensor.make(T, 1)
+    rng = random.Random(f"cache:{mode}")
+    x = T.random(rng) + T.one
+    assert x.is_unit()  # A.elem keeps the coefficients as they are
+    y = T.random(rng)
+    cap = ((1 << 8 * lr._slot_bytes(T._term_bound)) - 1) // T._term_bound
+    ys = [T.random(rng) for _ in range(cap + 1)]
+
+    def tensor_elem(z):
+        return TO.from_components([z, y, z, z])
+
+    ops = [
+        lambda z: z * y,
+        lambda z: z * z,
+        lambda z: T.dot([z], [y]),
+        lambda z: T.dot([z, y, z, y], ys[:4]),
+        lambda z: T.dot([z] * cap, ys[:cap]),
+        lambda z: T.dot([z] * (cap + 1), ys),
+        lambda z: T.matmul([[z, y], [y, z]], [[y, z], [z, z]]),
+        lambda z: linalg.det_berkowitz([[z, y, z], [y, z, y], [z, z, y]],
+                                       T.zero, T.one),
+        lambda z: A.elem(0, [z, y, z, y]) * A.elem(0, [y, z, z, z]),
+        lambda z: (TO.order_elem([tensor_elem(z), TO.zero, TO.one, tensor_elem(z)])
+                   * TO.order_elem([TO.one, tensor_elem(z), TO.zero, tensor_elem(z)])),
+    ]
+    h = hash(x)
+    for first in range(len(ops)):
+        for op in ops[first:] + ops[:first]:
+            assert op(x) == op(lr.RingElem(T, x.coeffs))
+    assert x == lr.RingElem(T, x.coeffs)
+    assert hash(x) == h
 
 
 def test_dot_rejects_foreign_operands():

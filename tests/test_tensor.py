@@ -118,6 +118,32 @@ def test_sigma_actions_permute_idempotents():
             assert TO.elem([T.elem(c) for c in x.serialize()]) == x
 
 
+def horner_sigma_left(TO, a):
+    """The former oracle sigma (x) id on u-coefficients: Horner in
+    sigma(theta) (x) 1, written in the u-basis, over u_mul."""
+    T = TO.T
+    img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
+    acc = [T.zero] * TO.d
+    for c in reversed(a):
+        acc = u_mul(TO, acc, img)
+        acc[0] = acc[0] + c
+    return acc
+
+
+@pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
+@pytest.mark.parametrize("d", (2, 3, 4, 8))
+def test_sigma_left_matrix_matches_horner(mode, d):
+    # the oracle's d x d matrix against Horner over u_mul
+    S, T, A, TO = make(d=d, N=4, mode=mode)
+    rng = random.Random(f"sigma-left:{mode}:{d}")
+    basis = [[T.one if j == k else T.zero for j in range(d)] for k in range(d)]
+    for a in basis + [[T.random(rng) for _ in range(d)] for _ in range(4)]:
+        assert u_sigma_left(TO, a) == horner_sigma_left(TO, a)
+    # and it is sigma (x) id on components
+    x = TO.random(rng)
+    assert u_sigma_left(TO, x.u_coeffs()) == x.sigma_left().u_coeffs()
+
+
 def test_order_relations():
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
