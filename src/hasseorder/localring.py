@@ -21,9 +21,10 @@ coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, and the Galois and base-ring
 maps are precomputed Z/p^e-linear maps applied to each t-block.  A product
 is one integer multiply of Kronecker packings, finished by one reduction by
-G and p^e, when n > 1, and when n = 1 with m >= 4 and e > 1; the residue
-fields (e = n = 1) and the rings of n = 1 with m <= 3 keep the schoolbook
-product in theta, which is faster there on fresh operands.  A sum of
+G and p^e, when n > 1, and when n = 1 with m >= 4 and slots of at most 8
+bytes; the other rings of n = 1 (m <= 3, or a product term wider than
+64 bits, as at e = 32) keep the schoolbook product in theta, which is
+faster there.  A sum of
 products (`dot`, `matmul`) is packed and reduced once: each operand is
 packed into one integer, the integer products are added in slots wide
 enough for the number of terms, and one `finish` reduces the sum.  The skew
@@ -298,9 +299,10 @@ class LocalRingCtx:
         self._term_bound = _term_bound(m, n, self.modulus)
         self._sums = {}
         # (pack, finish) of a single product when products are packed: for
-        # n > 1, and for n = 1 when m >= 4 and e > 1 (in the residue fields,
-        # e = 1, the schoolbook product stays faster on fresh operands)
-        self._prod = self._sum_kernel(1) if n > 1 or (m >= 4 and e > 1) else None
+        # n > 1, and for n = 1 when m >= 4 and a slot fits an array type (the
+        # schoolbook product stays faster below m = 4 and on byte slots)
+        self._prod = (self._sum_kernel(1) if n > 1 or (
+            m >= 4 and _slot_bytes(self._term_bound) <= 8) else None)
         # the product of coefficient tuples
         self._mul = (_schoolbook_mul(m, self.modulus, self._red) if self._prod is None
                      else _kronecker_mul(*self._prod))
@@ -592,8 +594,7 @@ class LocalRingCtx:
         for x in xs:
             if x.ctx is not self:
                 raise CtxMismatchError("operands from different ring contexts")
-            c = x._packed  # _packing's cache hit, inline on this hot path
-            out.append(c[1] if c is not None and c[0] is pack else x._packing(pack))
+            out.append(x._packing(pack))
         return out
 
     def dot(self, xs, ys):
@@ -671,8 +672,8 @@ class RingElem:
 
     The product of two elements is packed (the packings multiplied as
     integers, then finished) when n > 1, and when n = 1 with m >= 4 and
-    e > 1; the residue fields (e = n = 1) and the rings of n = 1 with m <= 3
-    take the schoolbook product in theta."""
+    slots of at most 8 bytes; the other rings of n = 1 take the schoolbook
+    product in theta."""
 
     __slots__ = ("ctx", "coeffs", "_packed")
 
@@ -719,11 +720,7 @@ class RingElem:
         if ctx._prod is None:
             return RingElem(ctx, ctx._mul(self.coeffs, other.coeffs))
         pack, finish = ctx._prod
-        # _packing's cache hit, inline on this hot path
-        a, b = self._packed, other._packed
-        a = a[1] if a is not None and a[0] is pack else self._packing(pack)
-        b = b[1] if b is not None and b[0] is pack else other._packing(pack)
-        c = a * b
+        c = self._packing(pack) * other._packing(pack)
         return RingElem(ctx, finish(c)) if c else ctx.zero
 
     def scale(self, c: int):

@@ -8,9 +8,9 @@ test harness can prove the suites are non-vacuous.
 
 from __future__ import annotations
 
-import random
 import time
-import weakref
+
+import random
 
 from . import algebra as almod
 from . import linalg
@@ -341,25 +341,19 @@ def u_eval(TO, a):
     return [TO.T._horner(a, rt) for rt in TO.roots]
 
 
-# the matrix of the oracle sigma (x) id, one per tensor context
-_U_SIGMA = weakref.WeakKeyDictionary()
-
-
-def u_sigma_left(TO, a):
-    """Oracle sigma (x) id on u-coefficients: u = theta (x) 1 goes to
-    sigma(theta) (x) 1, written in the u-basis through the S-coordinates of
-    sigma(theta); the coefficients (the right factor) stay.  The map is
-    T-linear in the u-coefficients: its d x d matrix has the columns
-    sigma(theta)^k in the u-basis, taken by u_mul once per context."""
+def u_sigma_left(TO):
+    """Oracle sigma (x) id on u-coefficients, as a function of them: u =
+    theta (x) 1 goes to sigma(theta) (x) 1, written in the u-basis through
+    the S-coordinates of sigma(theta); the coefficients (the right factor)
+    stay.  The map is T-linear in the u-coefficients: its d x d matrix has
+    the columns sigma(theta)^k in the u-basis, taken here by u_mul."""
     T = TO.T
-    M = _U_SIGMA.get(TO)
-    if M is None:
-        img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
-        cols = [[T.one] + [T.zero] * (TO.d - 1)]
-        for _ in range(1, TO.d):
-            cols.append(u_mul(TO, cols[-1], img))
-        M = _U_SIGMA[TO] = [list(row) for row in zip(*cols)]
-    return linalg.rmat_vec(M, a, T)
+    img = [T.embed_base(s) for s in T.rel_coords(T.frobenius(T.gen, 1))]
+    cols = [[T.one] + [T.zero] * (TO.d - 1)]
+    for _ in range(1, TO.d):
+        cols.append(u_mul(TO, cols[-1], img))
+    M = [list(row) for row in zip(*cols)]
+    return lambda a: linalg.rmat_vec(M, a, T)
 
 
 def suite_tensor(cfg, rng, fault):
@@ -368,6 +362,7 @@ def suite_tensor(cfg, rng, fault):
     d = TO.d
     # T (x)_S T computes in components; each check below compares it with
     # the u-basis oracle (u_mul, u_eval, u_sigma_left)
+    sigma_left = u_sigma_left(TO)
     us = [e.u_coeffs() for e in TO.idempotents]
     total = [T.zero] * d
     for k, e in enumerate(TO.idempotents):
@@ -390,14 +385,14 @@ def suite_tensor(cfg, rng, fault):
         rec.check_eq("w-roundtrip", x, TO.elem(ux))
         uxy = u_mul(TO, ux, uy)
         rec.check_eq("w-mul", uxy, (x * y).u_coeffs())
-        rec.check_eq("sigma-left-hom", u_sigma_left(TO, uxy),
+        rec.check_eq("sigma-left-hom", sigma_left(uxy),
                      (x.sigma_left() * y.sigma_left()).u_coeffs())
     for k in range(d):
         e = TO.idempotents[k]
         # each side of a chained equality against its last term
         want = us[(k - 1) % d]
         rec.check_eq("sigma-idem", [want, want],
-                     [e.sigma_left().u_coeffs(), u_sigma_left(TO, us[k])])
+                     [e.sigma_left().u_coeffs(), sigma_left(us[k])])
         want = us[(k + 1) % d]
         rec.check_eq("sigma-right-idem", [want, want],
                      [e.sigma_right(1).u_coeffs(),

@@ -355,9 +355,9 @@ def test_packed_product_matches_schoolbook(p, N):
     rng = random.Random(f"prod:{p}:{N}")
     for m in range(1, 9):
         R = lr.base_ring(p, m, N, lr.MIXED)
-        assert (R._prod is not None) == (m >= 4)
         if N == 32 and m > 1:  # (p^32 - 1)^2 fits 64 bits only at p = 2
             assert lr._slot_bytes(R._term_bound) > 8  # the bytes fallback
+        assert (R._prod is not None) == (m >= 4 and N < 32)
         mod = R.modulus
         school = lr._schoolbook_mul(m, mod, R._red)
         packed = lr._kronecker_mul(*R._sum_kernel(1))
@@ -372,12 +372,13 @@ def test_packed_product_matches_schoolbook(p, N):
             assert (lr.RingElem(R, a) * lr.RingElem(R, b)).coeffs == want
 
 
-def test_products_choose_the_packed_kernel_by_m_and_e():
-    for p, f, d, N, mode in product((2, 3), (1, 2), (1, 2, 3, 4), (2, 8),
+def test_products_choose_the_packed_kernel_by_m_and_slot_width():
+    for p, f, d, N, mode in product((2, 3), (1, 2), (1, 2, 3, 4), (2, 8, 32),
                                     (lr.MIXED, lr.EQUAL)):
         S = lr.base_ring(p, f, N, mode)
         for R in (S, lr.unramified(S, d), S.residue):
-            assert (R._prod is not None) == (R.n > 1 or (R.m >= 4 and R.e > 1))
+            narrow = lr._slot_bytes(R._term_bound) <= 8
+            assert (R._prod is not None) == (R.n > 1 or (R.m >= 4 and narrow))
             if R._prod is not None:
                 assert R._prod == R._sum_kernel(1)
 

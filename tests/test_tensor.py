@@ -96,17 +96,18 @@ def test_sigma_actions_permute_idempotents():
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
         us = [e.u_coeffs() for e in TO.idempotents]
+        sigma_left = u_sigma_left(TO)
         for k in range(d):
             assert TO.idempotents[k].sigma_left() == \
                 TO.idempotents[(k - 1) % d]
-            assert u_sigma_left(TO, us[k]) == us[(k - 1) % d]
+            assert sigma_left(us[k]) == us[(k - 1) % d]
             assert TO.idempotents[k].sigma_right(1) == \
                 TO.idempotents[(k + 1) % d]
             assert [T.frobenius(c, 1) for c in us[k]] == us[(k + 1) % d]
         for _ in range(5):
             x = TO.random(rng)
             ux = x.u_coeffs()
-            assert x.sigma_left().u_coeffs() == u_sigma_left(TO, ux)
+            assert x.sigma_left().u_coeffs() == sigma_left(ux)
             assert x.sigma_right(2).u_coeffs() == \
                 [T.frobenius(c, 2) for c in ux]
             # sigma_left has order d
@@ -136,12 +137,13 @@ def test_sigma_left_matrix_matches_horner(mode, d):
     # the oracle's d x d matrix against Horner over u_mul
     S, T, A, TO = make(d=d, N=4, mode=mode)
     rng = random.Random(f"sigma-left:{mode}:{d}")
+    sigma_left = u_sigma_left(TO)
     basis = [[T.one if j == k else T.zero for j in range(d)] for k in range(d)]
     for a in basis + [[T.random(rng) for _ in range(d)] for _ in range(4)]:
-        assert u_sigma_left(TO, a) == horner_sigma_left(TO, a)
+        assert sigma_left(a) == horner_sigma_left(TO, a)
     # and it is sigma (x) id on components
     x = TO.random(rng)
-    assert u_sigma_left(TO, x.u_coeffs()) == x.sigma_left().u_coeffs()
+    assert sigma_left(x.u_coeffs()) == x.sigma_left().u_coeffs()
 
 
 def test_order_relations():
