@@ -157,14 +157,10 @@ def _dump_peirce(S, T, A, TO):
 
 
 def _dump_milnor_basis(S, T, A, TO):
-    d = TO.d
     rows = []
-    for a_pow in range(d):
-        for i in range(d):
-            coeffs = [TO.zero] * d
-            coeffs[i] = TO.u_elem ** a_pow
-            M = TO.embed_l(TO.order_elem(coeffs))
-            rows.append([T.residue_of(e) for row in M for e in row])
+    for b in TO.milnor_lattice():
+        M = TO.embed_l(b)
+        rows.append([T.residue_of(e) for row in M for e in row])
     # an actual basis over k_T of the image mod m_T
     basis = linalg.echelon_basis(rows)
     return {"dimension_kT": len(basis), "dimension_Fp": len(basis) * T.m,

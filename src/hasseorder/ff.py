@@ -197,9 +197,6 @@ def embedding_root(small, big):
     for _ in range(small.m - 1):
         orbit.append(big.frobenius_p(orbit[-1]))
     root = min(orbit, key=lambda x: x.coeffs[::-1])
-    acc = big.one  # small.poly is monic
-    for c in reversed(small.poly[:-1]):
-        acc = acc * root + big.from_int(c)
-    if not acc.is_zero():
+    if not big._eval_int_poly(small.poly, root).is_zero():
         raise InternalError("subfield embedding root is not a root")
     return root

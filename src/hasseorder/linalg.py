@@ -1,9 +1,10 @@
 """Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
 
 Everything here is exact.  Over Z/p^e, integer matrices are eliminated
-with unit pivots: `det_mod_pe` (the determinant over S = Z/p^N) divides a
-column without a unit by p, `kernel_log_size` a block without a unit, and
-`inv_mod_pe` inverts by Gauss-Jordan.  Determinants over a kernel ring
+with unit pivots in one pass, `_unit_pivots`, which divides a block without
+a unit by p: `det_mod_pe` (the determinant over S = Z/p^N) and
+`kernel_log_size` are two read-offs of it.  `inv_mod_pe` inverts by
+Gauss-Jordan, which never divides by p.  Determinants over a kernel ring
 `LocalRingCtx` are division-free (Berkowitz); both are exact at full
 working precision.  Matrix products go through the ring's `dot` and
 `matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
@@ -30,32 +31,45 @@ def _val(c, p, cap):
     return v
 
 
-def kernel_log_size(columns, p, e):
-    """log_p of the number of x over Z/p^e with sum_j x_j * columns[j] = 0.
+def _unit_pivots(columns, p, e):
+    """Unit-pivot elimination of integer columns over Z/p^e (Cohen, §2.4).
 
-    Elimination with unit pivots on the columns: a pivot taken after s
-    divisions is the invariant factor p^s and adds s.  When no entry of the
-    remaining block is a unit, the block is divided by p: the shift s grows
-    by one, and the modulus drops to p^(e-s).  Each column left without a
-    pivot adds e."""
-    mod = p ** e
+    Each pivot is the first unit of the remaining block, column by column,
+    and clears its row from the other columns.  When no entry of the block
+    is a unit, the block is divided by p: the division count s grows by one,
+    and the modulus drops to p^(e-s).  A pivot a taken after s divisions is
+    the invariant factor p^s, and a p^s is exact mod p^e.  Returns the
+    product mod p^e of the pivots a, each signed (-1)^(i+j) by its position
+    (i, j) in the remaining block; the sum of their s; and the number of
+    columns left without a pivot."""
+    top_mod = mod = p ** e
     cols = [[c % mod for c in col] for col in columns]
-    size = shift = 0
+    unit, s, shift = 1, 0, 0
     while cols and mod > 1:
         hit = next(((j, i) for j, col in enumerate(cols)
                     for i, c in enumerate(col) if c % p), None)
         if hit is None:
-            shift += 1
+            s += 1
             mod //= p
             cols = [[c // p for c in col] for col in cols]
             continue
         j, i = hit
         top = cols.pop(j)
-        inv = pow(top.pop(i), -1, mod)
+        a = top.pop(i)
+        unit = (-a if (i + j) % 2 else a) * unit % top_mod
+        shift += s
+        inv = pow(a, -1, mod)
         cols = [[(x - f * y) % mod for x, y in zip(col, top)]
                 if (f := col.pop(i) * inv % mod) else col for col in cols]
-        size += shift
-    return size + e * len(cols)
+    return unit, shift, len(cols)
+
+
+def kernel_log_size(columns, p, e):
+    """log_p of the number of x over Z/p^e with sum_j x_j * columns[j] = 0:
+    each pivot of `_unit_pivots` adds its s, each column left without one
+    adds e."""
+    _, shift, left = _unit_pivots(columns, p, e)
+    return shift + e * left
 
 
 def inv_mod_pe(mat, p, e):
@@ -79,32 +93,12 @@ def inv_mod_pe(mat, p, e):
 
 
 def det_mod_pe(mat, p, e):
-    """Determinant mod p^e of an integer matrix, by elimination with unit
-    pivots over Z/p^e (a sign per row the pivot row passes).  A column with
-    no unit is divided by p, and the determinant gains the factor p: the
-    quotient is known mod p^(e-1) only, but p times its determinant needs
-    no more, so the working modulus drops to p^(e-1)."""
-    top_mod = mod = p ** e
-    det = 1
-    rows = [list(row) for row in mat]
-    while rows:
-        k = next((i for i, row in enumerate(rows) if row[0] % p), None)
-        if k is None:
-            if mod == p:
-                return 0
-            mod //= p
-            det *= p
-            for row in rows:
-                row[0] //= p
-            continue
-        top = rows.pop(k)
-        a = top[0]
-        det = (-det if k % 2 else det) * a % top_mod
-        inv = pow(a, -1, mod)
-        rest = top[1:]
-        rows = [[(x - f * y) % mod for x, y in zip(row[1:], rest)]
-                if (f := row[0] * inv % mod) else row[1:] for row in rows]
-    return det % top_mod
+    """Determinant mod p^e of an integer matrix: `_unit_pivots` on its rows
+    (det M = det M^T), the product of the factors a p^s, each exact mod p^e.
+    A row left without a pivot makes it 0 mod p^e."""
+    unit, shift, left = _unit_pivots(mat, p, e)
+    mod = p ** e
+    return 0 if left else unit * pow(p, shift, mod) % mod
 
 
 def det_berkowitz(mat, zero, one):
@@ -193,10 +187,6 @@ def rmat_vec(A, v, ctx):
 
 def rmat_scale(A, s):
     return [[s * a for a in row] for row in A]
-
-
-def rmat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def inv_all(xs):

@@ -80,8 +80,7 @@ class GradedPhiModule:
     def __eq__(self, other):
         return (isinstance(other, GradedPhiModule) and other.ctx is self.ctx
                 and other.ranks == self.ranks
-                and all(linalg.rmat_eq(a, b)
-                        for a, b in zip(self.phi, other.phi)))
+                and other.phi == self.phi)
 
     def serialize(self):
         return {"ranks": list(self.ranks),
@@ -114,7 +113,7 @@ class ModuleMap:
             lhs = linalg.rmat_mul(self.blocks[self.source.succ(k)],
                                   self.source.phi[k], T)
             rhs = linalg.rmat_mul(self.target.phi[k], self.blocks[k], T)
-            if not linalg.rmat_eq(lhs, rhs):
+            if lhs != rhs:
                 return False
         return True
 

@@ -416,13 +416,7 @@ def suite_tensor(cfg, rng, fault):
     # image mod m_T spans the lower-triangular algebra; radical the strict part
     span_rows = []
     rad_rows = []
-    basis = []
-    for a_pow in range(d):
-        for i in range(d):
-            coeffs = [TO.zero] * d
-            coeffs[i] = TO.u_elem ** a_pow
-            basis.append(TO.order_elem(coeffs))
-    for b in basis:
+    for b in TO.milnor_lattice():
         M = TO.embed_l(b)
         span_rows.append([T.residue_of(e) for row in M for e in row])
         Mx = TO.embed_l(TO.x_elem * b)

@@ -155,6 +155,20 @@ class TensorRingCtx:
     def order_random(self, rng):
         return self.order_elem([self.random(rng) for _ in range(self.d)])
 
+    def milnor_lattice(self):
+        """The d^2 elements u^a x^i, a outer and i inner: a basis of the
+        order over 1 (x) T, whose images l(b) mod m_T span the Milnor
+        square's image."""
+        d = self.d
+        out = []
+        for a in range(d):
+            ua = self.u_elem ** a
+            for i in range(d):
+                coeffs = [self.zero] * d
+                coeffs[i] = ua
+                out.append(self.order_elem(coeffs))
+        return out
+
     # -- embedding into M_d(T) and the Milnor square -----------------------
 
     def embed_l(self, z):

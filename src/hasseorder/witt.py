@@ -16,7 +16,7 @@ the final reduction back to R.
 
 The ghost arithmetic runs on L's flat coefficient tuples: a `RingElem` is
 built only where the API hands one out, for the reduced coordinates and
-for `ghost`/`ghost_lift`.  Sums and negatives of ghost components are left
+for `ghost`.  Sums and negatives of ghost components are left
 unreduced until the solve reduces them mod p^K; products go through L's
 kernel product.  Each p-th power is one call of the context's `_pth`
 (`_pth_power`): pow(c, p, p^K) when L has one coefficient, and when L is a
@@ -184,7 +184,7 @@ class WittCtx:
             powers = [pth(y) for y in powers] + [a.coeffs]
             out.append(self._ghost_sum(powers))
         out = tuple(out)
-        v._ghost = (L, out, None)
+        v._ghost = (L, out)
         return out
 
     def _ghost_sum(self, powers):
@@ -193,16 +193,6 @@ class WittCtx:
             return self.lift.zero.coeffs
         mod, pw = self.lift.modulus, self._pw
         return tuple([sum(map(operator.mul, pw, col)) % mod for col in zip(*powers)])
-
-    def ghost_lift(self, v):
-        """Ghost components in the lift ring (exact), as a tuple of elements,
-        kept with the vector like the coefficient tuples they wrap."""
-        gs = self._ghost(v)
-        elems = v._ghost[2]
-        if elems is None:
-            elems = tuple([lr.RingElem(self.lift, g) for g in gs])
-            v._ghost = (self.lift, gs, elems)
-        return elems
 
     def ghost(self, v):
         """Ghost components reduced back into the coefficient ring."""
@@ -236,7 +226,7 @@ class WittVec:
     def __init__(self, ctx, coords):
         self.ctx = ctx
         self.coords = coords
-        self._ghost = None  # (lift ring, ghost tuples in it, their elements)
+        self._ghost = None  # (lift ring, ghost tuples in it)
 
     def _check(self, other):
         if not isinstance(other, WittVec) or other.ctx.ring is not self.ctx.ring \

@@ -96,11 +96,9 @@ def test_embed_is_multiplicative_and_additive():
         S, T, A = make(p=p, d=d, r=r)
         for _ in range(30):
             a, b = A.random(rng), A.random(rng)
-            assert linalg.rmat_eq((a * b).embed(),
-                                  linalg.rmat_mul(a.embed(), b.embed(), T))
-            assert linalg.rmat_eq((a + b).embed(),
-                                  [[u + v for u, v in zip(ra, rb)]
-                                   for ra, rb in zip(a.embed(), b.embed())])
+            assert (a * b).embed() == linalg.rmat_mul(a.embed(), b.embed(), T)
+            assert (a + b).embed() == [[u + v for u, v in zip(ra, rb)]
+                                         for ra, rb in zip(a.embed(), b.embed())]
 
 
 def test_embed_pi_d_spec_matrix():
@@ -309,3 +307,22 @@ def test_full_norm_determinant_against_bareiss_at_d8():
         det = det_bareiss(ints) % S.modulus
         assert linalg.det_mod_pe(ints, S.p, S.e) == det
         assert a.full_norm_trace()[1] == S.from_int(det)
+
+
+def test_det_mod_pe_through_block_divisions_at_d8():
+    """Two 64x64 left-multiplication matrices of mixed d = 8, against Bareiss
+    mod 3^8 and 3^20: a unit of A, and an element of ord_D 1, whose block is
+    left without a unit after 56 pivots (its rank mod 3) and divided by 3
+    once, so each of the last 8 pivots carries a 3 (N(a) has valuation d)."""
+    S, T, A = make(p=3, d=8, r=1)
+    rng = random.Random("det-blocks-d8")
+    ys = [T.random(rng) for _ in range(8)]
+    ys[0], ys[1] = ys[0] * T.uniformizer, T.one + ys[1] * T.uniformizer
+    for a, shift in ((A.elem(0, [T.random(rng) for _ in range(8)]), 0),
+                     (A.elem(0, ys), 8)):
+        assert a.ord() == shift // 8
+        ints = [[x.coeffs[0] for x in row] for row in a._left_mult_matrix()]
+        assert linalg._unit_pivots(ints, 3, 20)[1:] == (shift, 0)
+        det = det_bareiss(ints)
+        for e in (8, 20):
+            assert linalg.det_mod_pe(ints, 3, e) == det % 3 ** e

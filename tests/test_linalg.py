@@ -324,8 +324,8 @@ def test_rmat_inv():
                 break
             except NotInvertibleError:
                 continue
-        assert linalg.rmat_eq(linalg.rmat_mul(M, Mi, T), linalg.rmat_id(T, n))
-        assert linalg.rmat_eq(linalg.rmat_mul(Mi, M, T), linalg.rmat_id(T, n))
+        assert linalg.rmat_mul(M, Mi, T) == linalg.rmat_id(T, n)
+        assert linalg.rmat_mul(Mi, M, T) == linalg.rmat_id(T, n)
 
 
 def random_invertible(T, n, rng):
@@ -345,10 +345,10 @@ def test_solve_rmat_inv_inv_all_against_identity():
             for k in (1, 3):
                 B = [[T.random(rng) for _ in range(k)] for _ in range(n)]
                 X = linalg.solve(M, B, T)
-                assert linalg.rmat_eq(linalg.rmat_mul(M, X, T), B)
+                assert linalg.rmat_mul(M, X, T) == B
             Mi = linalg.rmat_inv(M, T)
-            assert linalg.rmat_eq(linalg.rmat_mul(M, Mi, T), linalg.rmat_id(T, n))
-            assert linalg.rmat_eq(linalg.rmat_mul(Mi, M, T), linalg.rmat_id(T, n))
+            assert linalg.rmat_mul(M, Mi, T) == linalg.rmat_id(T, n)
+            assert linalg.rmat_mul(Mi, M, T) == linalg.rmat_id(T, n)
         units = [x for x in (T.random(rng) for _ in range(12)) if x.is_unit()]
         assert [x * y for x, y in zip(units, linalg.inv_all(units))] == [T.one] * len(units)
         assert linalg.inv_all([]) == []

@@ -130,7 +130,7 @@ def test_adjoint():
             # the map is phi-equivariant by construction (checked in ctor)
             assert al.is_equivariant()
             # restriction to the g-block recovers f: the triangle identity
-            assert linalg.rmat_eq(al.blocks[g], f)
+            assert al.blocks[g] == f
 
 
 def test_equivariance_check_rejects_bad_map():
@@ -180,6 +180,6 @@ def test_split_one_matches_generic_conjugation():
                         assert all(row[0].ord() >= eff for row in Mt[1:])
                         lower = [row[1:] for row in Mt[1:]]
                         assert len(lower) == len(quotient.phi[k])
-                        assert linalg.rmat_eq(lower, quotient.phi[k])
+                        assert lower == quotient.phi[k]
                     current = quotient
                 assert current.ranks == [0] * d

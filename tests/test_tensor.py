@@ -175,7 +175,7 @@ def test_embed_l_extends_da_embed():
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(10):
             a = A.random(rng)
-            assert linalg.rmat_eq(TO.embed_l(TO.order_from_D(a)), a.embed())
+            assert TO.embed_l(TO.order_from_D(a)) == a.embed()
 
 
 def test_embed_l_is_ring_hom():
@@ -184,9 +184,7 @@ def test_embed_l_is_ring_hom():
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(15):
             z, w = TO.order_random(rng), TO.order_random(rng)
-            assert linalg.rmat_eq(
-                TO.embed_l(z * w),
-                linalg.rmat_mul(TO.embed_l(z), TO.embed_l(w), T))
+            assert TO.embed_l(z * w) == linalg.rmat_mul(TO.embed_l(z), TO.embed_l(w), T)
 
 
 def test_milnor_membership_and_roundtrip():
@@ -198,7 +196,7 @@ def test_milnor_membership_and_roundtrip():
             M = TO.embed_l(z)
             assert TO.milnor_member(M)
             back = TO.milnor_preimage(M)
-            assert linalg.rmat_eq(TO.embed_l(back), M)
+            assert TO.embed_l(back) == M
         # a matrix with a unit strictly above the diagonal is not in the image
         if d > 1:
             M = linalg.rmat_id(T, d)
@@ -209,16 +207,18 @@ def test_milnor_membership_and_roundtrip():
 def test_milnor_dimensions():
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
-        span_rows, rad_rows = [], []
+        span_rows, rad_rows, lattice = [], [], []
         for a_pow in range(d):
             for i in range(d):
                 coeffs = [TO.zero] * d
                 coeffs[i] = TO.u_elem ** a_pow
                 b = TO.order_elem(coeffs)
+                lattice.append(b)
                 M = TO.embed_l(b)
                 span_rows.append([T.residue_of(e) for row in M for e in row])
                 Mx = TO.embed_l(TO.x_elem * b)
                 rad_rows.append([T.residue_of(e) for row in Mx for e in row])
+        assert TO.milnor_lattice() == lattice
         assert len(linalg.echelon_basis(span_rows)) == d * (d + 1) // 2
         assert len(linalg.echelon_basis(rad_rows)) == d * (d - 1) // 2
 

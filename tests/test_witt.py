@@ -216,9 +216,10 @@ def test_ghost_components_are_kept_per_lift_ring():
         W1, W2 = witt.WittCtx(3, 3, R), witt.WittCtx(3, 3, R)
         assert W1.lift is not W2.lift
         x, y = W1.random(rng), W2.random(rng)
-        g1 = W1.ghost_lift(x)
-        assert W1.ghost_lift(x) is g1
-        assert all(g.ctx is W2.lift for g in W2.ghost_lift(x))
+        g1 = W1._ghost(x)
+        assert W1._ghost(x) is g1 and x._ghost == (W1.lift, g1)
+        g2 = W2._ghost(x)
+        assert g2 is not g1 and x._ghost == (W2.lift, g2)
         fresh = W2.vec(x.coords)
         assert y + x == y + fresh and y * x == y * fresh
         assert x.frobenius() == W1.vec(x.coords).frobenius()
