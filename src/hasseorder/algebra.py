@@ -84,7 +84,7 @@ class AlgebraCtx:
         the packed columns of sigma^{ri mod d} (LocalRingCtx._skew_kernel)."""
         if self._skew is None:
             d = self.d
-            pack, split, columns, fold = self.T._skew_kernel(d)
+            pack, split, columns, fold = self.T._skew_kernel()
             cols = [columns[self.r * i % d] for i in range(d)]
 
             def twist(z, i):

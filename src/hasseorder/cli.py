@@ -95,10 +95,9 @@ def cmd_eval(args):
     S, T, A, TO = build_contexts(args)
     a = evaluate(A, args.expr)
     trd, nrd = a.trd_nrd()
-    ord_d = a.ord()
     out = {
         "canonical": fmt_delem(a),
-        "ord_D": "inf" if ord_d >= A.ord_cap else ord_d,
+        "ord_D": "inf" if a.is_zero() else a.ord(),
         "Trd": fmt_ring(trd),
         "Nrd": fmt_ring(nrd),
         "embed": [[fmt_ring(e) for e in row] for row in a.embed()],

@@ -317,7 +317,7 @@ class LocalRingCtx:
         self._phis = {}
         self._rel_maps = None
         self._setup_base_embedding()
-        self._skews = {}
+        self._skew = None
         self._verify()
 
     # -- construction internals -------------------------------------------
@@ -527,11 +527,12 @@ class LocalRingCtx:
                 self.m, self.n, self.modulus, self._red, (1 << 8 * width) - 1)
         return kernel
 
-    def _skew_kernel(self, terms):
+    def _skew_kernel(self):
         """(pack, split, columns, fold) for the skew products of
         `algebra.skew_mul` over this ring, which run on packings: each
-        output coefficient sums `terms` products y * sigma^k(z) and folds
-        in the wrap pi * (the sum above x^d) before its one finish.
+        output coefficient sums d products y * sigma^k(z) (d the degree of
+        this ring over its base) and folds in the wrap pi * (the sum above
+        x^d) before its one finish.
 
         sigma^k is Z/p^e-linear, so it acts on a packing: split(a) is the
         packing of the element a (`RingElem._packing`) with its
@@ -545,17 +546,17 @@ class LocalRingCtx:
         fold(lo, hi) is the element lo + pi * hi of two such sums: lo + p*hi
         for n = 1, and for n > 1 hi shifted up one t-slot, after `low`
         drops the slots t^(n-1).. that t * hi truncates (they would spill
-        into the next theta-segment).  The slots hold `terms` times
-        _term_bound, grown by the unreduced operand, m(p^e - 1), and by the
-        fold: the `terms` products of one coefficient split between lo and
-        hi, so lo + p*hi stays below p times their bound, and for n > 1 the
-        shifted hi adds its terms to the slots of lo.
+        into the next theta-segment).  The slots hold d times _term_bound,
+        grown by the unreduced operand, m(p^e - 1), and by the fold: the d
+        products of one coefficient split between lo and hi, so lo + p*hi
+        stays below p times their bound, and for n > 1 the shifted hi adds
+        its terms to the slots of lo.  The kernel is built on first use.
         """
-        kernel = self._skews.get(terms)
+        kernel = self._skew
         if kernel is None:
             f, m, n, mod = self.f, self.m, self.n, self.modulus
             wrap = self.p if n == 1 else 1
-            width = _slot_bytes(terms * self._term_bound * m * (mod - 1) * wrap)
+            width = _slot_bytes(self.d * self._term_bound * m * (mod - 1) * wrap)
             pack, finish = self._slot_kernel(width)
             bits = 8 * width
             seg = bits * (2 * n - 1)  # one theta-degree of a product
@@ -585,7 +586,7 @@ class LocalRingCtx:
                 def fold(lo, hi):
                     c = lo + ((hi & low) << bits)
                     return RingElem(self, finish(c)) if c else zero
-            kernel = self._skews[terms] = (pack, split, columns, fold)
+            kernel = self._skew = (pack, split, columns, fold)
         return kernel
 
     def _packings(self, xs, pack):

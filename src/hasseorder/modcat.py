@@ -6,7 +6,8 @@ Graded pieces are indexed by Frobenius exponents k (g = sigma^k), and phi
 has degree sigma^{-1} for the TWIST generator sigma_r = sigma^r: the block
 phi[k] maps piece k to piece succ(k) = (k - r) mod d.  Because gcd(r, d) = 1
 the d pieces form a single phi-cycle, and the cycle condition phi^d = pi_K
-is the composite around that cycle.
+is the composite around that cycle.  The index arithmetic of the twist
+(succ, x_power, cycle) is read from `TensorRingCtx`.
 """
 
 from __future__ import annotations
@@ -36,17 +37,13 @@ class GradedPhiModule:
         self._passed = None  # (phi snapshot, report) of the last passing validate
         for k in range(ctx.d):
             m = self.phi[k]
-            rows, cols = self.ranks[self.succ(k)], self.ranks[k]
+            rows, cols = self.ranks[ctx.succ(k)], self.ranks[k]
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise ParameterError(f"phi block at g = {k} has wrong shape")
             for row in m:
                 for e in row:
                     if e.ctx is not ctx.T:
                         raise CtxMismatchError("phi entries must lie in T")
-
-    def succ(self, k):
-        """Index of g o sigma_r^{-1}: the target piece of phi out of piece k."""
-        return (k - self.ctx.r) % self.ctx.d
 
     def validate(self):
         """Check the cycle condition phi^d = pi_K * id; per-g residual report.
@@ -110,7 +107,7 @@ class ModuleMap:
         ctx = self.source.ctx
         T = ctx.T
         for k in range(ctx.d):
-            lhs = linalg.rmat_mul(self.blocks[self.source.succ(k)],
+            lhs = linalg.rmat_mul(self.blocks[ctx.succ(k)],
                                   self.source.phi[k], T)
             rhs = linalg.rmat_mul(self.target.phi[k], self.blocks[k], T)
             if lhs != rhs:
@@ -122,13 +119,9 @@ class ModuleMap:
 # standard objects and the F/H equivalence
 
 def standard(ctx: TensorRingCtx, h: int) -> GradedPhiModule:
-    """F(A (x)_S T * e_h): all ranks 1, phi = 1 except pi_K at g = h o sigma_r."""
-    T, d = ctx.T, ctx.d
-    h %= d
-    g0 = (h + ctx.r) % d
-    ranks = [1] * d
-    phi = [[[T.uniformizer if k == g0 else T.one]] for k in range(d)]
-    return GradedPhiModule(ctx, ranks, phi)
+    """F(A (x)_S T * e_h) = ind_{h o sigma_r}(T): all ranks 1, phi = 1 except
+    pi_K out of piece h o sigma_r."""
+    return ind(ctx, h + ctx.r, 1)
 
 
 def direct_sum(mods):
@@ -138,14 +131,15 @@ def direct_sum(mods):
     ranks = [sum(m.ranks[k] for m in mods) for k in range(d)]
     phi = []
     for k in range(d):
-        rows, cols = ranks[mods[0].succ(k)], ranks[k]
+        t = ctx.succ(k)
+        rows, cols = ranks[t], ranks[k]
         M = linalg.rmat_zero(T, rows, cols)
         ro = co = 0
         for m in mods:
             for i, row in enumerate(m.phi[k]):
                 for j, e in enumerate(row):
                     M[ro + i][co + j] = e
-            ro += m.ranks[m.succ(k)]
+            ro += m.ranks[t]
             co += m.ranks[k]
         phi.append(M)
     return GradedPhiModule(ctx, ranks, phi)
@@ -154,7 +148,8 @@ def direct_sum(mods):
 def scramble(module: GradedPhiModule, rng) -> GradedPhiModule:
     """An isomorphic copy of `module`: each graded piece, in order, is
     base-changed by a random invertible T-matrix drawn from rng."""
-    T, d = module.ctx.T, module.ctx.d
+    ctx = module.ctx
+    T, d = ctx.T, ctx.d
 
     def invertible(n):
         while True:
@@ -165,10 +160,10 @@ def scramble(module: GradedPhiModule, rng) -> GradedPhiModule:
                 continue
 
     pairs = [invertible(module.ranks[k]) for k in range(d)]
-    phi = [linalg.rmat_mul(pairs[module.succ(k)][1],
+    phi = [linalg.rmat_mul(pairs[ctx.succ(k)][1],
                            linalg.rmat_mul(module.phi[k], pairs[k][0], T), T)
            for k in range(d)]
-    return GradedPhiModule(module.ctx, module.ranks, phi)
+    return GradedPhiModule(ctx, module.ranks, phi)
 
 
 def H(module: GradedPhiModule):
@@ -188,7 +183,7 @@ def H(module: GradedPhiModule):
         e_mats.append(E)
     X = linalg.rmat_zero(T, n, n)
     for k in range(d):
-        t = module.succ(k)
+        t = ctx.succ(k)
         for i, row in enumerate(module.phi[k]):
             for j, e in enumerate(row):
                 X[offs[t] + i][offs[k] + j] = e
@@ -208,19 +203,11 @@ def F(om) -> GradedPhiModule:
     seen = set()
     for k in range(d):
         E = om["e"][k]
-        idx = []
-        for i in range(n):
-            for j in range(n):
-                e = E[i][j]
-                if i == j:
-                    if e == T.one:
-                        idx.append(i)
-                    elif not e.is_zero():
-                        raise RepresentationError(
-                            "e_g matrices must be 0/1 diagonal projections")
-                elif not e.is_zero():
-                    raise RepresentationError(
-                        "e_g matrices must be 0/1 diagonal projections")
+        idx = [i for i in range(n) if E[i][i] == T.one]
+        if any(not E[i][j].is_zero() for i in range(n) for j in range(n)
+               if i != j or i not in idx):
+            raise RepresentationError(
+                "e_g matrices must be 0/1 diagonal projections")
         if seen & set(idx):
             raise RepresentationError("e_g projections are not orthogonal")
         seen |= set(idx)
@@ -231,18 +218,12 @@ def F(om) -> GradedPhiModule:
     ranks = [len(b) for b in blocks]
     phi = []
     for k in range(d):
-        t = (k - ctx.r) % d
-        rows = blocks[t]
-        M = [[X[i][j] for j in blocks[k]] for i in rows]
-        allowed = set(rows)
-        for i in range(n):
-            if i in allowed:
-                continue
-            for j in blocks[k]:
-                if not X[i][j].is_zero():
-                    raise RepresentationError(
-                        "x-action does not shift degree by sigma_r^{-1}")
-        phi.append(M)
+        rows = blocks[ctx.succ(k)]
+        if any(not X[i][j].is_zero() for i in set(range(n)) - set(rows)
+               for j in blocks[k]):
+            raise RepresentationError(
+                "x-action does not shift degree by sigma_r^{-1}")
+        phi.append([[X[i][j] for j in blocks[k]] for i in rows])
     return GradedPhiModule(ctx, ranks, phi)
 
 
@@ -272,14 +253,14 @@ def deg(module: GradedPhiModule, g: int) -> int:
 
 def phi_composite(module: GradedPhiModule, start: int, steps: int):
     """The composite of `steps` phi-maps out of piece `start`."""
-    T = module.ctx.T
+    ctx = module.ctx
     if steps == 0:
-        return linalg.rmat_id(T, module.ranks[start])
+        return linalg.rmat_id(ctx.T, module.ranks[start])
     M = module.phi[start]
-    cur = module.succ(start)
+    cur = ctx.succ(start)
     for _ in range(steps - 1):
-        M = linalg.rmat_mul(module.phi[cur], M, T)
-        cur = module.succ(cur)
+        M = linalg.rmat_mul(module.phi[cur], M, ctx.T)
+        cur = ctx.succ(cur)
     return M
 
 
@@ -293,10 +274,8 @@ def adjoint(module: GradedPhiModule, g: int, f) -> ModuleMap:
     if any(len(row) != module.ranks[g] for row in f):
         raise ParameterError("adjoint argument must be a map out of deg_g")
     target = ind(ctx, g, q)
-    blocks = []
-    for h in range(d):
-        i = ((h - g) * ctx.r_inv) % d if d > 1 else 0
-        blocks.append(linalg.rmat_mul(f, phi_composite(module, h, i), T))
+    blocks = [linalg.rmat_mul(f, phi_composite(module, h, ctx.x_power(g, h)), T)
+              for h in range(d)]
     return ModuleMap(module, target, blocks)
 
 
@@ -357,8 +336,7 @@ def _split_one(module: GradedPhiModule, rule):
     T, d = ctx.T, ctx.d
     prec = T.prec
     size = module.ranks[0]
-    # pieces visited by the phi-orbit out of piece 1 (index 0)
-    cycle = [(-ctx.r * j) % d for j in range(d)]
+    cycle = ctx.cycle  # pieces visited by the phi-orbit out of piece 1
 
     def orbit(b):
         x = [T.one if i == b else T.zero for i in range(size)]
@@ -406,7 +384,7 @@ def _split_one(module: GradedPhiModule, rule):
                               "cokernel length 1")
     j0 = ords.index(1)
     g0 = cycle[j0]            # source piece of the non-iso, g0 = h o sigma_r
-    label = (g0 - ctx.r) % d  # the standard's label h
+    label = ctx.succ(g0)      # the standard's label h
 
     # basis[k] is the identity with column units[j] replaced by sat[j],
     # moved to the front.  With s, u, v = sat, unit slot and s[u]^{-1} at

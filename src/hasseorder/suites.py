@@ -223,6 +223,7 @@ def suite_witt(cfg, rng, fault):
     for dd in (2, 3):
         T = lr.unramified(lr.base_ring(p, cfg["f"], 4, cfg["mode"]), dd)
         Sd = T.base
+        klog = _fixed_log_size(T)
         for n in (2, 3):
             W = wmod.WittCtx(p, n, T)
             WS = wmod.WittCtx(p, n, Sd)
@@ -234,7 +235,6 @@ def suite_witt(cfg, rng, fault):
                 fe = emb.frobenius()
                 rec.check_eq(f"galois-F-equivariant d={dd} n={n}", fe,
                              fe.map_coords(lambda c: T.frobenius(c, 1)))
-            klog = _fixed_log_size(T)
             # coordinatewise action: fixed set size is (size of S)^n
             rec.check(f"galois-rank d={dd} n={n}", n * klog == n * cfg["f"] * 4,
                       n * cfg["f"] * 4, n * klog)

@@ -37,11 +37,11 @@ class TensorRingCtx:
         d = T.d
         check_twist(d, r)
         self.T = T
-        self.S = T.base if T.base is not None else T
         self.d = d
         self.r = r
-        self.r_inv = pow(r, -1, d) if d > 1 else 0
-        self.prec = T.prec
+        self.r_inv = pow(r, -1, d)  # 0 at d = 1
+        # the pieces a phi-orbit (x-orbit) visits out of piece 0
+        self.cycle = [(-r * j) % d for j in range(d)]
         self.roots = [T.frobenius(T.gen, k) for k in range(d)]
         # G(u) = prod (u - sigma^k(theta)), monic of degree d, coefficients
         # Galois-invariant (they lie in the embedded S)
@@ -75,6 +75,16 @@ class TensorRingCtx:
                                                    for j in range(d)))
                             for k in range(d)]
         self.piK = self.right(T.uniformizer)
+
+    # -- the twist's index arithmetic --------------------------------------
+
+    def succ(self, k):
+        """Index of g o sigma_r^{-1}, g = sigma^k: where x (and phi) moves k."""
+        return (k - self.r) % self.d
+
+    def x_power(self, g, h):
+        """The only i < d with e_g x^i e_h != 0: g = h o sigma_r^{-i}."""
+        return ((h - g) * self.r_inv) % self.d
 
     # -- T (x)_S T elements ------------------------------------------------
 
@@ -132,14 +142,14 @@ class TensorRingCtx:
     @property
     def x_elem(self):
         """pi_D (x) 1."""
-        if self.d == 1:
-            return self.order_scalar(self.piK)
-        coeffs = [self.zero] * self.d
-        coeffs[1] = self.one
-        return self.order_elem(coeffs)
+        return self.x_pow(1)
 
     def x_pow(self, i):
-        return self.x_elem ** i
+        """x^i = (pi_K^q (x) 1) x^s with i = q d + s, 0 <= s < d."""
+        q, s = divmod(i, self.d)
+        coeffs = [self.zero] * self.d
+        coeffs[s] = self.right(self.T.uniformizer ** q)
+        return self.order_elem(coeffs)
 
     def order_from_D(self, a):
         """A -> A (x)_S T, y_i x^i -> (y_i (x) 1) x^i; requires a in A."""
@@ -179,11 +189,11 @@ class TensorRingCtx:
         """
         T, d = self.T, self.d
         piK = T.uniformizer
-        comps = [c.components() for c in z.coeffs]
+        comps = [c.parts for c in z.parts]
         out = []
         for j in range(d):
             row = []
-            gidx = (-self.r * j) % d
+            gidx = self.cycle[j]
             for s in range(d):
                 i = (j - s) % d
                 entry = comps[i][gidx]
@@ -221,15 +231,12 @@ class TensorRingCtx:
                 entry = M[j][s]
                 if (i + s) // d:
                     entry = entry.shift_down(1)
-                comps[(-self.r * j) % d] = entry
+                comps[self.cycle[j]] = entry
             coeffs.append(self.from_components(comps))
         z = self.order_elem(coeffs)
-        got = self.embed_l(z)
-        for j in range(d):
-            for s in range(d):
-                if got[j][s] != M[j][s]:
-                    raise InternalError("Milnor preimage failed to re-embed; "
-                                        "contradicts the cartesian square")
+        if self.embed_l(z) != M:
+            raise InternalError("Milnor preimage failed to re-embed; "
+                                "contradicts the cartesian square")
         return z
 
     # -- Peirce pieces -----------------------------------------------------
@@ -238,73 +245,84 @@ class TensorRingCtx:
         """The piece e_g (A (x)_S T) e_h = T * (e_g x^i) with g = h o s^{-i},
         s = sigma^r; reports the cokernel of left multiplication by
         (pi_D (x) 1) into the (g o s^{-1}, h) piece."""
-        g %= self.d
-        h %= self.d
-        i = ((h - g) * self.r_inv) % self.d if self.d > 1 else 0
+        g, h = g % self.d, h % self.d
+        i = self.x_power(g, h)
         gen = self.order_idempotent(g) * self.x_pow(i) * self.order_idempotent(h)
         # honest scalar comparison: x * gen against the target generator
-        tgt_g = (g - self.r) % self.d
-        i2 = ((h - tgt_g) * self.r_inv) % self.d if self.d > 1 else 0
+        tgt_g = self.succ(g)
+        i2 = self.x_power(tgt_g, h)
         tgt = (self.order_idempotent(tgt_g) * self.x_pow(i2)
                * self.order_idempotent(h))
         prod = self.x_elem * gen
         lam = self.T.uniformizer if i2 == (i + 1) - self.d else self.T.one
-        scaled = self.order_elem([self.right(lam) * c for c in tgt.coeffs])
+        scaled = self.order_elem([self.right(lam) * c for c in tgt.parts])
         if prod != scaled:
             raise InternalError("Peirce transition scalar mismatch")
         return {"generator": gen, "i": i, "target": (tgt_g, h),
                 "cokernel_length": lam.ord()}
 
 
-class TensorElem:
-    """Element of T (x)_S T: its Galois components (w_{sigma^k}(z))_k."""
+class _Parts:
+    """An element stored as a tuple of parts that add, subtract, negate and
+    compare part by part: the components of T (x)_S T, the x-coefficients
+    of A (x)_S T."""
 
-    __slots__ = ("ctx", "comps")
+    __slots__ = ("ctx", "parts")
 
-    def __init__(self, ctx, comps):
+    def __init__(self, ctx, parts):
         self.ctx = ctx
-        self.comps = comps
+        self.parts = parts
 
     def _check(self, other):
-        if not isinstance(other, TensorElem) or other.ctx is not self.ctx:
+        if type(other) is not type(self) or other.ctx is not self.ctx:
             raise CtxMismatchError("operands from different tensor contexts")
 
     def __add__(self, other):
         self._check(other)
-        return TensorElem(self.ctx, tuple(a + b for a, b in
-                                          zip(self.comps, other.comps)))
+        return type(self)(self.ctx, tuple(a + b for a, b in
+                                          zip(self.parts, other.parts)))
 
     def __sub__(self, other):
         self._check(other)
-        return TensorElem(self.ctx, tuple(a - b for a, b in
-                                          zip(self.comps, other.comps)))
+        return type(self)(self.ctx, tuple(a - b for a, b in
+                                          zip(self.parts, other.parts)))
 
     def __neg__(self):
-        return TensorElem(self.ctx, tuple(-a for a in self.comps))
+        return type(self)(self.ctx, tuple(-a for a in self.parts))
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.parts)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.ctx is self.ctx
+                and other.parts == self.parts)
+
+
+class TensorElem(_Parts):
+    """Element of T (x)_S T: its Galois components (w_{sigma^k}(z))_k."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         self._check(other)
         return TensorElem(self.ctx, tuple(a * b for a, b in
-                                          zip(self.comps, other.comps)))
+                                          zip(self.parts, other.parts)))
 
     def __pow__(self, e):
         return power(self, e, self.ctx.one)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
     def components(self):
         """(w_{sigma^k}(z))_k."""
-        return self.comps
+        return self.parts
 
     def u_coeffs(self):
         """The coefficients of z in the u-basis T[u]/(G)."""
-        return linalg.rmat_vec(self.ctx._to_u, self.comps, self.ctx.T)
+        return linalg.rmat_vec(self.ctx._to_u, self.parts, self.ctx.T)
 
     def sigma_left(self, j=1):
         """(sigma (x) id)^j: permutes w-components by g -> g o sigma^{-1}."""
         j %= self.ctx.d
-        return TensorElem(self.ctx, self.comps[j:] + self.comps[:j])
+        return TensorElem(self.ctx, self.parts[j:] + self.parts[:j])
 
     def sigma_right(self, j=1):
         """(id (x) sigma)^j: component g becomes sigma^j of component
@@ -312,11 +330,7 @@ class TensorElem:
         ctx = self.ctx
         k = -j % ctx.d
         return TensorElem(ctx, tuple(ctx.T.frobenius(c, j) for c in
-                                     self.comps[k:] + self.comps[:k]))
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElem) and other.ctx is self.ctx
-                and other.comps == self.comps)
+                                     self.parts[k:] + self.parts[:k]))
 
     def __repr__(self):
         return f"Tensor{self.serialize()}"
@@ -326,31 +340,11 @@ class TensorElem:
         return [c.serialize() for c in self.u_coeffs()]
 
 
-class TensorOrderElem:
-    """Element of A (x)_S T = (T (x)_S T)^{sigma_r (x) id}{x}/(x^d - pi_K)."""
+class TensorOrderElem(_Parts):
+    """Element of A (x)_S T = (T (x)_S T)^{sigma_r (x) id}{x}/(x^d - pi_K):
+    its x-coefficients in T (x)_S T."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if not isinstance(other, TensorOrderElem) or other.ctx is not self.ctx:
-            raise CtxMismatchError("operands from different tensor contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorOrderElem(self.ctx, tuple(a + b for a, b in
-                                               zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorOrderElem(self.ctx, tuple(a - b for a, b in
-                                               zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return TensorOrderElem(self.ctx, tuple(-a for a in self.coeffs))
+    __slots__ = ()
 
     def __mul__(self, other):
         """One skew product (algebra.skew_mul) per Galois component g: the
@@ -358,9 +352,9 @@ class TensorOrderElem:
         component is packed at most once (`RingElem._packing`)."""
         self._check(other)
         ctx = self.ctx
-        pack, _, _, fold = ctx.T._skew_kernel(ctx.d)
-        ys = [[c._packing(pack) for c in y.comps] for y in self.coeffs]
-        zs = [[c._packing(pack) for c in z.comps] for z in other.coeffs]
+        pack, _, _, fold = ctx.T._skew_kernel()
+        ys = [[c._packing(pack) for c in y.parts] for y in self.parts]
+        zs = [[c._packing(pack) for c in z.parts] for z in other.parts]
         lanes = [skew_mul([y[g] for y in ys], zs,
                           lambda z, i, rot=rot: z[rot[i]], fold)
                  for g, rot in enumerate(ctx._lanes)]
@@ -370,18 +364,11 @@ class TensorOrderElem:
     def __pow__(self, e):
         return power(self, e, self.ctx.order_one)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorOrderElem) and other.ctx is self.ctx
-                and other.coeffs == self.coeffs)
-
     def __repr__(self):
         return f"Order{self.serialize()}"
 
     def serialize(self):
-        return [c.serialize() for c in self.coeffs]
+        return [c.serialize() for c in self.parts]
 
 
 def make(T: LocalRingCtx, r: int) -> TensorRingCtx:

@@ -54,6 +54,15 @@ def test_eval_json_output(capsys):
     assert data["ord_D"] == 1
 
 
+def test_eval_ord_d_past_the_precision_is_finite(capsys):
+    # pK^5 is nonzero at N = 4 (it is stored as a shift), so ord_D = 2 * 5;
+    # only the zero element reads "inf"
+    for expr, want in (("pK^5", 10), ("pK^4 - pK^4", "inf")):
+        code, out, _ = run(capsys, "--N", "4", "--output", "json", "eval", expr)
+        assert code == 0
+        assert json.loads(out)["ord_D"] == want
+
+
 def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "3 + $")
     assert code == 2

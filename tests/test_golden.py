@@ -24,6 +24,8 @@ from hasseorder.errors import NotInvertibleError
 
 FLAGS = ["--p", "3", "--f", "1", "--r", "1", "--N", "8", "--seed", "0"]
 VERIFY = ["--output", "json", "verify"]
+MIXED_P5 = ["--p", "5", "--f", "1", "--d", "3", "--r", "2", "--N", "8", "--seed", "0",
+            "--mode", "mixed"]
 
 # name -> (argv, SHA-256 of the output)
 GOLDEN = {
@@ -48,6 +50,18 @@ GOLDEN = {
         ["--p", "5", "--f", "2", "--d", "3", "--r", "1", "--N", "8", "--mode", "equal",
          "--output", "json", "eval", "(2 + th*x)*(1 - 3*th^2*x^2) + 4*t*x"],
         "0e76e84b0f4a3e7a0a57b1ace675cd17b4fa1f78098e35f13fa5fa79ab9125b2"),
+    "dump-peirce-equal-d4": (
+        FLAGS + ["--d", "4", "--mode", "equal", "dump", "peirce"],
+        "cf3de1a57639acf8ca981c7354d63064c6abdacf000b0ca108c0cabaa2309fab"),
+    "dump-idempotents-equal-d4": (
+        FLAGS + ["--d", "4", "--mode", "equal", "dump", "idempotents"],
+        "3058586f235cd6c754ed47955aa65fe9359765785aa10737b9d85076ea5578e0"),
+    "dump-peirce-mixed-p5-d3": (
+        MIXED_P5 + ["dump", "peirce"],
+        "82af3331dd08185793ff2ef5111e2a0c2cea3199758d0b5e08dd03a82fe0ef92"),
+    "dump-idempotents-mixed-p5-d3": (
+        MIXED_P5 + ["dump", "idempotents"],
+        "1241d02c92c5f29257e92a9cd21437ecc103d5bb24945301a4abf160af8ddb3c"),
 }
 
 

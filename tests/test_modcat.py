@@ -4,7 +4,7 @@ import pytest
 
 from hasseorder import algebra, linalg, modcat, tensor
 from hasseorder import localring as lr
-from hasseorder.errors import ParameterError, ValidationError
+from hasseorder.errors import ParameterError, RepresentationError, ValidationError
 
 
 def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
@@ -16,6 +16,18 @@ def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
 
 CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED),
            (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL))
+
+
+def test_standard_is_the_hand_built_module():
+    # F(A (x)_S T e_h): ranks 1, phi = 1 except pi_K out of piece (h + r) mod d
+    for (p, d, r, mode) in CONFIGS + ((3, 1, 0, lr.MIXED),):
+        S, T, TO = make(p=p, d=d, r=r, mode=mode)
+        for h in range(-1, d + 1):
+            g0 = (h + TO.r) % d
+            want = modcat.GradedPhiModule(
+                TO, [1] * d, [[[T.uniformizer if k == g0 else T.one]] for k in range(d)])
+            assert modcat.standard(TO, h) == want
+            assert modcat.standard(TO, h).serialize() == want.serialize()
 
 
 def test_standard_validates():
@@ -49,6 +61,27 @@ def test_fh_roundtrip():
             mod = modcat.scramble(modcat.direct_sum(
                 [modcat.standard(TO, h) for h in labels]), rng)
             assert modcat.F(modcat.H(mod)) == mod
+
+
+def test_f_rejects_bad_presentations():
+    S, T, TO = make()
+    om = modcat.H(modcat.direct_sum([modcat.standard(TO, h) for h in (0, 1)]))
+
+    def broken(key, k, i, j, value):
+        out = dict(om, e=[[row[:] for row in E] for E in om["e"]],
+                   x=[row[:] for row in om["x"]])
+        M = out["x"] if key == "x" else out["e"][k]
+        M[i][j] = value
+        return out
+
+    two = T.from_int(2)
+    for bad, msg in ((broken("e", 0, 0, 1, T.one), "0/1 diagonal"),
+                     (broken("e", 0, 0, 0, two), "0/1 diagonal"),
+                     (broken("e", 1, 0, 0, T.one), "not orthogonal"),
+                     (broken("e", 0, 0, 0, T.zero), "sum to the identity"),
+                     (broken("x", 0, 0, 0, T.one), "shift degree")):
+        with pytest.raises(RepresentationError, match=msg):
+            modcat.F(bad)
 
 
 def test_decompose_recovers_labels():
@@ -116,7 +149,8 @@ def test_deg_ind_and_ranks():
 
 def test_adjoint():
     rng = random.Random(2)
-    for (p, d, r, mode) in CONFIGS[:3]:
+    # d = 5, r = 2: the one config where r^{-1} mod d differs from r
+    for (p, d, r, mode) in CONFIGS[:3] + ((3, 5, 2, lr.MIXED),):
         S, T, TO = make(p=p, d=d, r=r, mode=mode)
         for _ in range(10):
             labels = [rng.randrange(d) for _ in range(rng.randrange(1, 3))]
@@ -171,7 +205,7 @@ def test_split_one_matches_generic_conjugation():
                     eff = T.prec - quotient.slack
                     basis = step["basis"]
                     for k in range(d):
-                        t = current.succ(k)
+                        t = TO.succ(k)
                         Mt = linalg.rmat_mul(
                             linalg.rmat_inv(basis[t], T),
                             linalg.rmat_mul(current.phi[k], basis[k], T), T)

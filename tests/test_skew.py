@@ -56,9 +56,9 @@ def order_oracle(z, w):
     def dot(xs, ys):
         if not xs:
             return TO.zero
-        return TensorElem(TO, tuple(map(TO.T.dot, zip(*[x.comps for x in xs]),
-                                        zip(*[y.comps for y in ys]))))
-    return TO.order_elem(skew_mul_oracle(z.coeffs, w.coeffs, TensorElem.sigma_left,
+        return TensorElem(TO, tuple(map(TO.T.dot, zip(*[x.parts for x in xs]),
+                                        zip(*[y.parts for y in ys]))))
+    return TO.order_elem(skew_mul_oracle(z.parts, w.parts, TensorElem.sigma_left,
                                          TO.r, dot, TO.piK.__mul__))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from hasseorder import algebra, linalg, tensor
 from hasseorder import localring as lr
-from hasseorder.errors import ParameterError
+from hasseorder.errors import CtxMismatchError, ParameterError
 from hasseorder.suites import u_eval, u_mul, u_sigma_left
 
 
@@ -155,6 +155,47 @@ def test_order_relations():
         for h in range(d):
             assert TO.x_elem * TO.order_idempotent(h) == \
                 TO.order_idempotent((h - TO.r) % d) * TO.x_elem
+
+
+def test_x_pow_matches_the_product_form():
+    # x^i built directly as (pi_K^q (x) 1) x^s against the power of x_elem
+    for (p, d, r, mode) in CONFIGS:
+        S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
+        x = TO.x_elem
+        for i in range(2 * d + 1):
+            want = x ** i
+            assert TO.x_pow(i) == want
+            assert TO.x_pow(i).serialize() == want.serialize()
+
+
+def test_x_power_is_the_only_nonzero_peirce_exponent():
+    # at d = 5, r = 2 the inverse r^{-1} = 3 differs from r; at every d in
+    # CONFIGS each twist is its own inverse mod d
+    for (p, d, r, mode) in CONFIGS + ((3, 5, 2, lr.MIXED),):
+        S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
+        for g in range(d):
+            for h in range(d):
+                nonzero = [i for i in range(d) if not (
+                    TO.order_idempotent(g) * TO.x_pow(i)
+                    * TO.order_idempotent(h)).is_zero()]
+                assert nonzero == [TO.x_power(g, h)]
+
+
+def test_componentwise_laws_and_mixing():
+    rng = random.Random(3)
+    for (p, d, r, mode) in CONFIGS:
+        S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
+        for z in (TO.random(rng), TO.order_random(rng)):
+            assert (z - z).is_zero()
+            assert (z + -z).is_zero()
+            assert -(-z) == z
+        z, w = TO.random(rng), TO.order_random(rng)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(CtxMismatchError):
+                op(z, w)
+            with pytest.raises(CtxMismatchError):
+                op(w, z)
+        assert z != w
 
 
 def test_embedding_compatible_with_algebra():
