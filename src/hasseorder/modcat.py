@@ -203,15 +203,15 @@ def F(om) -> GradedPhiModule:
     seen = set()
     for k in range(d):
         E = om["e"][k]
-        idx = [i for i in range(n) if E[i][i] == T.one]
+        idx = {i for i in range(n) if E[i][i] == T.one}
         if any(not E[i][j].is_zero() for i in range(n) for j in range(n)
                if i != j or i not in idx):
             raise RepresentationError(
                 "e_g matrices must be 0/1 diagonal projections")
-        if seen & set(idx):
+        if seen & idx:
             raise RepresentationError("e_g projections are not orthogonal")
-        seen |= set(idx)
-        blocks.append(idx)
+        seen |= idx
+        blocks.append(sorted(idx))
     if len(seen) != n:
         raise RepresentationError("e_g projections do not sum to the identity")
     X = om["x"]

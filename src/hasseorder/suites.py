@@ -398,7 +398,7 @@ def suite_tensor(cfg, rng, fault):
                      [e.sigma_right(1).u_coeffs(),
                       [T.frobenius(c, 1) for c in us[k]]])
     # order relations and embedding
-    rec.check_eq("x^d=piK", TO.order_scalar(TO.right(T.uniformizer)), TO.x_pow(d))
+    rec.check_eq("x^d=piK", TO.order_scalar(TO.right(T.uniformizer)), TO.x_elem ** d)
     for h in range(d):
         rec.check_eq("x-past-e", TO.order_idempotent((h - TO.r) % d) * TO.x_elem,
                      TO.x_elem * TO.order_idempotent(h))

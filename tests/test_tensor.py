@@ -150,7 +150,7 @@ def test_order_relations():
     for (p, d, r, mode) in CONFIGS:
         S, T, A, TO = make(p=p, d=d, r=r, mode=mode)
         # (pi_D (x) 1)^d = pi_K (x) 1
-        assert TO.x_pow(d) == TO.order_scalar(TO.right(T.uniformizer))
+        assert TO.x_elem ** d == TO.order_scalar(TO.right(T.uniformizer))
         # (pi_D (x) 1) e_h = (sigma_r (x) 1)(e_h) (pi_D (x) 1)
         for h in range(d):
             assert TO.x_elem * TO.order_idempotent(h) == \
