@@ -61,6 +61,21 @@ def skew_mul(ys, zs, twist, fold):
     return [fold(acc[s], acc[s + d]) for s in range(d)]
 
 
+def embed_matrix(d, entry):
+    """The d x d matrix of a left multiplication in the right basis
+    (pi_D^s): entry (j, s) is entry(i, j, w), where x^i with
+    i = (j - s) mod d carries pi_D^s to pi_D^j, and w = (i + s) // d is 1
+    when that passes pi_D^d = pi_K (the position is above the diagonal)."""
+    out = []
+    for j in range(d):
+        row = []
+        for s in range(d):
+            i = (j - s) % d
+            row.append(entry(i, j, (i + s) // d))
+        out.append(row)
+    return out
+
+
 class AlgebraCtx:
     """The order A inside D = T^{sigma_r}{x}/(x^d - pi_K)."""
 
@@ -72,9 +87,6 @@ class AlgebraCtx:
         self.d = d
         self.r = r
         self.prec = T.prec
-        # convention flag: sigma_twist = (q-power Frobenius)^r, so the Hasse
-        # invariant label attached to this ctx is r/d
-        self.hasse_invariant = (r, d)
         self.ord_cap = d * T.prec
         self._skew = None
 
@@ -200,16 +212,18 @@ class DElem:
                                         for i, c in enumerate(self.coeffs)
                                         if not c.is_zero())
 
-    def _left_div_x(self):
-        """Exact pi_D^{-1} * self; requires ord_D >= 1 (no precision loss)."""
+    def _unit_part(self):
+        """(v, u) with self = pi_D^v * u, v = ord_D and u a unit of A (shift
+        0): pi_D is divided off on the left one exact step at a time,
+        pi_D^{-1} * sum y_i x^i = sum sigma_r^{-1}(y_{i+1}) x^i with
+        y_d = y_0 / pi_K, and the remaining pi_K-power last."""
         ctx = self.ctx
         T, d, r = ctx.T, ctx.d, ctx.r
-        y0 = self.coeffs[0]
-        if not y0.is_zero() and y0.ord() < 1:
-            raise PrecisionError("left division by pi_D needs ord_D >= 1")
-        out = [T.frobenius(c, -r) for c in self.coeffs[1:]]
-        out.append(T.frobenius(y0.shift_down(1), -r))
-        return DElem(ctx, self.shift, tuple(out))
+        v = self.ord()
+        ys = self.coeffs
+        for _ in range(v % d):
+            ys = [T.frobenius(c, -r) for c in (*ys[1:], ys[0].shift_down(1))]
+        return v, DElem(ctx, 0, tuple(c.shift_down(v // d - self.shift) for c in ys))
 
     def sigma_conj(self, k: int = 1):
         """Exact conjugation pi_D^k * self * pi_D^{-k} = sum sigma_r^k(y_i) x^i."""
@@ -227,17 +241,11 @@ class DElem:
         ctx = self.ctx
         if self.is_zero():
             raise NotInvertibleError("inverse of 0 in D", ord=None)
-        v = self.ord()
+        # self = pi_D^v * u with u a unit, so self^{-1} = u^{-1} * pi_D^{-v}
+        v, u = self._unit_part()
         if v > ctx.d * (ctx.prec - 2):
             raise PrecisionError(
                 f"ord_D = {v} leaves no precision margin for inversion")
-        # peel pi_D off on the left exactly: self = pi_D^v * u with u a unit,
-        # so self^{-1} = u^{-1} * pi_D^{-v}
-        u = DElem(ctx, 0, self.coeffs)
-        for _ in range(v % ctx.d):
-            u = u._left_div_x()
-        u = DElem(ctx, 0, tuple(c.shift_down(v // ctx.d - self.shift)
-                                for c in u.coeffs))
         if u.ord() != 0:
             raise InternalError("unit part of inversion input is not a unit")
         T = ctx.T
@@ -251,44 +259,32 @@ class DElem:
     def conjugate_by(self, pi):
         """pi * self * pi^{-1}: an ord-preserving ring automorphism of D.
 
-        Decomposed as pi = u * pi_D^v with u a unit, so the pi_D^v part acts
-        by the exact twist formula and only the unit part needs arithmetic.
+        Decomposed as pi = pi_D^v * u with u a unit (`_unit_part`), so only
+        the unit part needs arithmetic and the pi_D^v part acts by the exact
+        twist formula: pi * self * pi^{-1} = (u * self * u^{-1}).sigma_conj(v).
         """
         self._check(pi)
-        ctx = self.ctx
         if pi.is_zero():
             raise NotInvertibleError("conjugation by 0", ord=None)
-        v = pi.ord()
-        b = self.sigma_conj(v)
-        u = pi * ctx.pi_D_pow(-v)
-        if u == ctx.one:
-            return b
-        return u * b * u.inv()
+        v, u = pi._unit_part()
+        if u == self.ctx.one:
+            return self.sigma_conj(v)
+        return (u * self * u.inv()).sigma_conj(v)
 
     # -- embedding, reduced and full norm/trace ---------------------------
 
     def embed(self):
         """Matrix of left multiplication by a on D as a right T-module in
-        basis (pi_D^s).
-
-        Entry (j, s) = pi_K^{floor((i+s)/d) + shift} * sigma_r^{-j}(y_i)
-        with i = (j - s) mod d.
+        basis (pi_D^s): entry (j, s) = pi_K^{w + shift} * sigma_r^{-j}(y_i)
+        at the position (i, w) of `embed_matrix`.
         """
         ctx = self.ctx
-        d, T = ctx.d, ctx.T
-        out = []
-        for j in range(d):
-            row = []
-            for s in range(d):
-                i = (j - s) % d
-                y = self.coeffs[i]
-                if y.is_zero():
-                    row.append(T.zero)
-                    continue
-                e = (i + s) // d + self.shift
-                row.append(T.frobenius(y, -ctx.r * j).shift_down(-e))
-            out.append(row)
-        return out
+        T, r, ys, shift = ctx.T, ctx.r, self.coeffs, self.shift
+
+        def entry(i, j, w):
+            y = ys[i]
+            return T.zero if y.is_zero() else T.frobenius(y, -r * j).shift_down(-w - shift)
+        return embed_matrix(ctx.d, entry)
 
     def trd_nrd(self):
         """Reduced trace and norm in S: trace and determinant of embed()."""

@@ -156,12 +156,8 @@ def _dump_peirce(S, T, A, TO):
 
 
 def _dump_milnor_basis(S, T, A, TO):
-    rows = []
-    for b in TO.milnor_lattice():
-        M = TO.embed_l(b)
-        rows.append([T.residue_of(e) for row in M for e in row])
     # an actual basis over k_T of the image mod m_T
-    basis = linalg.echelon_basis(rows)
+    basis = linalg.echelon_basis(TO.residue_rows(TO.milnor_lattice()))
     return {"dimension_kT": len(basis), "dimension_Fp": len(basis) * T.m,
             "basis": [[c.serialize() for c in v] for v in basis]}
 

@@ -457,6 +457,8 @@ class LocalRingCtx:
 
     def frobenius_p(self, x, k=1):
         """Absolute p-power Frobenius lift phi^(k mod m), fixing t."""
+        if x.ctx is not self:
+            raise CtxMismatchError("element does not belong to this ring")
         k %= self.m
         if k == 0:
             return x
@@ -476,6 +478,8 @@ class LocalRingCtx:
 
         Raises InternalError when x does not lie in the embedded image.
         """
+        if x.ctx is not self:
+            raise CtxMismatchError("element does not belong to this ring")
         base = self.base
         if base is None:
             return x
@@ -486,6 +490,8 @@ class LocalRingCtx:
 
     def rel_coords(self, x):
         """Coordinates of x in the S-basis (theta^j)_{j<d}: list of d base elements."""
+        if x.ctx is not self:
+            raise CtxMismatchError("element does not belong to this ring")
         base = self.base
         if base is None:
             return [x]
@@ -631,6 +637,8 @@ class LocalRingCtx:
     # -- residue field and Teichmueller section ----------------------------
 
     def residue_of(self, x):
+        if x.ctx is not self:
+            raise CtxMismatchError("element does not belong to this ring")
         return self.residue.from_vec(x.coeffs[:self.m])
 
     def teich(self, a):

@@ -414,13 +414,9 @@ def suite_tensor(cfg, rng, fault):
                   "lower triangular mod m_T", M)
         rec.check_eq("milnor-roundtrip", M, TO.embed_l(TO.milnor_preimage(M)))
     # image mod m_T spans the lower-triangular algebra; radical the strict part
-    span_rows = []
-    rad_rows = []
-    for b in TO.milnor_lattice():
-        M = TO.embed_l(b)
-        span_rows.append([T.residue_of(e) for row in M for e in row])
-        Mx = TO.embed_l(TO.x_elem * b)
-        rad_rows.append([T.residue_of(e) for row in Mx for e in row])
+    lattice = TO.milnor_lattice()
+    span_rows = TO.residue_rows(lattice)
+    rad_rows = TO.residue_rows([TO.x_elem * b for b in lattice])
     rk = len(linalg.echelon_basis(span_rows))
     rec.check("milnor-dim", rk == d * (d + 1) // 2, d * (d + 1) // 2, rk)
     rkr = len(linalg.echelon_basis(rad_rows))
@@ -507,10 +503,6 @@ SUITES = {
     "tensor": suite_tensor,
     "modcat": suite_modcat,
 }
-
-
-def default_config():
-    return {"p": 3, "f": 1, "d": 2, "r": 1, "N": 8, "mode": "mixed", "seed": 0}
 
 
 def run(cfg, suite_names=None, fault=None):

@@ -24,7 +24,7 @@ the packing of component (g + ri) mod d of z_j, and no sigma is applied.
 from __future__ import annotations
 
 from . import linalg
-from .algebra import check_twist, skew_mul
+from .algebra import check_twist, embed_matrix, skew_mul
 from .errors import (CtxMismatchError, InternalError, ParameterError,
                      PrecisionError)
 from .localring import LocalRingCtx, power
@@ -182,26 +182,21 @@ class TensorRingCtx:
     # -- embedding into M_d(T) and the Milnor square -----------------------
 
     def embed_l(self, z):
-        """Matrix of l(z) on D as a right T-module in the basis (pi_D^s).
-
-        Entry (j, s) = pi_K^{floor((i+s)/d)} * w_{sigma^{-rj}}(z_i) with
-        i = (j - s) mod d; extends DElem.embed() (x)-linearly.
-        """
-        T, d = self.T, self.d
-        piK = T.uniformizer
+        """Matrix of l(z) on D as a right T-module in the basis (pi_D^s):
+        entry (j, s) = pi_K^w * w_{sigma^{-rj}}(z_i) at the position (i, w)
+        of `algebra.embed_matrix`; extends DElem.embed() (x)-linearly."""
+        piK, cycle = self.T.uniformizer, self.cycle
         comps = [c.parts for c in z.parts]
-        out = []
-        for j in range(d):
-            row = []
-            gidx = self.cycle[j]
-            for s in range(d):
-                i = (j - s) % d
-                entry = comps[i][gidx]
-                if (i + s) // d:
-                    entry = entry * piK
-                row.append(entry)
-            out.append(row)
-        return out
+
+        def entry(i, j, w):
+            c = comps[i][cycle[j]]
+            return c * piK if w else c
+        return embed_matrix(self.d, entry)
+
+    def residue_rows(self, zs):
+        """l(z) mod m_T for each z in zs, flattened row by row."""
+        res = self.T.residue_of
+        return [[res(e) for row in self.embed_l(z) for e in row] for z in zs]
 
     def milnor_member(self, M):
         """True iff M mod m_T is lower triangular (the image of l)."""
@@ -216,24 +211,18 @@ class TensorRingCtx:
     def milnor_preimage(self, M):
         """The unique z with l(z) = M, for M in the Milnor-square image.
 
-        Closed form from the position bijection: component sigma^{-rj} of
-        z_i is entry (j, (j - i) mod d), divided by pi_K when that position
-        sits above the diagonal.
+        Closed form from the position bijection of `algebra.embed_matrix`:
+        component sigma^{-rj} of z_i is the entry at (j, s), divided by pi_K
+        when that position sits above the diagonal (w = 1).
         """
         if not self.milnor_member(M):
             raise ParameterError("matrix is not lower triangular mod m_T")
         d = self.d
-        coeffs = []
-        for i in range(d):
-            comps = [self.T.zero] * d
-            for j in range(d):
-                s = (j - i) % d
-                entry = M[j][s]
-                if (i + s) // d:
-                    entry = entry.shift_down(1)
-                comps[self.cycle[j]] = entry
-            coeffs.append(self.from_components(comps))
-        z = self.order_elem(coeffs)
+        comps = [[None] * d for _ in range(d)]
+        for j, row in enumerate(embed_matrix(d, lambda i, j, w: (i, w))):
+            for s, (i, w) in enumerate(row):
+                comps[i][self.cycle[j]] = M[j][s].shift_down(w)
+        z = self.order_elem([self.from_components(c) for c in comps])
         if self.embed_l(z) != M:
             raise InternalError("Milnor preimage failed to re-embed; "
                                 "contradicts the cartesian square")

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from hasseorder import algebra, linalg, modcat, suites, tensor, witt
+from hasseorder import algebra, cli, linalg, modcat, suites, tensor, witt
 from hasseorder import localring as lr
 
 N = 8
@@ -279,7 +279,7 @@ def test_criterion_8():
 
 @criterion(9, "determinism and fault sensitivity")
 def test_criterion_9():
-    cfg = suites.default_config()
+    cfg = cli.config_dict(cli.make_arg_parser().parse_args(["verify"]))
     r1 = suites.run(cfg)
     r2 = suites.run(cfg)
     r1.pop("wall_time")

@@ -174,11 +174,12 @@ def newton_inv(a):
     with the residue inverse of the unit part's y_0, and iterate
     b <- b(2 - ub) until pi_D^(dN) = 0."""
     A = a.ctx
-    d, v = A.d, a.ord()
-    u = algebra.DElem(A, 0, a.coeffs)
+    T, d, v = A.T, A.d, a.ord()
+    ys = list(a.coeffs)
     for _ in range(v % d):
-        u = u._left_div_x()
-    u = algebra.DElem(A, 0, tuple(c.shift_down(v // d - a.shift) for c in u.coeffs))
+        # one exact left division by pi_D
+        ys = [T.frobenius(c, -A.r) for c in ys[1:]] + [T.frobenius(ys[0].shift_down(1), -A.r)]
+    u = algebra.DElem(A, 0, tuple(c.shift_down(v // d - a.shift) for c in ys))
     b = A.from_T(A.T.from_residue(A.T.residue_of(u.coeffs[0]).inv()))
     two = A.from_int(2)
     for _ in range(max(1, math.ceil(math.log2(d * A.prec)))):
@@ -209,6 +210,85 @@ def test_inverse_matches_newton_oracle(p, d, r, mode):
         want = newton_inv(a)
         assert (b.shift, b.coeffs) == (want.shift, want.coeffs)
     assert 0 in ords and len(ords) > 5
+
+
+@pytest.mark.parametrize("p, d, r, mode", INVERSE_CONFIGS)
+def test_unit_part(p, d, r, mode):
+    rng = random.Random(f"unit-part:{p}:{d}:{r}:{mode}")
+    S, T, A = make(p=p, d=d, r=r, mode=mode)
+    top = d * (A.prec - 2)
+    ords = set()
+    for k in range(24):
+        a = A.random(rng) * A.pi_D_pow(0 if k % 3 == 0 else rng.randint(1, top))
+        if a.is_zero() or a.ord() > top:
+            continue
+        v, u = a._unit_part()
+        ords.add(v)
+        assert v == a.ord()
+        assert u.shift == 0 and u.ord() == 0
+        assert A.pi_D_pow(v) * u == a
+    assert 0 in ords and len(ords) > 5
+
+
+def test_conjugate_by_matches_right_split():
+    """Oracle: split pi = u' * pi_D^v on the right, u' = pi * pi_D^{-v}, so
+    pi * a * pi^{-1} = u' * sigma_conj(a, v) * u'^{-1}.
+
+    Dividing pi_D off passes x^d = pi_K unless d | v, so each split knows
+    its unit part to one pi_K-digit less than pi; the two routes then agree
+    to ord_D d(N - 1) + ord_D(a), and exactly when d | v."""
+    for p, d, r, mode in INVERSE_CONFIGS:
+        rng = random.Random(f"conj-split:{p}:{d}:{r}:{mode}")
+        S, T, A = make(p=p, d=d, r=r, mode=mode)
+        top = d * (A.prec - 2)
+        for k in range(8):
+            pi = A.random(rng) * A.pi_D_pow(rng.randint(0, top))
+            a = A.random(rng) * A.pi_D_pow(rng.randint(0, d))
+            if pi.is_zero() or pi.ord() > top:
+                continue
+            v = pi.ord()
+            u = pi * A.pi_D_pow(-v)
+            got, want = a.conjugate_by(pi), u * a.sigma_conj(v) * u.inv()
+            if v % d == 0:
+                assert (got.shift, got.coeffs) == (want.shift, want.coeffs)
+            else:
+                assert (got - want).ord() >= d * (A.prec - 1) + a.ord()
+
+
+def embed_oracle(a):
+    """The explicit loop: entry (j, s) = pi_K^{floor((i+s)/d) + shift} *
+    sigma_r^{-j}(y_i) with i = (j - s) mod d."""
+    A = a.ctx
+    T, d = A.T, A.d
+    out = []
+    for j in range(d):
+        row = []
+        for s in range(d):
+            i = (j - s) % d
+            y = a.coeffs[i]
+            e = (i + s) // d + a.shift
+            row.append(T.zero if y.is_zero() else T.frobenius(y, -A.r * j).shift_down(-e))
+        out.append(row)
+    return out
+
+
+def _matrix_or_error(embed, a):
+    try:
+        return embed(a)
+    except PrecisionError:
+        return PrecisionError
+
+
+def test_embed_matches_loop_formula():
+    for p, d, r, mode in INVERSE_CONFIGS:
+        rng = random.Random(f"embed-loop:{p}:{d}:{r}:{mode}")
+        S, T, A = make(p=p, d=d, r=r, mode=mode)
+        elems = [A.random(rng) * A.pi_D_pow(k) for k in (0, 1, d, 2 * d + 1)]
+        # an inverse of a non-unit has a negative shift; it lies outside A
+        elems.append((A.random(rng) * A.pi_D_pow(d + 1)).inv())
+        assert elems[-1].shift < 0
+        for a in elems:
+            assert _matrix_or_error(algebra.DElem.embed, a) == _matrix_or_error(embed_oracle, a)
 
 
 def test_inverse_precision_guard():
@@ -248,11 +328,6 @@ def test_conjugation():
                 first_return = k
                 break
         assert first_return == d
-
-
-def test_hasse_invariant():
-    S, T, A = make(p=5, d=3, r=2)
-    assert A.hasse_invariant == (2, 3)
 
 
 def left_mult_matrix_oracle(a):

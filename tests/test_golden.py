@@ -35,6 +35,11 @@ GOLDEN = {
     "verify-equal-d2": (
         FLAGS + ["--d", "2", "--mode", "equal"] + VERIFY,
         "50dd30465d618cb519d5ecd62bb473112c790ccebfe14c67994788a032bf98ab"),
+    # d = 5: the first index where the twist r = 2 differs from r^-1 = 3
+    "verify-mixed-d5": (
+        ["--p", "3", "--f", "1", "--d", "5", "--r", "2", "--N", "6", "--seed", "0",
+         "--mode", "mixed"] + VERIFY,
+        "e2fb9577f5aa59017d2e60d086111332e05a95f8a90944581389eb486b989fa6"),
     "dump-milnor-basis-mixed-d3": (
         FLAGS + ["--d", "3", "--mode", "mixed", "dump", "milnor-basis"],
         "c1a1f9c39c3d4b778ccb299e265011713b5dd47151e040575c3879431a43812e"),

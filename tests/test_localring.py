@@ -467,6 +467,17 @@ def test_dot_rejects_foreign_operands():
         T.matmul([[S.one]], [[T.one]])
 
 
+def test_ring_maps_reject_foreign_elements():
+    _, T1 = ctx_pair(p=3, d=2, N=8)
+    _, T2 = ctx_pair(p=5, d=2, N=8)
+    x = T2.gen + T2.from_int(7)
+    for call in (lambda: T1.frobenius(x), lambda: T1.frobenius_p(x, 0),
+                 lambda: T1.to_base(x), lambda: T1.rel_coords(x),
+                 lambda: T1.residue_of(x)):
+        with pytest.raises(CtxMismatchError):
+            call()
+
+
 def test_negative_shift_down_is_exact_pi_multiplication():
     rng = random.Random(8)
     for mode in (lr.MIXED, lr.EQUAL):

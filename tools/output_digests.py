@@ -1,0 +1,75 @@
+"""Print one digest line per CLI run of a fixed matrix of configurations.
+
+Each line is `<exit code> <SHA-256 of stdout + stderr> <argv>`.  The runs
+go through `hasseorder.cli.main` in one process; `verify --output json`
+reports are hashed without their `wall_time` key.  Run it on two checkouts
+and compare the outputs with `diff` to see whether a change moved any
+report, dump or evaluation:
+
+    python3 tools/output_digests.py > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from hasseorder import cli, suites  # noqa: E402
+
+# (p, f, d, r, N) per mode
+CONFIGS = {
+    "mixed": [(3, 1, 2, 1, 8), (5, 1, 3, 2, 8), (3, 1, 4, 1, 8), (2, 2, 4, 3, 8),
+              (3, 1, 1, 0, 8), (3, 1, 4, 1, 4), (3, 1, 5, 2, 6)],
+    "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4)],
+}
+DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
+EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
+         "pK^2*(th - x)", "x^2 + 7*th")
+FAULT_CONFIG = (3, 1, 2, 1, 8)
+
+
+def flags(cfg, mode):
+    p, f, d, r, N = cfg
+    return ["--p", str(p), "--f", str(f), "--d", str(d), "--r", str(r),
+            "--N", str(N), "--mode", mode]
+
+
+def runs():
+    for mode, cfgs in CONFIGS.items():
+        for cfg in cfgs:
+            for seed in (0, 1):
+                yield flags(cfg, mode) + ["--seed", str(seed), "--output", "json", "verify"]
+            for what in DUMPS:
+                yield flags(cfg, mode) + ["dump", what]
+            for expr in EXPRS:
+                yield flags(cfg, mode) + ["--output", "json", "eval", expr]
+    for mode in CONFIGS:
+        for fault in suites.FAULTS:
+            yield flags(FAULT_CONFIG, mode) + ["--output", "json", "verify",
+                                               "--inject-fault", fault]
+
+
+def digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    if "verify" in argv and code in (0, 1):
+        report = json.loads(text)
+        report.pop("wall_time")
+        text = json.dumps(report, indent=2)
+    return code, hashlib.sha256((text + err.getvalue()).encode()).hexdigest()
+
+
+def main():
+    for argv in runs():
+        code, sha = digest(argv)
+        print(code, sha, " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()
