@@ -89,6 +89,7 @@ class AlgebraCtx:
         self.prec = T.prec
         self.ord_cap = d * T.prec
         self._skew = None
+        self._twisted = None
 
     def _kernel(self):
         """(pack, split, twist, fold) of the product, built on first use:
@@ -104,6 +105,16 @@ class AlgebraCtx:
                 return z[0] if c is None else sum(map(_mul, z[1], c))
             self._skew = (pack, split, twist, fold)
         return self._skew
+
+    def _twisted_powers(self):
+        """[[sigma_r^k(theta^j) for j < d] for k < d], the constants of the
+        full-norm oracle (`DElem._left_mult_matrix`), built on first use."""
+        if self._twisted is None:
+            T, d = self.T, self.d
+            powers = [T.gen ** j for j in range(d)]
+            self._twisted = [[T.frobenius(t, self.r * k) for t in powers]
+                             for k in range(d)]
+        return self._twisted
 
     # -- element constructors ---------------------------------------------
 
@@ -254,7 +265,7 @@ class DElem:
         b = ctx.elem(0, [T.frobenius(ts, ctx.r * s) for s, (ts,) in enumerate(t)])
         if not (u * b - ctx.one).is_zero() or not (b * u - ctx.one).is_zero():
             raise InternalError("inverse of the unit part fails u * b = b * u = 1")
-        return b * ctx.pi_D_pow(-v)
+        return b if v == 0 else b * ctx.pi_D_pow(-v)
 
     def conjugate_by(self, pi):
         """pi * self * pi^{-1}: an ord-preserving ring automorphism of D.
@@ -312,17 +323,17 @@ class DElem:
         T, S, d = ctx.T, ctx.S, ctx.d
         if self.shift < 0:
             raise PrecisionError("left multiplication left the order A")
-        powers = [T.gen ** j for j in range(d)]
         # coords[k][w][j]: S-coordinates of pi_K^{shift+w} y_k sigma_r^k(theta^j),
-        # with w = 1 needed only for k > 0
+        # with w = 1 needed only for k > 0; rel_coords is S-linear, so the
+        # w = 1 coordinates are pi_K times the w = 0 ones
         coords = []
-        for k, y in enumerate(self.coeffs):
+        for k, (y, twisted) in enumerate(zip(self.coeffs, ctx._twisted_powers())):
             if y.is_zero():
                 coords.append(None)
                 continue
-            prods = [y * T.frobenius(t, ctx.r * k) for t in powers]
-            coords.append([[T.rel_coords(v.shift_down(-self.shift - w)) for v in prods]
-                           for w in range(1 + (k > 0))])
+            cs = [T.rel_coords((y * t).shift_down(-self.shift)) for t in twisted]
+            coords.append([cs, [[c.shift_down(-1) for c in v] for v in cs]] if k
+                          else [cs])
         zero = [S.zero] * d
         n = d * d
         # row k'*d + j' is the (theta^{j'} pi_D^{k'})-coordinate, column

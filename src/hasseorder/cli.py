@@ -123,8 +123,6 @@ def cmd_verify(args):
                 raise ParameterError(f"unknown suite {n!r}")
     if args.inject_fault and args.inject_fault not in suitemod.FAULTS:
         raise ParameterError(f"unknown fault {args.inject_fault!r}")
-    # contexts are constructed eagerly so parameter errors precede any suite
-    build_contexts(args)
     report = suitemod.run(cfg, names, args.inject_fault)
     nfail = suitemod.total_failures(report)
     if args.output == "json":

@@ -8,6 +8,11 @@ phi[k] maps piece k to piece succ(k) = (k - r) mod d.  Because gcd(r, d) = 1
 the d pieces form a single phi-cycle, and the cycle condition phi^d = pi_K
 is the composite around that cycle.  The index arithmetic of the twist
 (succ, x_power, cycle) is read from `TensorRingCtx`.
+
+A module stores the values derived from its phi (the passing `validate`
+report and the split of `decompose` along each orbit index) with a
+snapshot of phi, so `decompose` under a second rule reuses every split the
+first one made, and any change to phi, in place or not, empties the store.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class GradedPhiModule:
         # this module; identities hold mod pi_K^{N - slack}
         self.slack = slack
         self.phi = [_mat_copy(m) for m in phi]
-        self._passed = None  # (phi snapshot, report) of the last passing validate
+        self._store = (None, {})  # (phi snapshot, values derived from that phi)
         for k in range(ctx.d):
             m = self.phi[k]
             rows, cols = self.ranks[ctx.succ(k)], self.ranks[k]
@@ -45,24 +50,31 @@ class GradedPhiModule:
                     if e.ctx is not ctx.T:
                         raise CtxMismatchError("phi entries must lie in T")
 
+    def _derived(self):
+        """The dict of values derived from phi: kept while a snapshot of phi
+        (the slack and the coefficient tuples of its entries) is unchanged,
+        and replaced by an empty one when it changed."""
+        snapshot = (self.slack, [[[e.coeffs for e in row] for row in m]
+                                 for m in self.phi])
+        if self._store[0] != snapshot:
+            self._store = (snapshot, {})
+        return self._store[1]
+
     def validate(self):
         """Check the cycle condition phi^d = pi_K * id; per-g residual report.
 
         Raises ValidationError naming the offending starting pieces.  A
-        passing report is kept with a snapshot of phi (the coefficient
-        tuples of its entries) and returned again while phi is unchanged.
+        passing report is stored with phi's snapshot and returned again
+        while phi is unchanged.
         """
-        snapshot = (self.slack, [[[e.coeffs for e in row] for row in m]
-                                 for m in self.phi])
-        if self._passed is not None and self._passed[0] == snapshot:
-            return dict(self._passed[1])
-        ctx = self.ctx
-        piK = ctx.T.uniformizer
-        tol = ctx.T.prec - self.slack
+        store = self._derived()
+        if "report" in store:
+            return dict(store["report"])
+        piK = self.ctx.T.uniformizer
+        tol = self.ctx.T.prec - self.slack
         report = {}
         bad = []
-        for k in range(ctx.d):
-            M = phi_composite(self, k, ctx.d)
+        for k, M in enumerate(cycle_composites(self)):
             ok = all((e - piK if i == c else e).ord() >= tol
                      for i, row in enumerate(M) for c, e in enumerate(row))
             report[k] = ok
@@ -71,7 +83,7 @@ class GradedPhiModule:
         if bad:
             raise ValidationError(
                 f"cycle condition phi^d = pi_K fails starting at g in {bad}")
-        self._passed = (snapshot, report)
+        store["report"] = report
         return dict(report)
 
     def __eq__(self, other):
@@ -264,6 +276,32 @@ def phi_composite(module: GradedPhiModule, start: int, steps: int):
     return M
 
 
+def cycle_composites(module: GradedPhiModule):
+    """The d composites phi^d around the cycle, indexed by their start
+    piece.
+
+    With c = ctx.cycle, the composite out of piece c_j is P_j * Q_j, where
+    Q_j = phi[c_{d-1}] ... phi[c_j] and P_j = phi[c_{j-1}] ... phi[c_0]
+    (P_0 = id).  The suffix products Q_j and the prefix products P_j are
+    each formed once: 3d - 4 matrix products in all for d >= 2, against
+    d(d - 1) for d separate `phi_composite` calls.
+    """
+    ctx = module.ctx
+    T, d, c = ctx.T, ctx.d, ctx.cycle
+    phi = module.phi
+    Q = [None] * d
+    Q[d - 1] = phi[c[d - 1]]
+    for j in range(d - 2, -1, -1):
+        Q[j] = linalg.rmat_mul(Q[j + 1], phi[c[j]], T)
+    out = [None] * d
+    out[c[0]] = Q[0]
+    P = None
+    for j in range(1, d):
+        P = phi[c[0]] if j == 1 else linalg.rmat_mul(phi[c[j - 1]], P, T)
+        out[c[j]] = linalg.rmat_mul(P, Q[j], T)
+    return out
+
+
 def adjoint(module: GradedPhiModule, g: int, f) -> ModuleMap:
     """alpha(f): Hom_T(deg_g P, Q) -> Hom(P, ind_g Q), alpha(f)_h = f o phi^i
     with g = h o sigma_r^{-i}, 0 <= i < d."""
@@ -310,9 +348,12 @@ def decompose(module: GradedPhiModule, rule="min"):
     (one identity column replaced by a saturated orbit vector), so each
     quotient is a rank-one update of phi.  The label multiset realizes the
     Krull-Schmidt decomposition.
+
+    Each split is stored with the phi of the module it was taken from, so a
+    second call (under either rule) returns the same step dicts where it
+    splits along the same orbits; the library never mutates a step.
     """
     module.validate()
-    ctx = module.ctx
     size = module.ranks[0]
     if any(n != size for n in module.ranks):
         raise ParameterError("decomposition needs equal ranks (projective of "
@@ -325,33 +366,51 @@ def decompose(module: GradedPhiModule, rule="min"):
     return steps
 
 
+def _orbit(module: GradedPhiModule, b: int):
+    """The phi-orbit of basis vector b of piece 0 along the cycle: d vectors."""
+    ctx = module.ctx
+    T = ctx.T
+    x = [T.one if i == b else T.zero for i in range(module.ranks[0])]
+    vecs = [x]
+    for j in range(ctx.d - 1):
+        vecs.append(linalg.rmat_vec(module.phi[ctx.cycle[j]], vecs[-1], T))
+    return vecs
+
+
 def _split_one(module: GradedPhiModule, rule):
     """Split one size-1 sub-object off `module`: (step, quotient).
 
-    The sub-object is spanned by the saturated phi-orbit of one basis
-    vector.  The change of basis is elementary and inverted in closed form;
-    the quotient's phi is a rank-one update of the module's phi.
+    `rule` picks the orbit index b: "first" takes 0, "min" the first b whose
+    orbit has the least sum of valuations.  The split along b is stored with
+    module's phi (`_split_along`).
+    """
+    size, prec = module.ranks[0], module.ctx.T.prec
+    if rule == "min":
+        orbits = [_orbit(module, b) for b in range(size)]
+        b = min(range(size),
+                key=lambda b: sum(_vec_ord(v, prec) for v in orbits[b]))
+    elif rule == "first":
+        orbits, b = None, 0
+    else:
+        raise ParameterError(f"unknown selection rule {rule!r}")
+    splits = module._derived().setdefault("splits", {})
+    if b not in splits:
+        splits[b] = _split_along(module, orbits[b] if orbits else _orbit(module, b))
+    return splits[b]
+
+
+def _split_along(module: GradedPhiModule, vecs):
+    """Split off the sub-object spanned by the saturated phi-orbit `vecs`:
+    (step, quotient).
+
+    The change of basis is elementary and inverted in closed form; the
+    quotient's phi is a rank-one update of the module's phi.
     """
     ctx = module.ctx
     T, d = ctx.T, ctx.d
     prec = T.prec
     size = module.ranks[0]
     cycle = ctx.cycle  # pieces visited by the phi-orbit out of piece 1
-
-    def orbit(b):
-        x = [T.one if i == b else T.zero for i in range(size)]
-        vecs = [x]
-        for j in range(d - 1):
-            vecs.append(linalg.rmat_vec(module.phi[cycle[j]], vecs[-1], T))
-        return vecs
-
-    if rule == "min":
-        vecs = min((orbit(b) for b in range(size)),
-                   key=lambda vs: sum(_vec_ord(v, prec) for v in vs))
-    elif rule == "first":
-        vecs = orbit(0)
-    else:
-        raise ParameterError(f"unknown selection rule {rule!r}")
 
     sat = []
     vmax = 0

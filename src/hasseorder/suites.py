@@ -1,9 +1,13 @@
 """Deterministic verification suites driven by the CLI.
 
 Each suite derives an independent RNG stream from (seed, suite name), so
-running suites in any order or in parallel yields identical reports.  The
---inject-fault hooks deliberately corrupt one value inside a suite so the
-test harness can prove the suites are non-vacuous.
+running suites in any order or in parallel yields identical reports.  `run`
+builds the contexts (S, T, A, A (x)_S T) of a config once, before any suite,
+so a parameter error precedes every suite, and hands them to each suite.
+Within a loop of checks each shared operand (a product such as a*b, an
+image such as F(x)) is formed once and read by every check that needs it.
+The --inject-fault hooks deliberately corrupt one value inside a suite so
+the test harness can prove the suites are non-vacuous.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def _contexts(cfg):
 
 # ---------------------------------------------------------------------------
 
-def suite_finite_field(cfg, rng, fault):
+def suite_finite_field(cfg, ctxs, rng, fault):
     rec = Recorder("finite_field")
     p = cfg["p"]
     for m in (cfg["f"], cfg["f"] * cfg["d"]):
@@ -117,9 +121,9 @@ def _fixed_log_size(T):
     return linalg.kernel_log_size(cols, T.p, T.e)
 
 
-def suite_local_ring(cfg, rng, fault):
+def suite_local_ring(cfg, ctxs, rng, fault):
     rec = Recorder("local_ring")
-    S, T, _, _ = _contexts(cfg)
+    S, T, _, _ = ctxs
     N = cfg["N"]
     for _ in range(100):
         x, y = T.random(rng), T.random(rng)
@@ -157,7 +161,7 @@ def suite_local_ring(cfg, rng, fault):
     return rec.report()
 
 
-def suite_witt(cfg, rng, fault):
+def suite_witt(cfg, ctxs, rng, fault):
     rec = Recorder("witt")
     p = cfg["p"]
     S = lr.base_ring(p, cfg["f"], min(cfg["N"], 6), cfg["mode"])
@@ -169,17 +173,18 @@ def suite_witt(cfg, rng, fault):
             W = wmod.WittCtx(p, n, R)
             for i in range(8):
                 x, y, z = W.random(rng), W.random(rng), W.random(rng)
+                xy, fx, ry = x * y, x.frobenius(), y.restriction()
                 gx, gy = W.ghost(x), W.ghost(y)
                 gsum = W.ghost(x + y)
-                gprod = W.ghost(x * y)
+                gprod = W.ghost(xy)
                 rec.check_eq(f"ghost-add {kind} n={n}",
                              [a + b for a, b in zip(gx, gy)], gsum)
                 rec.check_eq(f"ghost-mul {kind} n={n}",
                              [a * b for a, b in zip(gx, gy)], gprod)
-                rec.check_eq(f"assoc {kind} n={n}", (x * y) * z, x * (y * z))
-                rec.check_eq(f"distrib {kind} n={n}", x * (y + z), x * y + x * z)
+                rec.check_eq(f"assoc {kind} n={n}", xy * z, x * (y * z))
+                rec.check_eq(f"distrib {kind} n={n}", x * (y + z), xy + x * z)
                 rec.check_eq(f"F-hom {kind} n={n}",
-                             (x * y).frobenius(), x.frobenius() * y.frobenius())
+                             xy.frobenius(), fx * y.frobenius())
                 fv = x.verschiebung().frobenius()
                 if fault == "witt.fv" and i == 0:
                     fv = fv + W.one
@@ -187,15 +192,15 @@ def suite_witt(cfg, rng, fault):
                 for _ in range(p):
                     px = px + x
                 rec.check_eq(f"FV=p {kind} n={n}", px, fv)
-                vy = y.restriction().verschiebung()
-                rec.check_eq(f"projection {kind} n={n}", x * vy,
-                             (x.frobenius() * y.restriction()).verschiebung())
+                rec.check_eq(f"projection {kind} n={n}", x * ry.verschiebung(),
+                             (fx * ry).verschiebung())
                 a = R.random(rng)
                 b = R.random(rng)
+                ta = W.teich(a)
                 rec.check_eq(f"teich-mul {kind} n={n}",
-                             W.teich(a) * W.teich(b), W.teich(a * b))
+                             ta * W.teich(b), W.teich(a * b))
                 rec.check_eq(f"F-teich {kind} n={n}",
-                             W.teich(a).frobenius(), W.resize(n - 1).teich(a ** p))
+                             ta.frobenius(), W.resize(n - 1).teich(a ** p))
     # identities over S needing valuations
     for n in (2, 3, 4):
         W = wmod.WittCtx(p, n, S)
@@ -255,21 +260,22 @@ def suite_witt(cfg, rng, fault):
     return rec.report()
 
 
-def suite_algebra(cfg, rng, fault):
+def suite_algebra(cfg, ctxs, rng, fault):
     rec = Recorder("algebra")
-    S, T, A, _ = _contexts(cfg)
+    S, T, A, _ = ctxs
     d, N = A.d, A.prec
     for i in range(60):
         a, b, c = A.random(rng), A.random(rng), A.random(rng)
-        rec.check_eq("assoc", a * (b * c), (a * b) * c)
-        rec.check_eq("distrib", a * b + a * c, a * (b + c))
+        ab = a * b
+        rec.check_eq("assoc", a * (b * c), ab * c)
+        rec.check_eq("distrib", ab + a * c, a * (b + c))
         rec.check_eq("embed-mul", linalg.rmat_mul(a.embed(), b.embed(), T),
-                     (a * b).embed())
+                     ab.embed())
         if not (a.is_zero() or b.is_zero()):
             oa, ob = a.ord(), b.ord()
             if oa + ob <= d * (N - 1):
-                rec.check("ord-mul", (a * b).ord() == oa + ob,
-                          oa + ob, (a * b).ord())
+                o = ab.ord()
+                rec.check("ord-mul", o == oa + ob, oa + ob, o)
     for i in range(60):
         a = A.random(rng)
         trd, nrd = a.trd_nrd()
@@ -356,9 +362,9 @@ def u_sigma_left(TO):
     return lambda a: linalg.rmat_vec(M, a, T)
 
 
-def suite_tensor(cfg, rng, fault):
+def suite_tensor(cfg, ctxs, rng, fault):
     rec = Recorder("tensor")
-    S, T, A, TO = _contexts(cfg)
+    S, T, A, TO = ctxs
     d = TO.d
     # T (x)_S T computes in components; each check below compares it with
     # the u-basis oracle (u_mul, u_eval, u_sigma_left)
@@ -407,9 +413,9 @@ def suite_tensor(cfg, rng, fault):
         rec.check_eq("order-compat", TO.order_from_D(a * b),
                      TO.order_from_D(a) * TO.order_from_D(b))
         z, w = TO.order_random(rng), TO.order_random(rng)
-        rec.check_eq("l-hom", TO.embed_l(z * w),
-                     linalg.rmat_mul(TO.embed_l(z), TO.embed_l(w), T))
         M = TO.embed_l(z)
+        rec.check_eq("l-hom", TO.embed_l(z * w),
+                     linalg.rmat_mul(M, TO.embed_l(w), T))
         rec.check("milnor-member", TO.milnor_member(M),
                   "lower triangular mod m_T", M)
         rec.check_eq("milnor-roundtrip", M, TO.embed_l(TO.milnor_preimage(M)))
@@ -440,9 +446,9 @@ def suite_tensor(cfg, rng, fault):
     return rec.report()
 
 
-def suite_modcat(cfg, rng, fault):
+def suite_modcat(cfg, ctxs, rng, fault):
     rec = Recorder("modcat")
-    S, T, A, TO = _contexts(cfg)
+    S, T, A, TO = ctxs
     d = TO.d
     piK = T.uniformizer
 
@@ -506,16 +512,18 @@ SUITES = {
 
 
 def run(cfg, suite_names=None, fault=None):
-    """Run the selected suites; returns the versioned report dict."""
+    """Run the selected suites on one build of the contexts; returns the
+    versioned report dict."""
     names = list(SUITES) if not suite_names else list(suite_names)
     for name in names:
         if name not in SUITES:
             raise KeyError(name)
     t0 = time.time()
+    ctxs = _contexts(cfg)
     results = []
     for name in names:
         rng = random.Random(f"{cfg['seed']}:{name}")
-        results.append(SUITES[name](cfg, rng, fault))
+        results.append(SUITES[name](cfg, ctxs, rng, fault))
     return {
         "schema": SCHEMA,
         "params": dict(cfg),

@@ -110,12 +110,13 @@ def test_validate_reruns_after_phi_changes(monkeypatch):
     rng = random.Random(5)
     S, T, TO = make(d=3)
     calls = []
-    composite = modcat.phi_composite
+    composites = modcat.cycle_composites
 
-    def spy(*args):
-        calls.append(args[1:])
-        return composite(*args)
-    monkeypatch.setattr(modcat, "phi_composite", spy)
+    def spy(module):
+        out = composites(module)
+        calls.extend(out)
+        return out
+    monkeypatch.setattr(modcat, "cycle_composites", spy)
     mod = modcat.scramble(modcat.direct_sum(
         [modcat.standard(TO, h) for h in (0, 2)]), rng)
     report = mod.validate()
@@ -123,14 +124,52 @@ def test_validate_reruns_after_phi_changes(monkeypatch):
     # unchanged phi: the stored report, and decompose's own check is free
     assert mod.validate() == report and len(calls) == 3
     modcat.decompose(mod)
+    done = len(calls)
     # one phi entry changed in place after a passing validate
     mod.phi[1][0][1] = mod.phi[1][0][1] + T.uniformizer ** 2 * T.gen
     with pytest.raises(ValidationError):
         mod.validate()
-    with pytest.raises(ValidationError):
-        modcat.decompose(mod)
+    assert len(calls) == done + 3
+    # the splits stored with the old phi are not reused
+    for rule in ("min", "first"):
+        with pytest.raises(ValidationError):
+            modcat.decompose(mod, rule=rule)
     with pytest.raises(ValidationError):
         mod.validate()
+
+
+def test_cycle_composites_match_phi_composite():
+    """The composites from shared prefix and suffix products equal d
+    separate phi_composite calls, for blocks of unequal ranks."""
+    rng = random.Random(11)
+    for mode in (lr.MIXED, lr.EQUAL):
+        for d, r in ((1, 0), (2, 1), (3, 2), (4, 3), (5, 2)):
+            S, T, TO = make(d=d, r=r, N=4, mode=mode)
+            ranks = [rng.randrange(1, 4) for _ in range(d)]
+            phi = [[[T.random(rng) for _ in range(ranks[k])]
+                    for _ in range(ranks[TO.succ(k)])] for k in range(d)]
+            mod = modcat.GradedPhiModule(TO, ranks, phi)
+            assert modcat.cycle_composites(mod) == [
+                modcat.phi_composite(mod, k, d) for k in range(d)]
+
+
+def test_decompose_under_a_second_rule_matches_a_fresh_one():
+    """decompose under one rule after the other (which stores its splits)
+    gives what a fresh copy of the module gives under that rule alone."""
+    rng = random.Random(7)
+    for (p, d, r, mode) in CONFIGS:
+        S, T, TO = make(p=p, d=d, r=r, mode=mode)
+        for first, second in (("min", "first"), ("first", "min")):
+            for size in (1, 2, 3):
+                mod = modcat.scramble(modcat.direct_sum(
+                    [modcat.standard(TO, rng.randrange(d)) for _ in range(size)]), rng)
+                copy = modcat.GradedPhiModule(TO, mod.ranks, mod.phi, mod.slack)
+                modcat.decompose(mod, rule=first)
+                got = modcat.decompose(mod, rule=second)
+                want = modcat.decompose(copy, rule=second)
+                keys = ("label", "lambdas", "basis", "orbit_unit_slots")
+                assert [[s[k] for k in keys] for s in got] == \
+                    [[s[k] for k in keys] for s in want]
 
 
 def test_deg_ind_and_ranks():
