@@ -422,22 +422,6 @@ class LocalRingCtx:
 
     # -- element constructors ---------------------------------------------
 
-    def elem(self, coeffs):
-        """Element from its theta-coefficients (n = 1) or from its t-digits
-        (n > 1), each a residue-field element or an int list."""
-        m, mod = self.m, self.modulus
-        digits = [coeffs] if self.n == 1 else list(coeffs)
-        if len(digits) > self.n:
-            raise ParameterError("coefficient vector too long")
-        out = []
-        for digit in digits:
-            cs = digit.coeffs if isinstance(digit, RingElem) else list(digit)
-            if len(cs) > m:
-                raise ParameterError("coefficient vector too long")
-            out += [c % mod for c in cs]
-            out += [0] * (m - len(cs))
-        return RingElem(self, tuple(out) + (0,) * (self.zp_rank - len(out)))
-
     def from_int(self, a: int):
         return RingElem(self, (a % self.modulus,) + (0,) * (self.zp_rank - 1))
 

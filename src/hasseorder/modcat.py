@@ -9,10 +9,11 @@ the d pieces form a single phi-cycle, and the cycle condition phi^d = pi_K
 is the composite around that cycle.  The index arithmetic of the twist
 (succ, x_power, cycle) is read from `TensorRingCtx`.
 
-A module stores the values derived from its phi (the passing `validate`
-report and the split of `decompose` along each orbit index) with a
-snapshot of phi, so `decompose` under a second rule reuses every split the
-first one made, and any change to phi, in place or not, empties the store.
+A module is immutable: phi is frozen at construction into a tuple of
+blocks, each a tuple of row tuples.  So a module keeps what it derives from
+phi (the passing `validate` report and the split of `decompose` along each
+orbit index) for good, and `decompose` under a second rule reuses every
+split the first one made.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from .errors import (CtxMismatchError, NotInvertibleError, ParameterError,
 from .tensor import TensorRingCtx
 
 
-def _mat_copy(M):
-    return [row[:] for row in M]
-
-
 class GradedPhiModule:
-    """(P, (P_g)_{g in G}, phi): free blocks T^{n_g} and matrices of phi."""
+    """(P, (P_g)_{g in G}, phi): free blocks T^{n_g} and matrices of phi,
+    frozen as tuples of row tuples."""
 
     def __init__(self, ctx: TensorRingCtx, ranks, phi, slack=0):
         if len(ranks) != ctx.d or len(phi) != ctx.d:
@@ -38,8 +36,9 @@ class GradedPhiModule:
         # digits of working precision consumed by saturations that produced
         # this module; identities hold mod pi_K^{N - slack}
         self.slack = slack
-        self.phi = [_mat_copy(m) for m in phi]
-        self._store = (None, {})  # (phi snapshot, values derived from that phi)
+        self.phi = tuple(tuple(map(tuple, m)) for m in phi)
+        self._report = None  # the passing validate report
+        self._splits = {}    # orbit index b -> (step, quotient) of decompose
         for k in range(ctx.d):
             m = self.phi[k]
             rows, cols = self.ranks[ctx.succ(k)], self.ranks[k]
@@ -50,26 +49,14 @@ class GradedPhiModule:
                     if e.ctx is not ctx.T:
                         raise CtxMismatchError("phi entries must lie in T")
 
-    def _derived(self):
-        """The dict of values derived from phi: kept while a snapshot of phi
-        (the slack and the coefficient tuples of its entries) is unchanged,
-        and replaced by an empty one when it changed."""
-        snapshot = (self.slack, [[[e.coeffs for e in row] for row in m]
-                                 for m in self.phi])
-        if self._store[0] != snapshot:
-            self._store = (snapshot, {})
-        return self._store[1]
-
     def validate(self):
         """Check the cycle condition phi^d = pi_K * id; per-g residual report.
 
         Raises ValidationError naming the offending starting pieces.  A
-        passing report is stored with phi's snapshot and returned again
-        while phi is unchanged.
+        passing report is kept and returned again.
         """
-        store = self._derived()
-        if "report" in store:
-            return dict(store["report"])
+        if self._report is not None:
+            return dict(self._report)
         piK = self.ctx.T.uniformizer
         tol = self.ctx.T.prec - self.slack
         report = {}
@@ -83,7 +70,7 @@ class GradedPhiModule:
         if bad:
             raise ValidationError(
                 f"cycle condition phi^d = pi_K fails starting at g in {bad}")
-        store["report"] = report
+        self._report = report
         return dict(report)
 
     def __eq__(self, other):
@@ -105,7 +92,7 @@ class ModuleMap:
             raise CtxMismatchError("source and target from different contexts")
         self.source = source
         self.target = target
-        self.blocks = [_mat_copy(b) for b in blocks]
+        self.blocks = [[list(row) for row in b] for b in blocks]
         ctx = source.ctx
         for k in range(ctx.d):
             b = self.blocks[k]
@@ -263,19 +250,6 @@ def deg(module: GradedPhiModule, g: int) -> int:
     return module.ranks[g]
 
 
-def phi_composite(module: GradedPhiModule, start: int, steps: int):
-    """The composite of `steps` phi-maps out of piece `start`."""
-    ctx = module.ctx
-    if steps == 0:
-        return linalg.rmat_id(ctx.T, module.ranks[start])
-    M = module.phi[start]
-    cur = ctx.succ(start)
-    for _ in range(steps - 1):
-        M = linalg.rmat_mul(module.phi[cur], M, ctx.T)
-        cur = ctx.succ(cur)
-    return M
-
-
 def cycle_composites(module: GradedPhiModule):
     """The d composites phi^d around the cycle, indexed by their start
     piece.
@@ -284,7 +258,7 @@ def cycle_composites(module: GradedPhiModule):
     Q_j = phi[c_{d-1}] ... phi[c_j] and P_j = phi[c_{j-1}] ... phi[c_0]
     (P_0 = id).  The suffix products Q_j and the prefix products P_j are
     each formed once: 3d - 4 matrix products in all for d >= 2, against
-    d(d - 1) for d separate `phi_composite` calls.
+    d(d - 1) for d separate composites of d phi-maps.
     """
     ctx = module.ctx
     T, d, c = ctx.T, ctx.d, ctx.cycle
@@ -304,17 +278,22 @@ def cycle_composites(module: GradedPhiModule):
 
 def adjoint(module: GradedPhiModule, g: int, f) -> ModuleMap:
     """alpha(f): Hom_T(deg_g P, Q) -> Hom(P, ind_g Q), alpha(f)_h = f o phi^i
-    with g = h o sigma_r^{-i}, 0 <= i < d."""
+    with g = h o sigma_r^{-i}, 0 <= i < d.
+
+    One walk away from g visits each h in the order of i = x_power(g, h).
+    phi[h] maps piece h to the piece visited before it, so each block is the
+    previous one times phi[h]: d - 1 products of q-row matrices.
+    """
     ctx = module.ctx
     T, d = ctx.T, ctx.d
     g %= d
-    q = len(f)
     if any(len(row) != module.ranks[g] for row in f):
         raise ParameterError("adjoint argument must be a map out of deg_g")
-    target = ind(ctx, g, q)
-    blocks = [linalg.rmat_mul(f, phi_composite(module, h, ctx.x_power(g, h)), T)
-              for h in range(d)]
-    return ModuleMap(module, target, blocks)
+    blocks = [None] * d
+    blocks[g] = M = f
+    for h in sorted(range(d), key=lambda h: ctx.x_power(g, h))[1:]:
+        blocks[h] = M = linalg.rmat_mul(M, module.phi[h], T)
+    return ModuleMap(module, ind(ctx, g, len(f)), blocks)
 
 
 def trd(module: GradedPhiModule) -> int:
@@ -349,7 +328,7 @@ def decompose(module: GradedPhiModule, rule="min"):
     quotient is a rank-one update of phi.  The label multiset realizes the
     Krull-Schmidt decomposition.
 
-    Each split is stored with the phi of the module it was taken from, so a
+    Each split is kept by the (immutable) module it was taken from, so a
     second call (under either rule) returns the same step dicts where it
     splits along the same orbits; the library never mutates a step.
     """
@@ -381,8 +360,8 @@ def _split_one(module: GradedPhiModule, rule):
     """Split one size-1 sub-object off `module`: (step, quotient).
 
     `rule` picks the orbit index b: "first" takes 0, "min" the first b whose
-    orbit has the least sum of valuations.  The split along b is stored with
-    module's phi (`_split_along`).
+    orbit has the least sum of valuations.  The split along b is kept by
+    the module (`_split_along`).
     """
     size, prec = module.ranks[0], module.ctx.T.prec
     if rule == "min":
@@ -393,7 +372,7 @@ def _split_one(module: GradedPhiModule, rule):
         orbits, b = None, 0
     else:
         raise ParameterError(f"unknown selection rule {rule!r}")
-    splits = module._derived().setdefault("splits", {})
+    splits = module._splits
     if b not in splits:
         splits[b] = _split_along(module, orbits[b] if orbits else _orbit(module, b))
     return splits[b]

@@ -74,7 +74,6 @@ class TensorRingCtx:
         self.idempotents = [TensorElem(self, tuple(T.one if j == k else T.zero
                                                    for j in range(d)))
                             for k in range(d)]
-        self.piK = self.right(T.uniformizer)
 
     # -- the twist's index arithmetic --------------------------------------
 
@@ -299,10 +298,6 @@ class TensorElem(_Parts):
 
     def __pow__(self, e):
         return power(self, e, self.ctx.one)
-
-    def components(self):
-        """(w_{sigma^k}(z))_k."""
-        return self.parts
 
     def u_coeffs(self):
         """The coefficients of z in the u-basis T[u]/(G)."""

@@ -105,12 +105,6 @@ def test_teichmueller():
             y = T.teich(a)
             assert T.residue_of(y) == a
             assert y ** q == y
-            # elem takes residue-field elements as theta-coefficients/t-digits
-            lift = T.from_residue(a)
-            if mode == lr.MIXED:
-                assert T.elem(a) == lift
-            else:
-                assert T.elem([a, a]) == lift * (T.one + T.uniformizer)
         # a residue element of another field, or a ring element, is refused
         for bad in (S.residue.one, T.one):
             with pytest.raises(CtxMismatchError):

@@ -18,6 +18,25 @@ CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED),
            (3, 4, 1, lr.MIXED), (3, 2, 1, lr.EQUAL))
 
 
+def phi_composite(module, start, steps):
+    """Oracle: the composite of `steps` phi-maps out of piece `start`."""
+    ctx = module.ctx
+    if steps == 0:
+        return linalg.rmat_id(ctx.T, module.ranks[start])
+    M = module.phi[start]
+    cur = ctx.succ(start)
+    for _ in range(steps - 1):
+        M = linalg.rmat_mul(module.phi[cur], M, ctx.T)
+        cur = ctx.succ(cur)
+    return M
+
+
+def corrupt_first_block(mod, s):
+    """The module with phi[0] scaled by s and the other blocks kept."""
+    return modcat.GradedPhiModule(
+        mod.ctx, mod.ranks, [linalg.rmat_scale(mod.phi[0], s), *mod.phi[1:]])
+
+
 def test_standard_is_the_hand_built_module():
     # F(A (x)_S T e_h): ranks 1, phi = 1 except pi_K out of piece (h + r) mod d
     for (p, d, r, mode) in CONFIGS + ((3, 1, 0, lr.MIXED),):
@@ -40,8 +59,7 @@ def test_standard_validates():
 
 def test_invalid_phi_detected():
     S, T, TO = make()
-    mod = modcat.standard(TO, 0)
-    mod.phi[0] = linalg.rmat_scale(mod.phi[0], T.uniformizer)
+    mod = corrupt_first_block(modcat.standard(TO, 0), T.uniformizer)
     with pytest.raises(ValidationError):
         mod.validate()
 
@@ -100,8 +118,7 @@ def test_decompose_recovers_labels():
 
 def test_decompose_rejects_corrupt_module():
     S, T, TO = make()
-    mod = modcat.standard(TO, 0)
-    mod.phi[0] = linalg.rmat_scale(mod.phi[0], T.uniformizer)
+    mod = corrupt_first_block(modcat.standard(TO, 0), T.uniformizer)
     with pytest.raises(ValidationError):
         modcat.decompose(mod)
 
@@ -121,21 +138,27 @@ def test_validate_reruns_after_phi_changes(monkeypatch):
         [modcat.standard(TO, h) for h in (0, 2)]), rng)
     report = mod.validate()
     assert report == {k: True for k in range(3)} and len(calls) == 3
-    # unchanged phi: the stored report, and decompose's own check is free
+    # the kept report, and decompose's own check is free
     assert mod.validate() == report and len(calls) == 3
     modcat.decompose(mod)
     done = len(calls)
-    # one phi entry changed in place after a passing validate
-    mod.phi[1][0][1] = mod.phi[1][0][1] + T.uniformizer ** 2 * T.gen
+    # phi is frozen: an entry cannot be changed in place
+    with pytest.raises(TypeError):
+        mod.phi[1][0][1] = mod.phi[1][0][1] + T.uniformizer ** 2 * T.gen
+    assert mod.validate() == report and len(calls) == done
+    # a module built from the changed phi checks its own composites
+    phi = [[list(row) for row in m] for m in mod.phi]
+    phi[1][0][1] = phi[1][0][1] + T.uniformizer ** 2 * T.gen
+    changed = modcat.GradedPhiModule(TO, mod.ranks, phi)
     with pytest.raises(ValidationError):
-        mod.validate()
+        changed.validate()
     assert len(calls) == done + 3
-    # the splits stored with the old phi are not reused
+    # and none of the splits of the module it came from
     for rule in ("min", "first"):
         with pytest.raises(ValidationError):
-            modcat.decompose(mod, rule=rule)
+            modcat.decompose(changed, rule=rule)
     with pytest.raises(ValidationError):
-        mod.validate()
+        changed.validate()
 
 
 def test_cycle_composites_match_phi_composite():
@@ -150,7 +173,7 @@ def test_cycle_composites_match_phi_composite():
                     for _ in range(ranks[TO.succ(k)])] for k in range(d)]
             mod = modcat.GradedPhiModule(TO, ranks, phi)
             assert modcat.cycle_composites(mod) == [
-                modcat.phi_composite(mod, k, d) for k in range(d)]
+                phi_composite(mod, k, d) for k in range(d)]
 
 
 def test_decompose_under_a_second_rule_matches_a_fresh_one():
@@ -204,6 +227,10 @@ def test_adjoint():
             assert al.is_equivariant()
             # restriction to the g-block recovers f: the triangle identity
             assert al.blocks[g] == f
+            # each block is f after the phi-composite into piece g
+            for h in range(d):
+                assert al.blocks[h] == linalg.rmat_mul(
+                    f, phi_composite(mod, h, TO.x_power(g, h)), T)
 
 
 def test_equivariance_check_rejects_bad_map():
@@ -253,6 +280,6 @@ def test_split_one_matches_generic_conjugation():
                         assert all(row[0].ord() >= eff for row in Mt[1:])
                         lower = [row[1:] for row in Mt[1:]]
                         assert len(lower) == len(quotient.phi[k])
-                        assert lower == quotient.phi[k]
+                        assert lower == [list(row) for row in quotient.phi[k]]
                     current = quotient
                 assert current.ranks == [0] * d

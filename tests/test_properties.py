@@ -1,16 +1,18 @@
-"""Property tests of the kernel ring product, the parser and the algebra A,
-drawn under the derandomized profile of `conftest.py`."""
+"""Property tests of the kernel ring product, the parser, the algebra A and
+graded phi-modules, drawn under the derandomized profile of `conftest.py`."""
 
 import math
+import random
 from functools import lru_cache
 
 import pytest
 
-from hasseorder import algebra
+from hasseorder import algebra, linalg, modcat, tensor
 from hasseorder import localring as lr
 from hasseorder.cli import fmt_delem
 from hasseorder.parser import evaluate
 from test_localring import _oracle_mul
+from test_modcat import phi_composite
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,6 +26,15 @@ def ring(p, f, d, N, mode):
 @lru_cache(maxsize=None)
 def algebra_ctx(p, f, d, r, N, mode):
     return algebra.make(ring(p, f, d, N, mode), r)
+
+
+@lru_cache(maxsize=None)
+def tensor_ctx(p, f, d, r, N, mode):
+    return tensor.make(ring(p, f, d, N, mode), r)
+
+
+def twists(d):
+    return [r for r in range(d) if math.gcd(r, d) == 1] if d > 1 else [0]
 
 
 def ring_elements(draw, T, count):
@@ -48,13 +59,31 @@ def algebra_and_elements(draw, count):
     valid for d, N in [2,8], either mode, and `count` elements of A, each
     pi_K^s times d coefficients in T with s in [0, N]."""
     d = draw(st.integers(1, 4))
-    r = draw(st.sampled_from([r for r in range(d) if math.gcd(r, d) == 1]
-                             if d > 1 else [0]))
+    r = draw(st.sampled_from(twists(d)))
     N = draw(st.integers(2, 8))
     A = algebra_ctx(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2)),
                     d, r, N, draw(st.sampled_from((lr.MIXED, lr.EQUAL))))
     return A, [A.elem(draw(st.integers(0, N)), ring_elements(draw, A.T, d))
                for _ in range(count)]
+
+
+@st.composite
+def module_and_map(draw):
+    """A scrambled direct sum of one to three standards with random labels
+    over p in {2,3,5}, f in {1,2}, d <= 5, each twist r valid for d, N in
+    [2,8], either mode; a piece g; and a random map f: T^{n_g} -> T^q,
+    q in {1,2}."""
+    d = draw(st.integers(1, 5))
+    TO = tensor_ctx(draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 2)),
+                    d, draw(st.sampled_from(twists(d))), draw(st.integers(2, 8)),
+                    draw(st.sampled_from((lr.MIXED, lr.EQUAL))))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
+    g, q = draw(st.integers(0, d - 1)), draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mod = modcat.scramble(modcat.direct_sum(
+        [modcat.standard(TO, h) for h in labels]), rng)
+    return mod, g, [[TO.T.random(rng) for _ in range(mod.ranks[g])]
+                    for _ in range(q)]
 
 
 @hypothesis.settings(max_examples=150)
@@ -82,3 +111,19 @@ def test_algebra_associates_and_distributes(case):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+@hypothesis.settings(max_examples=40)
+@hypothesis.given(module_and_map())
+def test_graded_module_round_trip_and_adjoint(case):
+    """F(H(m)) = m; each block of the adjoint of f out of piece g is f after
+    the phi-composite into g; phi is frozen.  Nothing here splits, so the
+    N/2 precision guard of `decompose` is never reached."""
+    mod, g, f = case
+    TO, T = mod.ctx, mod.ctx.T
+    assert modcat.F(modcat.H(mod)) == mod
+    blocks = modcat.adjoint(mod, g, f).blocks
+    assert blocks == [linalg.rmat_mul(f, phi_composite(mod, h, TO.x_power(g, h)), T)
+                      for h in range(TO.d)]
+    with pytest.raises(TypeError):
+        mod.phi[0][0][0] = T.one

@@ -58,8 +58,9 @@ def order_oracle(z, w):
             return TO.zero
         return TensorElem(TO, tuple(map(TO.T.dot, zip(*[x.parts for x in xs]),
                                         zip(*[y.parts for y in ys]))))
+    piK = TO.right(TO.T.uniformizer)
     return TO.order_elem(skew_mul_oracle(z.parts, w.parts, TensorElem.sigma_left,
-                                         TO.r, dot, TO.piK.__mul__))
+                                         TO.r, dot, piK.__mul__))
 
 
 def _twist(d, k):

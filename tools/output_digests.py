@@ -29,7 +29,10 @@ CONFIGS = {
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
          "pK^2*(th - x)", "x^2 + 7*th")
-FAULT_CONFIG = (3, 1, 2, 1, 8)
+# (p, f, d, r, N) per mode of the fault reports; at mixed d = 5, r = 2 the
+# twist differs from its inverse mod d
+FAULT_CONFIGS = {"mixed": [(3, 1, 2, 1, 8), (3, 1, 5, 2, 6)],
+                 "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8)]}
 
 
 def flags(cfg, mode):
@@ -47,10 +50,11 @@ def runs():
                 yield flags(cfg, mode) + ["dump", what]
             for expr in EXPRS:
                 yield flags(cfg, mode) + ["--output", "json", "eval", expr]
-    for mode in CONFIGS:
-        for fault in suites.FAULTS:
-            yield flags(FAULT_CONFIG, mode) + ["--output", "json", "verify",
-                                               "--inject-fault", fault]
+    for mode, cfgs in FAULT_CONFIGS.items():
+        for cfg in cfgs:
+            for fault in suites.FAULTS:
+                yield flags(cfg, mode) + ["--output", "json", "verify",
+                                          "--inject-fault", fault]
 
 
 def digest(argv):
