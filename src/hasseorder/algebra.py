@@ -244,10 +244,14 @@ class DElem:
 
     def inv(self):
         """Two-sided inverse: self = pi_D^v * u with u a unit, and u^{-1}
-        solves one T-linear system.
+        by Cayley-Hamilton on the first column.
 
         In right coordinates b = sum_s pi_D^s t_s, u * b = 1 reads
-        u.embed() * t = e_0; b has left coefficients y_s = sigma_r^s(t_s).
+        M t = e_0 for M = u.embed(); with det(x - M) = x^d + c_0 x^{d-1}
+        + ... + c_{d-1}, t = -c_{d-1}^{-1} (M^{d-1} + c_0 M^{d-2} + ...
+        + c_{d-2}) e_0, by Horner's rule from M e_0, the first column of M:
+        d - 2 products with M.  b has left coefficients
+        y_s = sigma_r^s(t_s).
         """
         ctx = self.ctx
         if self.is_zero():
@@ -260,9 +264,14 @@ class DElem:
         if u.ord() != 0:
             raise InternalError("unit part of inversion input is not a unit")
         T = ctx.T
-        e0 = [[T.one]] + [[T.zero]] * (ctx.d - 1)
-        t = linalg.solve(u.embed(), e0, T)
-        b = ctx.elem(0, [T.frobenius(ts, ctx.r * s) for s, (ts,) in enumerate(t)])
+        M = u.embed()
+        *cs, last = linalg.charpoly(M, T)
+        t = [T.one] + [T.zero] * (ctx.d - 1)
+        for k, c in enumerate(cs):
+            t = linalg.rmat_vec(M, t, T) if k else [row[0] for row in M]
+            t[0] = t[0] + c
+        scale = -last.inv()
+        b = ctx.elem(0, [T.frobenius(scale * ts, ctx.r * s) for s, ts in enumerate(t)])
         if not (u * b - ctx.one).is_zero() or not (b * u - ctx.one).is_zero():
             raise InternalError("inverse of the unit part fails u * b = b * u = 1")
         return b if v == 0 else b * ctx.pi_D_pow(-v)
@@ -298,14 +307,13 @@ class DElem:
         return embed_matrix(ctx.d, entry)
 
     def trd_nrd(self):
-        """Reduced trace and norm in S: trace and determinant of embed()."""
-        ctx = self.ctx
-        T, d = ctx.T, ctx.d
-        M = self.embed()
-        trd = T.zero
-        for j in range(d):
-            trd = trd + M[j][j]
-        nrd = linalg.det_berkowitz(M, T.zero, T.one)
+        """Reduced trace and norm in S, from the characteristic polynomial
+        x^d + c_0 x^{d-1} + ... + c_{d-1} of embed(): Trd = -c_0 and
+        Nrd = (-1)^d c_{d-1}."""
+        T, d = self.ctx.T, self.ctx.d
+        cs = linalg.charpoly(self.embed(), T)
+        trd = -cs[0]
+        nrd = cs[-1] if d % 2 == 0 else -cs[-1]
         for val in (trd, nrd):
             if T.frobenius(val, 1) != val:
                 raise InternalError("reduced trace/norm is not Galois-invariant")
@@ -362,7 +370,8 @@ class DElem:
             ints = [[x.coeffs[0] for x in row] for row in M]
             det = S.from_int(linalg.det_mod_pe(ints, S.p, S.e))
         else:
-            det = linalg.det_berkowitz(M, S.zero, S.one)
+            cs = linalg.charpoly(M, S)
+            det = cs[-1] if n % 2 == 0 else -cs[-1]
         return tr, det
 
     def __eq__(self, other):

@@ -4,15 +4,13 @@ Everything here is exact.  Over Z/p^e, integer matrices are eliminated
 with unit pivots in one pass, `_unit_pivots`, which divides a block without
 a unit by p: `det_mod_pe` (the determinant over S = Z/p^N) and
 `kernel_log_size` are two read-offs of it.  `inv_mod_pe` inverts by
-Gauss-Jordan, which never divides by p.  Determinants over a kernel ring
-`LocalRingCtx` are division-free (Berkowitz); both are exact at full
-working precision.  Matrix products go through the ring's `dot` and
-`matmul` (`LocalRingCtx.dot`/`matmul`), which reduce each sum of products
-once; Berkowitz packs each entry once and sums its inner products on the
-packings.  Over a local ring, `solve` (and `rmat_inv`, a solve against the
-identity) eliminates fraction-free with unit pivots and takes the pivots'
-inverses from `inv_all`, which inverts any list of units with a single
-inversion.
+Gauss-Jordan, which never divides by p.  Over a kernel ring `LocalRingCtx`
+one division-free characteristic polynomial (Berkowitz, `charpoly`) gives
+determinants and traces, and by Cayley-Hamilton inverses (`rmat_inv`);
+`inv_all` inverts a list of units with a single inversion.  Matrix products
+go through the ring's `dot` and `matmul` (`LocalRingCtx.dot`/`matmul`),
+which reduce each sum of products once; Berkowitz packs each entry once
+and sums its inner products on the packings.
 """
 
 from __future__ import annotations
@@ -101,22 +99,19 @@ def det_mod_pe(mat, p, e):
     return 0 if left else unit * pow(p, shift, mod) % mod
 
 
-def det_berkowitz(mat, zero, one):
-    """Division-free determinant over a kernel ring (`zero.ctx`).
+def charpoly(mat, ctx):
+    """The coefficients c_0, ..., c_{n-1} of det(x - M) = x^n + c_0 x^{n-1}
+    + ... + c_{n-1}, over a kernel ring `ctx`, division-free.
 
     Berkowitz: the characteristic polynomial of each leading block follows
-    from that of the previous one by a Toeplitz product.  Only the monic
-    polynomial's lower coefficients are kept, and the last step forms the
-    constant term alone.  Each entry is packed once (`_sum_kernel`); a power
-    step re-packs only the vector it multiplies.
+    from that of the previous one by a Toeplitz product, of which only the
+    coefficients below the leading 1 are kept.  c_0 is minus the trace and
+    c_{n-1} is (-1)^n det M.  Each entry is packed once (`_sum_kernel`); a
+    power step re-packs only the vector it multiplies.
     """
     n = len(mat)
     if n == 0:
-        return one
-    if n == 1:
-        return mat[0][0]
-
-    ctx = zero.ctx
+        return []
     pack, finish = ctx._sum_kernel(n)
     packed = [ctx._packings(row, pack) for row in mat]
 
@@ -136,12 +131,10 @@ def det_berkowitz(mat, zero, one):
         # (1, *items) and (1, *tail), read from the top; below its leading 1,
         # entry k is items[k] + sum_j items[k-1-j] tail[j] + tail[k]
         pitems, ptail = ctx._packings(items, pack), ctx._packings(tail, pack)
-        if i == n - 1:
-            det = items[i] + dot(pitems[i - 1::-1], ptail)
-            return det if n % 2 == 0 else -det
         new = [items[0]] + [items[k] + dot(pitems[k - 1::-1], ptail)
                             for k in range(1, i + 1)]
         tail = [a + b for a, b in zip(new, tail)] + new[i:]
+    return tail
 
 
 def echelon_basis(rows):
@@ -177,10 +170,6 @@ def rmat_zero(ctx, rows, cols):
     return [[ctx.zero for _ in range(cols)] for _ in range(rows)]
 
 
-def rmat_mul(A, B, ctx):
-    return ctx.matmul(A, B)
-
-
 def rmat_vec(A, v, ctx):
     return [ctx.dot(row, v) for row in A]
 
@@ -214,46 +203,25 @@ def inv_all(xs):
     return out
 
 
-def solve(A, B, ctx):
-    """The X with A X = B over a local ring, for a square A.
+def rmat_inv(M, ctx):
+    """Inverse of a matrix over a kernel ring, by Cayley-Hamilton: with
+    det(x - M) = x^n + c_0 x^{n-1} + ... + c_{n-1} (`charpoly`),
 
-    Fraction-free elimination with unit pivots: each row below the pivot a
-    becomes a*r_i - c_i*r_k, with c_i its entry in the pivot column, so
-    nothing is inverted while eliminating.  One step is the matrix product
-    [a*I | -c] [R; r_k] (`ctx.matmul`), so each entry is packed and reduced
-    once.  Back substitution needs the pivots' inverses, which `inv_all`
-    takes with one inversion.  Raises NotInvertibleError when a column has
-    no unit, i.e. when A is singular modulo the maximal ideal.
+        M^{-1} = -c_{n-1}^{-1} (M^{n-1} + c_0 M^{n-2} + ... + c_{n-2}),
+
+    formed by Horner's rule in n - 2 matrix products.  Raises
+    NotInvertibleError when c_{n-1} = (-1)^n det M is not a unit, i.e. when
+    M is singular modulo the maximal ideal.
     """
-    n = len(A)
-    zero = ctx.zero
-    rows = [list(a) + list(b) for a, b in zip(A, B)]
-    # pivot rows, each from its pivot column on
-    pivots = []
-    for _ in range(n):
-        k = next((i for i, row in enumerate(rows) if row[0].is_unit()), None)
-        if k is None:
-            raise NotInvertibleError("matrix over local ring is not invertible")
-        top = rows.pop(k)
-        pivots.append(top)
-        if rows:
-            a = top[0]
-            coef = [[a if j == i else zero for j in range(len(rows))] + [-row[0]]
-                    for i, row in enumerate(rows)]
-            rows = ctx.matmul(coef, [row[1:] for row in rows] + [top[1:]])
-    inverses = inv_all([top[0] for top in pivots])
-    X = [None] * n
-    for k in range(n - 1, -1, -1):
-        top = pivots[k]
-        X[k] = [inverses[k] * (b - ctx.dot(top[1:n - k], [x[c] for x in X[k + 1:]]))
-                for c, b in enumerate(top[n - k:])]
-    return X
-
-
-def rmat_inv(A, ctx):
-    """Inverse of a matrix over a local ring: `solve` against the identity.
-
-    Raises NotInvertibleError when the matrix is singular modulo the
-    maximal ideal.
-    """
-    return solve(A, rmat_id(ctx, len(A)), ctx)
+    if not M:
+        return []
+    *cs, last = charpoly(M, ctx)
+    if not last.is_unit():
+        raise NotInvertibleError("matrix over local ring is not invertible")
+    X = rmat_id(ctx, len(M))
+    for k, c in enumerate(cs):
+        X = ctx.matmul(M, X) if k else [list(row) for row in M]
+        for i, row in enumerate(X):
+            row[i] = row[i] + c
+    scale = -last.inv()
+    return [[scale * x for x in row] for row in X]

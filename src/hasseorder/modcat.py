@@ -106,9 +106,8 @@ class ModuleMap:
         ctx = self.source.ctx
         T = ctx.T
         for k in range(ctx.d):
-            lhs = linalg.rmat_mul(self.blocks[ctx.succ(k)],
-                                  self.source.phi[k], T)
-            rhs = linalg.rmat_mul(self.target.phi[k], self.blocks[k], T)
+            lhs = T.matmul(self.blocks[ctx.succ(k)], self.source.phi[k])
+            rhs = T.matmul(self.target.phi[k], self.blocks[k])
             if lhs != rhs:
                 return False
         return True
@@ -159,8 +158,7 @@ def scramble(module: GradedPhiModule, rng) -> GradedPhiModule:
                 continue
 
     pairs = [invertible(module.ranks[k]) for k in range(d)]
-    phi = [linalg.rmat_mul(pairs[ctx.succ(k)][1],
-                           linalg.rmat_mul(module.phi[k], pairs[k][0], T), T)
+    phi = [T.matmul(pairs[ctx.succ(k)][1], T.matmul(module.phi[k], pairs[k][0]))
            for k in range(d)]
     return GradedPhiModule(ctx, module.ranks, phi)
 
@@ -266,13 +264,13 @@ def cycle_composites(module: GradedPhiModule):
     Q = [None] * d
     Q[d - 1] = phi[c[d - 1]]
     for j in range(d - 2, -1, -1):
-        Q[j] = linalg.rmat_mul(Q[j + 1], phi[c[j]], T)
+        Q[j] = T.matmul(Q[j + 1], phi[c[j]])
     out = [None] * d
     out[c[0]] = Q[0]
     P = None
     for j in range(1, d):
-        P = phi[c[0]] if j == 1 else linalg.rmat_mul(phi[c[j - 1]], P, T)
-        out[c[j]] = linalg.rmat_mul(P, Q[j], T)
+        P = phi[c[0]] if j == 1 else T.matmul(phi[c[j - 1]], P)
+        out[c[j]] = T.matmul(P, Q[j])
     return out
 
 
@@ -292,7 +290,7 @@ def adjoint(module: GradedPhiModule, g: int, f) -> ModuleMap:
     blocks = [None] * d
     blocks[g] = M = f
     for h in sorted(range(d), key=lambda h: ctx.x_power(g, h))[1:]:
-        blocks[h] = M = linalg.rmat_mul(M, module.phi[h], T)
+        blocks[h] = M = T.matmul(M, module.phi[h])
     return ModuleMap(module, ind(ctx, g, len(f)), blocks)
 
 

@@ -14,7 +14,9 @@ k-th root of G(u) = prod_k (u - sigma^k(theta)).  The pairwise differences
 of the roots are units because T/S is unramified, so the Vandermonde
 matrix on the roots is invertible and the two bases convert exactly at
 precision N: `elem` multiplies by it (one packed dot per root) and
-`u_coeffs` by its inverse.
+`u_coeffs` by its inverse, which is read off in closed form by Lagrange
+interpolation at the roots, with one inversion (`linalg.inv_all`) for the
+d values G'(sigma^k(theta)).
 
 A product in A (x)_S T is `algebra.skew_mul` once per component g: the
 twist sigma_r (x) id rotates components, so lane g of sigma_r^i(z_j) is
@@ -57,15 +59,23 @@ class TensorRingCtx:
             if T.frobenius(c, 1) != c:
                 raise InternalError("defining polynomial of T (x)_S T is not "
                                     "Galois-invariant; factorization residual")
-        for j in range(d):
-            for k in range(j + 1, d):
-                if not (self.roots[j] - self.roots[k]).is_unit():
-                    raise InternalError("conjugate roots are not separated by "
-                                        "units; extension is not unramified")
         # the Vandermonde matrix on the roots takes u-coefficients to
-        # components; its inverse takes them back
+        # components; its inverse takes them back, by Lagrange interpolation:
+        # column k holds the u-coefficients of G(u) / ((u - r_k) G'(r_k)),
+        # and G'(r_k) = prod_{j != k} (r_k - r_j) is a unit as T/S is unramified
         self._from_u = [[rt ** j for j in range(d)] for rt in self.roots]
-        self._to_u = linalg.rmat_inv(self._from_u, T)
+        dG = [c.scale(i) for i, c in enumerate(G[1:], 1)]
+        dens = [T.dot(row, dG) for row in self._from_u]
+        if not all(den.is_unit() for den in dens):
+            raise InternalError("conjugate roots are not separated by units; "
+                                "extension is not unramified")
+        cols = []
+        for rt, inv in zip(self.roots, linalg.inv_all(dens)):
+            q = [T.one]  # G(u) / (u - r_k) from the top, by synthetic division
+            for c in G[d - 1:0:-1]:
+                q.append(c + rt * q[-1])
+            cols.append([inv * c for c in reversed(q)])
+        self._to_u = list(zip(*cols))
         # the twist sigma_r (x) id of the order rotates components: lane g
         # of sigma_r^i(z) is component (g + r i) mod d of z
         self._lanes = [[(g + r * i) % d for i in range(d)] for g in range(d)]

@@ -37,7 +37,6 @@ from . import localring as lr
 from .errors import CtxMismatchError, InternalError, ParameterError
 
 MAX_N = 6
-MAX_P = 13
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +120,6 @@ class WittCtx:
     def __init__(self, p, n, R, _lift=None):
         if n < 1 or n > MAX_N:
             raise ParameterError(f"Witt length n = {n} out of range [1, {MAX_N}]")
-        if p > MAX_P:
-            raise ParameterError(f"p = {p} exceeds the supported cap {MAX_P}")
         if R.p != p:
             raise ParameterError("coefficient ring characteristic mismatch")
         self.p = p

@@ -96,7 +96,7 @@ def test_embed_is_multiplicative_and_additive():
         S, T, A = make(p=p, d=d, r=r)
         for _ in range(30):
             a, b = A.random(rng), A.random(rng)
-            assert (a * b).embed() == linalg.rmat_mul(a.embed(), b.embed(), T)
+            assert (a * b).embed() == T.matmul(a.embed(), b.embed())
             assert (a + b).embed() == [[u + v for u, v in zip(ra, rb)]
                                          for ra, rb in zip(a.embed(), b.embed())]
 

@@ -96,6 +96,17 @@ def test_eval_p13_f2_d4_against_full_norm_trace(capsys, mode):
     assert AS.from_T(tr) == evaluate(AS, data["Trd"]) * AS.from_int(4)
 
 
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+def test_verify_passes_at_p17(capsys, mode):
+    # Witt vectors have no cap on p
+    code, out, _ = run(capsys, "--p", "17", "--d", "2", "--N", "6", "--mode", mode,
+                       "--output", "json", "verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["p"] == 17
+    assert all(not s["failures"] for s in report["suites"])
+
+
 def test_closed_stdout_exits_without_traceback():
     # the reader is gone before the first write, as after `| head -c 50`
     r, w = os.pipe()

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -184,25 +184,45 @@ class _Fq:
                    self.G, self.p)
 
 
-def test_det_berkowitz_matches_over_ff():
+def charpoly_leibniz(mat, zero):
+    """Oracle: the coefficients c_0, ..., c_{n-1} of det(x - M) below its
+    leading 1, c_k = (-1)^(k+1) times the sum of the principal minors of
+    size k + 1, each a Leibniz determinant."""
+    n = len(mat)
+    out = []
+    for k in range(1, n + 1):
+        acc = zero
+        for rows in combinations(range(n), k):
+            acc = acc + det_leibniz([[mat[i][j] for j in rows] for i in rows], zero)
+        out.append(acc if k % 2 == 0 else zero - acc)
+    return out
+
+
+def test_charpoly_matches_over_ff():
+    """Every coefficient over F_25, against the principal minors of a
+    schoolbook oracle field that shares no code with the kernel."""
     rng = random.Random(1)
     F = lr.residue_field(5, 2)
     for n in (1, 2, 3, 4, 5):
-        M = [[F.random(rng) for _ in range(n)] for _ in range(n)]
-        oracle = [[_Fq(a.coeffs, F.poly, 5) for a in row] for row in M]
-        want = det_leibniz(oracle, _Fq((0, 0), F.poly, 5))
-        assert linalg.det_berkowitz(M, F.zero, F.one).coeffs == want.coeffs
+        for _ in range(3):
+            M = [[F.random(rng) for _ in range(n)] for _ in range(n)]
+            oracle = [[_Fq(a.coeffs, F.poly, 5) for a in row] for row in M]
+            want = charpoly_leibniz(oracle, _Fq((0, 0), F.poly, 5))
+            assert [c.coeffs for c in linalg.charpoly(M, F)] == \
+                [c.coeffs for c in want]
+    assert linalg.charpoly([], F) == []
 
 
-def test_det_berkowitz_over_local_ring():
+def test_charpoly_over_local_ring():
+    """Every coefficient over S and over T = S_2, in both modes, against the
+    principal minors."""
     rng = random.Random(2)
     for mode in (lr.MIXED, lr.EQUAL):
         S = lr.base_ring(3, 1, 5, mode)
-        T = lr.unramified(S, 2)
-        for n in (1, 2, 3, 4):
-            M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
-            assert linalg.det_berkowitz(M, T.zero, T.one) == \
-                det_leibniz(M, T.zero)
+        for R in (S, lr.unramified(S, 2)):
+            for n in (1, 2, 3, 4, 5):
+                M = [[R.random(rng) for _ in range(n)] for _ in range(n)]
+                assert linalg.charpoly(M, R) == charpoly_leibniz(M, R.zero)
 
 
 def test_column_solver():
@@ -324,37 +344,70 @@ def test_rmat_inv():
                 break
             except NotInvertibleError:
                 continue
-        assert linalg.rmat_mul(M, Mi, T) == linalg.rmat_id(T, n)
-        assert linalg.rmat_mul(Mi, M, T) == linalg.rmat_id(T, n)
+        assert T.matmul(M, Mi) == linalg.rmat_id(T, n)
+        assert T.matmul(Mi, M) == linalg.rmat_id(T, n)
+    assert linalg.rmat_inv([], T) == []
 
 
 def random_invertible(T, n, rng):
     while True:
         M = [[T.random(rng) for _ in range(n)] for _ in range(n)]
-        if M and linalg.det_berkowitz(M, T.zero, T.one).is_unit():
+        if M and det_leibniz(M, T.zero).is_unit():
             return M
 
 
-def test_solve_rmat_inv_inv_all_against_identity():
+def test_rmat_inv_exactly_when_the_determinant_is_a_unit():
+    """Over F_25, S and T, in both modes, n <= 5: rmat_inv raises exactly
+    when the oracle determinant is not a unit, and otherwise returns X with
+    M X = X M = I.  Half the matrices get a last row that is a combination
+    of the others plus pi times a random row, so that both outcomes occur
+    for every ring and size."""
+    rng = random.Random(13)
+    F = lr.residue_field(5, 2)
+    rings = [F]
+    for mode in (lr.MIXED, lr.EQUAL):
+        S = lr.base_ring(3, 1, 4, mode)
+        rings += [S, lr.unramified(S, 2)]
+    for R in rings:
+        for n in (1, 2, 3, 4, 5):
+            seen = set()
+            for trial in range(8):
+                M = [[R.random(rng) for _ in range(n)] for _ in range(n)]
+                if trial % 2:
+                    cs = [R.random(rng) for _ in range(n - 1)]
+                    M[-1] = [R.dot(cs, col[:-1]) + R.uniformizer * x
+                             for col, x in zip(zip(*M), M[-1])]
+                unit = det_leibniz(M, R.zero).is_unit()
+                seen.add(unit)
+                if not unit:
+                    with pytest.raises(NotInvertibleError):
+                        linalg.rmat_inv(M, R)
+                    continue
+                X = linalg.rmat_inv(M, R)
+                assert R.matmul(M, X) == linalg.rmat_id(R, n)
+                assert R.matmul(X, M) == linalg.rmat_id(R, n)
+            assert seen == {True, False}, (R, n)
+
+
+def test_rmat_inv_inv_all_against_identity():
     rng = random.Random(11)
     for mode in (lr.MIXED, lr.EQUAL):
         T = lr.unramified(lr.base_ring(3, 1, 5, mode), 3)
         for n in (1, 2, 3, 4, 6):
             M = random_invertible(T, n, rng)
+            Mi = linalg.rmat_inv(M, T)
             # a few right-hand sides, one of them with a single column
             for k in (1, 3):
                 B = [[T.random(rng) for _ in range(k)] for _ in range(n)]
-                X = linalg.solve(M, B, T)
-                assert linalg.rmat_mul(M, X, T) == B
-            Mi = linalg.rmat_inv(M, T)
-            assert linalg.rmat_mul(M, Mi, T) == linalg.rmat_id(T, n)
-            assert linalg.rmat_mul(Mi, M, T) == linalg.rmat_id(T, n)
+                assert T.matmul(M, T.matmul(Mi, B)) == B
+            assert T.matmul(M, Mi) == linalg.rmat_id(T, n)
+            assert T.matmul(Mi, M) == linalg.rmat_id(T, n)
         units = [x for x in (T.random(rng) for _ in range(12)) if x.is_unit()]
         assert [x * y for x, y in zip(units, linalg.inv_all(units))] == [T.one] * len(units)
         assert linalg.inv_all([]) == []
 
 
-def test_solve_rejects_matrices_singular_mod_pi():
+def test_rmat_inv_rejects_matrices_singular_mod_pi():
     rng = random.Random(12)
     T = lr.unramified(lr.base_ring(3, 1, 5, lr.MIXED), 2)
     pi = T.uniformizer
@@ -365,8 +418,6 @@ def test_solve_rejects_matrices_singular_mod_pi():
             row[n - 1] = row[n - 1] * pi
         with pytest.raises(NotInvertibleError):
             linalg.rmat_inv(M, T)
-        with pytest.raises(NotInvertibleError):
-            linalg.solve(M, [[T.one] for _ in range(n)], T)
     # two equal rows
     M = random_invertible(T, 3, rng)
     M[2] = list(M[0])

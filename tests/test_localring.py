@@ -439,8 +439,7 @@ def test_packing_cache_follows_the_kernel(mode):
         lambda z: T.dot([z] * cap, ys[:cap]),
         lambda z: T.dot([z] * (cap + 1), ys),
         lambda z: T.matmul([[z, y], [y, z]], [[y, z], [z, z]]),
-        lambda z: linalg.det_berkowitz([[z, y, z], [y, z, y], [z, z, y]],
-                                       T.zero, T.one),
+        lambda z: linalg.charpoly([[z, y, z], [y, z, y], [z, z, y]], T),
         lambda z: A.elem(0, [z, y, z, y]) * A.elem(0, [y, z, z, z]),
         lambda z: (TO.order_elem([tensor_elem(z), TO.zero, TO.one, tensor_elem(z)])
                    * TO.order_elem([TO.one, tensor_elem(z), TO.zero, tensor_elem(z)])),

@@ -26,7 +26,7 @@ def phi_composite(module, start, steps):
     M = module.phi[start]
     cur = ctx.succ(start)
     for _ in range(steps - 1):
-        M = linalg.rmat_mul(module.phi[cur], M, ctx.T)
+        M = ctx.T.matmul(module.phi[cur], M)
         cur = ctx.succ(cur)
     return M
 
@@ -229,8 +229,8 @@ def test_adjoint():
             assert al.blocks[g] == f
             # each block is f after the phi-composite into piece g
             for h in range(d):
-                assert al.blocks[h] == linalg.rmat_mul(
-                    f, phi_composite(mod, h, TO.x_power(g, h)), T)
+                assert al.blocks[h] == T.matmul(
+                    f, phi_composite(mod, h, TO.x_power(g, h)))
 
 
 def test_equivariance_check_rejects_bad_map():
@@ -272,9 +272,8 @@ def test_split_one_matches_generic_conjugation():
                     basis = step["basis"]
                     for k in range(d):
                         t = TO.succ(k)
-                        Mt = linalg.rmat_mul(
-                            linalg.rmat_inv(basis[t], T),
-                            linalg.rmat_mul(current.phi[k], basis[k], T), T)
+                        Mt = T.matmul(linalg.rmat_inv(basis[t], T),
+                                      T.matmul(current.phi[k], basis[k]))
                         lam = step["lambdas"][cycle.index(k)]
                         assert (Mt[0][0] - lam).ord() >= eff
                         assert all(row[0].ord() >= eff for row in Mt[1:])
