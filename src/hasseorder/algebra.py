@@ -89,7 +89,6 @@ class AlgebraCtx:
         self.prec = T.prec
         self.ord_cap = d * T.prec
         self._skew = None
-        self._twisted = None
 
     def _kernel(self):
         """(pack, split, twist, fold) of the product, built on first use:
@@ -105,16 +104,6 @@ class AlgebraCtx:
                 return z[0] if c is None else sum(map(_mul, z[1], c))
             self._skew = (pack, split, twist, fold)
         return self._skew
-
-    def _twisted_powers(self):
-        """[[sigma_r^k(theta^j) for j < d] for k < d], the constants of the
-        full-norm oracle (`DElem._left_mult_matrix`), built on first use."""
-        if self._twisted is None:
-            T, d = self.T, self.d
-            powers = [T.gen ** j for j in range(d)]
-            self._twisted = [[T.frobenius(t, self.r * k) for t in powers]
-                             for k in range(d)]
-        return self._twisted
 
     # -- element constructors ---------------------------------------------
 
@@ -335,11 +324,12 @@ class DElem:
         # with w = 1 needed only for k > 0; rel_coords is S-linear, so the
         # w = 1 coordinates are pi_K times the w = 0 ones
         coords = []
-        for k, (y, twisted) in enumerate(zip(self.coeffs, ctx._twisted_powers())):
+        for k, y in enumerate(self.coeffs):
             if y.is_zero():
                 coords.append(None)
                 continue
-            cs = [T.rel_coords((y * t).shift_down(-self.shift)) for t in twisted]
+            cs = [T.rel_coords((y * t).shift_down(-self.shift))
+                  for t in T.conjugates(ctx.r * k)[:d]]
             coords.append([cs, [[c.shift_down(-1) for c in v] for v in cs]] if k
                           else [cs])
         zero = [S.zero] * d

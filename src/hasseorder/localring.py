@@ -272,6 +272,10 @@ class LocalRingCtx:
     Its precision N is e for n = 1 and n for n > 1.  A ring with e > 1 and
     n > 1 is the lift (Z/p^e)[theta]/(G)[t]/(t^n) of an equal-characteristic
     ring that the Witt-vector ghost method computes in.
+
+    `conjugates(k)` holds the elements sigma^k(theta^j), the structure
+    constants of the twist of the order A, of its skew product and of
+    T (x)_S T = prod_{Gal} T; every consumer reads them there.
     """
 
     def __init__(self, p, f, d, e, n, base=None):
@@ -322,21 +326,20 @@ class LocalRingCtx:
 
     # -- construction internals -------------------------------------------
 
-    def _power_rows(self, z, k):
-        """Matrix rows of the map sending theta^j to z^j for j < k.
-
-        z must be constant in t; the map then acts on each t-block alike."""
+    def _powers(self, z, k):
+        """([z^j for j < k], the matrix rows of the map sending theta^j to
+        z^j).  z must be constant in t; the map then acts on each t-block
+        alike."""
         if any(z.coeffs[self.m:]):
             raise InternalError("generator image is not constant in t")
-        cols = []
-        zj = self.one
-        for _ in range(k):
-            cols.append(zj.coeffs[:self.m])
-            zj = zj * z
-        return [tuple(col[i] for col in cols) for i in range(self.m)]
+        powers = [self.one]
+        for _ in range(1, k):
+            powers.append(powers[-1] * z)
+        return powers, list(zip(*[x.coeffs[:self.m] for x in powers]))
 
     def _phi(self, k):
-        """(rows, block map) of phi^k, 0 < k < m, built on first use.
+        """(conjugates, block map) of phi^k, 0 <= k < m, built on first use:
+        the elements phi^k(theta^j), j < m, and the map.
 
         The first use builds phi from phi(theta), the Newton root of G near
         theta^p, and applies it to find the images phi^k(theta), k <= m,
@@ -356,10 +359,16 @@ class LocalRingCtx:
             phi = phis[k] = self._endo(self._phi_images[k])
         return phi
 
+    def conjugates(self, k):
+        """[sigma^k(theta^j) for j < m], kept with phi^(f k) (`_phi`), so
+        each element keeps its packing."""
+        return self._phi(self.f * (k % self.d))[0]
+
     def _endo(self, z):
-        """(rows, block map) of the endomorphism theta -> z, z constant in t."""
-        rows = self._power_rows(z, self.m)
-        return rows, _block_map(rows, self.m, self.n, self.modulus)
+        """(the powers z^j for j < m, block map) of the endomorphism
+        theta -> z, z constant in t."""
+        powers, rows = self._powers(z, self.m)
+        return powers, _block_map(rows, self.m, self.n, self.modulus)
 
     def _newton_root(self, int_poly, start):
         """Unique root of int_poly congruent to start mod p, by Newton iteration.
@@ -405,7 +414,7 @@ class LocalRingCtx:
         # residue-field embedding root (already exact when e = 1)
         r = ffmod.embedding_root(base.residue, self.residue)
         self.base_gen_image = self._newton_root(base.poly, self.from_residue(r))
-        self._embed_map = _block_map(self._power_rows(self.base_gen_image, base.m),
+        self._embed_map = _block_map(self._powers(self.base_gen_image, base.m)[1],
                                      base.m, self.n, self.modulus)
 
     def _verify(self):
@@ -528,10 +537,10 @@ class LocalRingCtx:
         packing of the element a (`RingElem._packing`) with its
         theta-segments, None for zero (for n = 1 the segments are the
         coefficients, for n > 1 the packed t-polynomials), and
-        columns[k][l], the packing of sigma^k(theta^l), read from the rows
-        of phi^(fk), makes sum_l segs[l] * columns[k][l] the packing of
-        sigma^k(a), unreduced (columns[0] is None: sigma^0(a) is the packing
-        itself).
+        columns[k][l], the packing of sigma^k(theta^l) (`conjugates`, whose
+        elements keep it), makes sum_l segs[l] * columns[k][l] the packing
+        of sigma^k(a), unreduced (columns[0] is None: sigma^0(a) is the
+        packing itself).
 
         fold(lo, hi) is the element lo + pi * hi of two such sums: lo + p*hi
         for n = 1, and for n > 1 hi shifted up one t-slot, after `low`
@@ -544,15 +553,14 @@ class LocalRingCtx:
         """
         kernel = self._skew
         if kernel is None:
-            f, m, n, mod = self.f, self.m, self.n, self.modulus
+            m, n, mod = self.m, self.n, self.modulus
             wrap = self.p if n == 1 else 1
             width = _slot_bytes(self.d * self._term_bound * m * (mod - 1) * wrap)
             pack, finish = self._slot_kernel(width)
             bits = 8 * width
             seg = bits * (2 * n - 1)  # one theta-degree of a product
-            columns = [None] + [[sum(c << (j * seg) for j, c in enumerate(col))
-                                 for col in zip(*rows)]
-                                for rows, _ in map(self._phi, range(f, m, f))]
+            columns = [None] + [[t._packing(pack) for t in self.conjugates(k)]
+                                for k in range(1, self.d)]
             zero = self.zero
             if n == 1:
                 p = self.p

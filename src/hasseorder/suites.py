@@ -127,16 +127,16 @@ def suite_local_ring(cfg, ctxs, rng, fault):
     N = cfg["N"]
     for _ in range(100):
         x, y = T.random(rng), T.random(rng)
+        xy, xpy, sx, sy = x * y, x + y, T.frobenius(x, 1), T.frobenius(y, 1)
         if not (x.is_zero() or y.is_zero()):
-            rec.check_eq("ord-mul", min(x.ord() + y.ord(), N), (x * y).ord())
-        low, o = min(x.ord(), y.ord()), (x + y).ord()
+            rec.check_eq("ord-mul", min(x.ord() + y.ord(), N), xy.ord())
+        low, o = min(x.ord(), y.ord()), xpy.ord()
         rec.check("ord-add", o >= low, low, o)
-        sx = T.frobenius(x, 1)
         if fault == "local.sigma":
             sx = sx + T.one
             fault = None
-        rec.check_eq("sigma-add", T.frobenius(x + y, 1), sx + T.frobenius(y, 1))
-        rec.check_eq("sigma-mul", T.frobenius(x * y, 1), sx * T.frobenius(y, 1))
+        rec.check_eq("sigma-add", T.frobenius(xpy, 1), sx + sy)
+        rec.check_eq("sigma-mul", T.frobenius(xy, 1), sx * sy)
         rec.check_eq("sigma-order", x, T.frobenius(x, T.d))
         tr, nm = T.trace_rel(x), T.norm_rel(x)
         rec.check_eq("trace-in-S", tr, T.frobenius(tr, 1))

@@ -13,10 +13,12 @@ them.  Component k of a u-polynomial is its value at sigma^k(theta), the
 k-th root of G(u) = prod_k (u - sigma^k(theta)).  The pairwise differences
 of the roots are units because T/S is unramified, so the Vandermonde
 matrix on the roots is invertible and the two bases convert exactly at
-precision N: `elem` multiplies by it (one packed dot per root) and
-`u_coeffs` by its inverse, which is read off in closed form by Lagrange
-interpolation at the roots, with one inversion (`linalg.inv_all`) for the
-d values G'(sigma^k(theta)).
+precision N: `elem` multiplies by it, whose rows are the conjugates
+sigma^k(theta^j) of `LocalRingCtx.conjugates` (one packed dot per root),
+and `u_coeffs` by its inverse, read off in closed form by Lagrange
+interpolation at the roots.  G has its coefficients in S, so the Lagrange
+column of sigma^k(theta) is sigma^k of the column of theta: one synthetic
+division and one inversion, of G'(theta), build them all.
 
 A product in A (x)_S T is `algebra.skew_mul` once per component g: the
 twist sigma_r (x) id rotates components, so lane g of sigma_r^i(z_j) is
@@ -62,19 +64,19 @@ class TensorRingCtx:
         # the Vandermonde matrix on the roots takes u-coefficients to
         # components; its inverse takes them back, by Lagrange interpolation:
         # column k holds the u-coefficients of G(u) / ((u - r_k) G'(r_k)),
-        # and G'(r_k) = prod_{j != k} (r_k - r_j) is a unit as T/S is unramified
-        self._from_u = [[rt ** j for j in range(d)] for rt in self.roots]
-        dG = [c.scale(i) for i, c in enumerate(G[1:], 1)]
-        dens = [T.dot(row, dG) for row in self._from_u]
-        if not all(den.is_unit() for den in dens):
+        # sigma^k of column 0 as G lies over S, and G'(theta) = prod_{k > 0}
+        # (theta - r_k) is a unit as T/S is unramified
+        self._from_u = [T.conjugates(k)[:d] for k in range(d)]
+        den = T.dot(self._from_u[0], [c.scale(i) for i, c in enumerate(G[1:], 1)])
+        if not den.is_unit():
             raise InternalError("conjugate roots are not separated by units; "
                                 "extension is not unramified")
-        cols = []
-        for rt, inv in zip(self.roots, linalg.inv_all(dens)):
-            q = [T.one]  # G(u) / (u - r_k) from the top, by synthetic division
-            for c in G[d - 1:0:-1]:
-                q.append(c + rt * q[-1])
-            cols.append([inv * c for c in reversed(q)])
+        inv = den.inv()
+        q = [T.one]  # G(u) / (u - theta) from the top, by synthetic division
+        for c in G[d - 1:0:-1]:
+            q.append(c + T.gen * q[-1])
+        col = [inv * c for c in reversed(q)]
+        cols = [[T.frobenius(c, k) for c in col] for k in range(d)]
         self._to_u = list(zip(*cols))
         # the twist sigma_r (x) id of the order rotates components: lane g
         # of sigma_r^i(z) is component (g + r i) mod d of z

@@ -1,5 +1,6 @@
-"""Property tests of the kernel ring product, the parser, the algebra A and
-graded phi-modules, drawn under the derandomized profile of `conftest.py`."""
+"""Property tests of the kernel ring product, the parser, the algebra A,
+the change of basis of T (x)_S T and graded phi-modules, drawn under the
+derandomized profile of `conftest.py`."""
 
 import math
 import random
@@ -86,6 +87,17 @@ def module_and_map(draw):
                     for _ in range(q)]
 
 
+@st.composite
+def tensor_and_rng(draw):
+    """T (x)_S T over p in {2,3,5,7}, f in {1,2}, d <= 6, each twist r
+    valid for d, N in [2,8], either mode, and a seeded random source."""
+    d = draw(st.integers(1, 6))
+    TO = tensor_ctx(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2)),
+                    d, draw(st.sampled_from(twists(d))), draw(st.integers(2, 8)),
+                    draw(st.sampled_from((lr.MIXED, lr.EQUAL))))
+    return TO, random.Random(draw(st.integers(0, 2 ** 32)))
+
+
 @hypothesis.settings(max_examples=150)
 @hypothesis.given(ring_and_elements(3))
 def test_product_matches_oracle_and_associates(case):
@@ -111,6 +123,22 @@ def test_algebra_associates_and_distributes(case):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+@hypothesis.settings(max_examples=60)
+@hypothesis.given(tensor_and_rng())
+def test_conjugates_and_the_change_of_basis(case):
+    """conjugates(k) holds sigma^k(theta^j), j < m, and the u-basis and the
+    Galois components of T (x)_S T convert both ways exactly."""
+    TO, rng = case
+    T = TO.T
+    for k in range(TO.d):
+        assert T.conjugates(k) == [T.frobenius(T.gen ** j, k) for j in range(T.m)]
+    for _ in range(3):
+        z = TO.from_components([T.random(rng) for _ in range(TO.d)])
+        assert TO.elem(z.u_coeffs()) == z
+        c = [T.random(rng) for _ in range(TO.d)]
+        assert TO.elem(c).u_coeffs() == c
 
 
 @hypothesis.settings(max_examples=40)
