@@ -352,17 +352,10 @@ class DElem:
         ctx = self.ctx
         S = ctx.S
         M = self._left_mult_matrix()
-        n = len(M)
         tr = S.zero
-        for i in range(n):
+        for i in range(len(M)):
             tr = tr + M[i][i]
-        if S.zp_rank == 1:  # S = Z/p^N: integer elimination
-            ints = [[x.coeffs[0] for x in row] for row in M]
-            det = S.from_int(linalg.det_mod_pe(ints, S.p, S.e))
-        else:
-            cs = linalg.charpoly(M, S)
-            det = cs[-1] if n % 2 == 0 else -cs[-1]
-        return tr, det
+        return tr, linalg.det(M, S)
 
     def __eq__(self, other):
         """Equality at working precision.

@@ -1,19 +1,20 @@
-"""Linear algebra helpers: Z/p^e matrices, exact determinants, ring matrices.
+"""Linear algebra helpers: exact determinants, kernel sizes, inverses.
 
-Everything here is exact.  Over Z/p^e, integer matrices are eliminated
-with unit pivots in one pass, `_unit_pivots`, which divides a block without
-a unit by p: `det_mod_pe` (the determinant over S = Z/p^N) and
-`kernel_log_size` are two read-offs of it.  `inv_mod_pe` inverts by
-Gauss-Jordan, which never divides by p.  Over a kernel ring `LocalRingCtx`
-one division-free characteristic polynomial (Berkowitz, `charpoly`) gives
-determinants and traces, and by Cayley-Hamilton inverses (`rmat_inv`);
-`inv_all` inverts a list of units with a single inversion.  Matrix products
-go through the ring's `dot` and `matmul` (`LocalRingCtx.dot`/`matmul`),
-which reduce each sum of products once; Berkowitz packs each entry once
-and sums its inner products on the packings.
+Everything here is exact.  One unit-pivot elimination, `eliminate`, serves
+every kernel ring `LocalRingCtx`: each row is one integer in the ring's
+Kronecker layout, an entry is reduced only when it is read, and a block
+without a unit is divided by the uniformizer.  The determinant over S
+(`det`) and the kernel size over Z/p^e (`kernel_log_size`) are read off it.
+`inv_mod_pe` inverts over Z/p^e by Gauss-Jordan.  Over T one division-free
+characteristic polynomial (Berkowitz, `charpoly`) gives traces and
+determinants, and by Cayley-Hamilton inverses (`rmat_inv`); `inv_all`
+inverts a list of units with a single inversion.  Matrix products go
+through the ring's `dot` and `matmul`, which reduce each sum once.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter, lshift
 
 from .errors import NotInvertibleError
 
@@ -29,44 +30,71 @@ def _val(c, p, cap):
     return v
 
 
-def _unit_pivots(columns, p, e):
-    """Unit-pivot elimination of integer columns over Z/p^e (Cohen, §2.4).
+def eliminate(rows, ring):
+    """Unit-pivot elimination over a kernel ring R_{e,n} (Cohen, §2.4), each
+    row packed into one integer: entry k in segment k, the slots of one
+    product in the ring's Kronecker layout (`LocalRingCtx._row_kernel`), one
+    slot over Z/p^e.  The pivot is the first unit of the block, row by row;
+    its row, reduced, clears its column from each other row by a multiply-add
+    with the packed, negated multiplier, and an entry is reduced only when
+    it is read.  A row without a unit keeps none until the next division, so
+    a search resumes at the row where the last one stopped.  A block without
+    a unit is divided by pi (p for n = 1, t for n > 1): a pivot a taken after
+    s divisions is the factor pi^s a, exact mod pi^N.  Returns the product
+    of the pivots a, each signed (-1)^(i+j) by its position (i, j) in the
+    block; the sum of their s; and the number of rows left without one."""
+    pack, finish, red, span = ring._row_kernel(len(rows))
+    mask, p, m = (1 << span) - 1, ring.p, ring.m
+    offs = [k * span for k in range(len(rows[0]))] if rows else []  # the columns left
 
-    Each pivot is the first unit of the remaining block, column by column,
-    and clears its row from the other columns.  When no entry of the block
-    is a unit, the block is divided by p: the division count s grows by one,
-    and the modulus drops to p^(e-s).  A pivot a taken after s divisions is
-    the invariant factor p^s, and a p^s is exact mod p^e.  Returns the
-    product mod p^e of the pivots a, each signed (-1)^(i+j) by its position
-    (i, j) in the remaining block; the sum of their s; and the number of
-    columns left without a pivot."""
-    top_mod = mod = p ** e
-    cols = [[c % mod for c in col] for col in columns]
-    unit, s, shift = 1, 0, 0
-    while cols and mod > 1:
-        hit = next(((j, i) for j, col in enumerate(cols)
-                    for i, c in enumerate(col) if c % p), None)
-        if hit is None:
-            s += 1
-            mod //= p
-            cols = [[c // p for c in col] for col in cols]
+    def first_unit(ys):  # (i, a) when the entry ys[i], reduced to a, is the first unit
+        for i, y in enumerate(ys):
+            a = finish(y)
+            if any(c % p for c in a[:m]):  # not all coefficients at t^0 are 0 mod p
+                return i, a
+
+    # the reduced packed entries of each row, until a row is updated
+    fresh = [list(map(pack, map(attrgetter("coeffs"), row))) for row in rows]
+    packed = [sum(map(lshift, ys, offs)) for ys in fresh]
+    unit, sign, s, shift, start = None, 0, 0, 0, 0
+    while packed and offs and s < ring.prec:
+        for j in range(start, len(packed)):
+            ys = fresh[j] if fresh else [red((packed[j] >> k) & mask) for k in offs]
+            if hit := first_unit(ys):
+                break
+        else:  # no unit in the block: divide it by pi
+            s, start = s + 1, 0
+            fresh = [[pack(ring.from_vec(finish((row >> k) & mask)).shift_down(1).coeffs)
+                      for k in offs] for row in packed]
+            packed = [sum(map(lshift, ys, offs)) for ys in fresh]
             continue
-        j, i = hit
-        top = cols.pop(j)
-        a = top.pop(i)
-        unit = (-a if (i + j) % 2 else a) * unit % top_mod
-        shift += s
-        inv = pow(a, -1, mod)
-        cols = [[(x - f * y) % mod for x, y in zip(col, top)]
-                if (f := col.pop(i) * inv % mod) else col for col in cols]
-    return unit, shift, len(cols)
+        i, a = hit
+        del ys[i], packed[j]
+        off = offs.pop(i)
+        unit = a if unit is None else ring._mul(unit, a)
+        sign, shift, start, fresh = sign + i + j, shift + s, j, None
+        if packed:
+            neg = pack(ring.from_vec([-c for c in a]).inv().coeffs)  # -1/a
+            top = sum(map(lshift, ys, offs))
+            packed = [row + red(red((row >> off) & mask) * neg) * top for row in packed]
+    unit = ring.one if unit is None else ring.from_vec(unit)
+    return (-unit if sign % 2 else unit), shift, len(packed)
+
+
+def det(mat, ring):
+    """Determinant over a kernel ring: the signed product of the pivots of
+    `eliminate` times pi^shift, 0 when a row is left without a pivot."""
+    unit, shift, left = eliminate(mat, ring)
+    return ring.zero if left else unit.shift_down(-shift)
 
 
 def kernel_log_size(columns, p, e):
     """log_p of the number of x over Z/p^e with sum_j x_j * columns[j] = 0:
-    each pivot of `_unit_pivots` adds its s, each column left without one
-    adds e."""
-    _, shift, left = _unit_pivots(columns, p, e)
+    `eliminate` on the columns over Z/p^e, where each pivot adds its s and
+    each column left without one adds e."""
+    from .localring import LocalRingCtx  # localring imports this module
+    ring = LocalRingCtx(p, 1, 1, e, 1)
+    _, shift, left = eliminate([[ring.from_int(c) for c in col] for col in columns], ring)
     return shift + e * left
 
 
@@ -88,15 +116,6 @@ def inv_mod_pe(mat, p, e):
         rows = [[(x - f * y) % mod for x, y in zip(row, top)]
                 if i != c and (f := row[c]) else row for i, row in enumerate(rows)]
     return [row[n:] for row in rows]
-
-
-def det_mod_pe(mat, p, e):
-    """Determinant mod p^e of an integer matrix: `_unit_pivots` on its rows
-    (det M = det M^T), the product of the factors a p^s, each exact mod p^e.
-    A row left without a pivot makes it 0 mod p^e."""
-    unit, shift, left = _unit_pivots(mat, p, e)
-    mod = p ** e
-    return 0 if left else unit * pow(p, shift, mod) % mod
 
 
 def charpoly(mat, ctx):

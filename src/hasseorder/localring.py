@@ -146,6 +146,9 @@ def _slots(bound):
     width = _slot_bytes(bound)
     code = next((c for size, c in _ARRAY_CODES if size == width), None)
     frm = int.from_bytes
+    if width == 1:  # a byte per slot: bytes are faster than an array
+        return 8, (lambda seq: frm(bytes(seq), "little")), (
+            lambda x, count: list(x.to_bytes(count, "little")))
     if code:
         def pack(seq):
             return frm(array(code, seq).tobytes(), "little")
@@ -185,6 +188,8 @@ def _packed_sums(m, n, mod, red, bound):
     unpacked and reduced mod p^e.  For m = 1 that is one mask at t^n.
     """
     bits, pack, unpack = _slots(bound)
+    if m == n == 1:  # one slot: the packing is the coefficient itself
+        return itemgetter(0), lambda c: (c % mod,)
     if n == 1:
         width = m + len(red)
         red = [(m + l, row) for l, row in enumerate(red)]
@@ -518,6 +523,14 @@ class LocalRingCtx:
         narrowest slots that hold them (the slot width grows with terms)."""
         return self._slot_kernel(_slot_bytes(max(terms, 1) * self._term_bound))
 
+    def _row_kernel(self, terms):
+        """`_sum_kernel(terms)`, red(c) = pack(finish(c)), and the bits of one
+        product: the segment of an entry in a packed row (`linalg.eliminate`)."""
+        width = _slot_bytes(max(terms, 1) * self._term_bound)
+        pack, finish = self._slot_kernel(width)
+        red = self.modulus.__rmod__ if self.zp_rank == 1 else (lambda c: pack(finish(c)))
+        return pack, finish, red, 8 * width * (2 * self.m - 1) * (2 * self.n - 1)
+
     def _slot_kernel(self, width):
         """(pack, finish) in slots of `width` bytes, a `_slot_bytes` value."""
         kernel = self._sums.get(width)
@@ -760,24 +773,22 @@ class RingElem:
             v = self.ord()
             raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
         m, mod = ctx.m, ctx.modulus
-        y, c = ctx.one, self
+        y, c = None, self  # y: the product of the conjugates phi^k(x), 0 < k < m
         for k in range(1, m):
             c = ctx.frobenius_p(c)
             y = c if k == 1 else y * c
-        norm = self.coeffs if m == 1 else ctx._mul(self.coeffs, y.coeffs)
+        norm = self.coeffs if y is None else ctx._mul(self.coeffs, y.coeffs)
         if any(any(norm[j::m]) for j in range(1, m)):
             raise InternalError("norm does not lie in the prime ring")
         digits = norm[::m]
         b = [pow(digits[0], -1, mod)]
         for k in range(1, ctx.n):
             b.append(-b[0] * sum(map(_mul, digits[1:k + 1], reversed(b))) % mod)
-        if ctx.n == 1:
-            y = y.scale(b[0])
-        else:
-            series = [0] * ctx.zp_rank
-            series[::m] = b
-            y = y * RingElem(ctx, tuple(series))
-        if not (self * y - ctx.one).is_zero():
+        series = [0] * ctx.zp_rank
+        series[::m] = b
+        z = RingElem(ctx, tuple(series))
+        y = z if y is None else y.scale(b[0]) if ctx.n == 1 else y * z
+        if self * y != ctx.one:
             raise InternalError("inverse fails the check x * x^-1 = 1")
         return y
 

@@ -7,7 +7,7 @@ from hasseorder import algebra, linalg
 from hasseorder import localring as lr
 from hasseorder.errors import (NotInvertibleError, ParameterError,
                                PrecisionError)
-from test_linalg import det_bareiss
+from test_linalg import det_bareiss, zp_det, zp_rows
 
 
 def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
@@ -380,7 +380,7 @@ def test_full_norm_determinant_against_bareiss_at_d8():
         a = A.elem(shift, [T.random(rng) for _ in range(8)])
         ints = [[x.coeffs[0] for x in row] for row in a._left_mult_matrix()]
         det = det_bareiss(ints) % S.modulus
-        assert linalg.det_mod_pe(ints, S.p, S.e) == det
+        assert zp_det(ints, S.p, S.e) == det
         assert a.full_norm_trace()[1] == S.from_int(det)
 
 
@@ -397,7 +397,7 @@ def test_det_mod_pe_through_block_divisions_at_d8():
                      (A.elem(0, ys), 8)):
         assert a.ord() == shift // 8
         ints = [[x.coeffs[0] for x in row] for row in a._left_mult_matrix()]
-        assert linalg._unit_pivots(ints, 3, 20)[1:] == (shift, 0)
+        assert linalg.eliminate(*zp_rows(ints, 3, 20))[1:] == (shift, 0)
         det = det_bareiss(ints)
         for e in (8, 20):
-            assert linalg.det_mod_pe(ints, 3, e) == det % 3 ** e
+            assert zp_det(ints, 3, e) == det % 3 ** e

@@ -1,6 +1,6 @@
 """Property tests of the kernel ring product, the parser, the algebra A,
-the change of basis of T (x)_S T and graded phi-modules, drawn under the
-derandomized profile of `conftest.py`."""
+the change of basis of T (x)_S T, graded phi-modules and the unit-pivot
+elimination, drawn under the derandomized profile of `conftest.py`."""
 
 import math
 import random
@@ -8,10 +8,11 @@ from functools import lru_cache
 
 import pytest
 
-from hasseorder import algebra, modcat, tensor
+from hasseorder import algebra, linalg, modcat, tensor
 from hasseorder import localring as lr
 from hasseorder.cli import fmt_delem
 from hasseorder.parser import evaluate
+from test_linalg import ColumnSolver, det_bareiss
 from test_localring import _oracle_mul
 from test_modcat import phi_composite
 
@@ -98,6 +99,20 @@ def tensor_and_rng(draw):
     return TO, random.Random(draw(st.integers(0, 2 ** 32)))
 
 
+@st.composite
+def base_matrix(draw):
+    """A base ring S over p in {2,3,5,7}, f in {1,2}, N in [2,8], either
+    mode; a square matrix over S of size at most 8, each entry a random
+    element times pi^0..pi^3, so that columns and blocks without a unit
+    occur; and the number of its columns to keep in an integer matrix."""
+    S = ring(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2)), 1,
+             draw(st.integers(2, 8)), draw(st.sampled_from((lr.MIXED, lr.EQUAL))))
+    n = draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return S, [[S.random(rng).shift_down(-rng.randrange(4)) for _ in range(n)]
+               for _ in range(n)], draw(st.integers(0, n))
+
+
 @hypothesis.settings(max_examples=150)
 @hypothesis.given(ring_and_elements(3))
 def test_product_matches_oracle_and_associates(case):
@@ -155,3 +170,24 @@ def test_graded_module_round_trip_and_adjoint(case):
                       for h in range(TO.d)]
     with pytest.raises(TypeError):
         mod.phi[0][0][0] = T.one
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(base_matrix())
+def test_elimination_against_oracles(case):
+    """`linalg.det` against Bareiss over the integers when S = Z/p^N, and
+    against the constant term of `charpoly` on every other S; and
+    `kernel_log_size` over Z/p^e, on the t^0 theta^0 coefficients of the
+    entries with k columns kept, against the Smith-type oracle."""
+    S, M, k = case
+    n = len(M)
+    ints = [[x.coeffs[0] for x in row] for row in M]
+    if S.zp_rank == 1:
+        want = S.from_int(det_bareiss(ints))
+    else:
+        want = linalg.charpoly(M, S)[-1] if n else S.one
+        want = -want if n % 2 else want
+    assert linalg.det(M, S) == want
+    cols = [row[:k] for row in ints]
+    assert linalg.kernel_log_size(cols, S.p, S.e) == \
+        ColumnSolver(cols, S.p, S.e).kernel_log_size()

@@ -26,7 +26,7 @@ CONFIGS = {
               (3, 1, 1, 0, 8), (3, 1, 4, 1, 4), (3, 1, 5, 2, 6), (17, 1, 2, 1, 6),
               (3, 1, 8, 1, 8)],
     "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4),
-              (17, 1, 2, 1, 6)],
+              (17, 1, 2, 1, 6), (3, 1, 8, 1, 8)],
 }
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",

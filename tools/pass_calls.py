@@ -29,10 +29,11 @@ def _label(code):
 
 def finish_labels(lr):
     """The labels of the kernel's finish functions: one per branch of
-    `localring._packed_sums` (n = 1; n > 1 at m = 1, a lambda; n > 1 at
-    m > 1), taken from rings that reach each branch."""
-    S = lr.base_ring(3, 1, 2, lr.EQUAL)
-    rings = (lr.base_ring(3, 1, 2, lr.MIXED), S, lr.unramified(S, 2))
+    `localring._packed_sums` (one slot, a lambda; n = 1 at m > 1; n > 1 at
+    m = 1, a lambda; n > 1 at m > 1), taken from rings that reach each
+    branch."""
+    mixed, equal = lr.base_ring(3, 1, 2, lr.MIXED), lr.base_ring(3, 1, 2, lr.EQUAL)
+    rings = (mixed, lr.unramified(mixed, 2), equal, lr.unramified(equal, 2))
     return {_label(ring._sum_kernel(1)[1].__code__) for ring in rings}
 
 
