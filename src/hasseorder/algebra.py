@@ -89,6 +89,9 @@ class AlgebraCtx:
         self.prec = T.prec
         self.ord_cap = d * T.prec
         self._skew = None
+        self.zero = DElem(self, 0, (T.zero,) * d)
+        self.one = self.from_T(T.one)
+        self.pi_D = self.pi_D_pow(1)
 
     def _kernel(self):
         """(pack, split, twist, fold) of the product, built on first use:
@@ -116,19 +119,11 @@ class AlgebraCtx:
                 raise CtxMismatchError("coefficients must lie in T")
         v = min(c.ord() for c in coeffs)
         if v >= self.prec:
-            return DElem(self, 0, tuple(self.T.zero for _ in range(self.d)))
+            return self.zero
         if v:
             coeffs = [c.shift_down(v) for c in coeffs]
             shift += v
         return DElem(self, shift, tuple(coeffs))
-
-    @property
-    def zero(self):
-        return DElem(self, 0, tuple(self.T.zero for _ in range(self.d)))
-
-    @property
-    def one(self):
-        return self.from_T(self.T.one)
 
     def from_T(self, t):
         coeffs = [self.T.zero] * self.d
@@ -137,10 +132,6 @@ class AlgebraCtx:
 
     def from_int(self, a):
         return self.from_T(self.T.from_int(a))
-
-    @property
-    def pi_D(self):
-        return self.pi_D_pow(1)
 
     def pi_D_pow(self, e: int):
         """pi_D^e for any integer e, as a shift plus a single x-power."""
@@ -261,7 +252,7 @@ class DElem:
             t[0] = t[0] + c
         scale = -last.inv()
         b = ctx.elem(0, [T.frobenius(scale * ts, ctx.r * s) for s, ts in enumerate(t)])
-        if not (u * b - ctx.one).is_zero() or not (b * u - ctx.one).is_zero():
+        if not (u * b == ctx.one and b * u == ctx.one):
             raise InternalError("inverse of the unit part fails u * b = b * u = 1")
         return b if v == 0 else b * ctx.pi_D_pow(-v)
 

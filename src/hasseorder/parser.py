@@ -7,53 +7,44 @@ Grammar (whitespace insensitive):
     factor := ('-')* atom ('^' INT)?
     atom   := INT | 'th' | 't' | 'x' | 'pK' | '(' expr ')'
 
-`th` is the generator of T over the prime ring, `t` the equal-mode
-uniformizer, `x` the element pi_D, and `pK` the uniformizer of K.
-Expressions evaluate to elements of the order A (DElem).
+INT is a run of decimal digits, any Unicode decimal digit included; a
+literal longer than Python's limit on int digits is a parse error at its
+position.  `th` is the generator of T over the prime ring, `t` the
+equal-mode uniformizer, `x` the element pi_D, and `pK` the uniformizer of
+K.  Expressions evaluate to elements of the order A (DElem).
 """
 
 from __future__ import annotations
+
+import re
 
 from .algebra import AlgebraCtx
 from .errors import ParseError
 
 
+# one token per match: whitespace (skipped), an INT, a symbol or operator,
+# or any other single character (an error)
+_TOKEN = re.compile(r"\s+|(\d+)|(th|pK|[tx+*^()-])|(.)", re.S)
+
+
 class _Lexer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
-        self._scan()
         self.idx = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", int(text[i:j]), i))
-                i = j
-            elif text.startswith("th", i):
-                self.tokens.append(("th", None, i))
-                i += 2
-            elif text.startswith("pK", i):
-                self.tokens.append(("pK", None, i))
-                i += 2
-            elif c in "tx":
-                self.tokens.append((c, None, i))
-                i += 1
-            elif c in "+-*^()":
-                self.tokens.append((c, None, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {c!r}", i)
+        for match in _TOKEN.finditer(text):
+            num, sym, bad = match.groups()
+            pos = match.start()
+            if num:
+                try:
+                    self.tokens.append(("int", int(num), pos))
+                except ValueError:  # past Python's limit on int digits
+                    raise ParseError(f"integer literal of {len(num)} digits "
+                                     "is too long", pos) from None
+            elif sym:
+                self.tokens.append((sym, None, pos))
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r}", pos)
 
     def peek(self):
         if self.idx < len(self.tokens):

@@ -137,7 +137,11 @@ def suite_local_ring(cfg, ctxs, rng, fault):
             fault = None
         rec.check_eq("sigma-add", T.frobenius(xpy, 1), sx + sy)
         rec.check_eq("sigma-mul", T.frobenius(xy, 1), sx * sy)
-        rec.check_eq("sigma-order", x, T.frobenius(x, T.d))
+        # sigma^d by d applications of sigma: frobenius reduces k mod d
+        sdx = x
+        for _ in range(T.d):
+            sdx = T.frobenius(sdx, 1)
+        rec.check_eq("sigma-order", x, sdx)
         tr, nm = T.trace_rel(x), T.norm_rel(x)
         rec.check_eq("trace-in-S", tr, T.frobenius(tr, 1))
         rec.check_eq("norm-in-S", nm, T.frobenius(nm, 1))

@@ -86,6 +86,9 @@ class TensorRingCtx:
         self.idempotents = [TensorElem(self, tuple(T.one if j == k else T.zero
                                                    for j in range(d)))
                             for k in range(d)]
+        self.u_elem = TensorElem(self, tuple(self.roots))  # theta (x) 1
+        self.order_one = self.order_scalar(self.one)
+        self.x_elem = self.x_pow(1)  # pi_D (x) 1
 
     # -- the twist's index arithmetic --------------------------------------
 
@@ -106,11 +109,6 @@ class TensorRingCtx:
         if len(coeffs) > self.d:
             raise ParameterError(f"expected at most {self.d} u-coefficients")
         return TensorElem(self, tuple(linalg.rmat_vec(self._from_u, coeffs, self.T)))
-
-    @property
-    def u_elem(self):
-        """theta (x) 1."""
-        return TensorElem(self, tuple(self.roots))
 
     def right(self, t):
         """1 (x) t for t in T."""
@@ -141,19 +139,10 @@ class TensorRingCtx:
                 raise CtxMismatchError("x-coefficients must lie in T (x)_S T")
         return TensorOrderElem(self, tuple(coeffs))
 
-    @property
-    def order_one(self):
-        return self.order_scalar(self.one)
-
     def order_scalar(self, z):
         coeffs = [self.zero] * self.d
         coeffs[0] = z
         return self.order_elem(coeffs)
-
-    @property
-    def x_elem(self):
-        """pi_D (x) 1."""
-        return self.x_pow(1)
 
     def x_pow(self, i):
         """x^i = (pi_K^q (x) 1) x^s with i = q d + s, 0 <= s < d."""

@@ -7,12 +7,13 @@ coordinates are lifted into the lift ring, the kernel ring at (K, n_R),
 
     L = (Z/p^K)[theta]/(G)[t]/(t^n_R),
 
-a truncation of a p-torsion-free ring with R's flat coordinates and the
-Frobenius lift `phi` (the p-power lift on theta, t -> t^p).  The ghost
+a truncation of a p-torsion-free ring with R's flat coordinates.  The ghost
 components w_i = sum_{j<=i} p^j a_j^{p^{i-j}} are combined in L, and the
 resulting coordinates are solved top-down with exact divisions by p^i.  L carries
 n + 2 extra digits of p-adic precision so every division is exact before
-the final reduction back to R.
+the final reduction back to R; an inexact one raises InternalError.  The
+method only adds, multiplies, takes p-th powers and divides by p^i, so L
+needs no Frobenius lift of its own.
 
 The ghost arithmetic runs on L's flat coefficient tuples: a `RingElem` is
 built only where the API hands one out, for the reduced coordinates and
@@ -37,33 +38,6 @@ from . import localring as lr
 from .errors import CtxMismatchError, InternalError, ParameterError
 
 MAX_N = 6
-
-
-# ---------------------------------------------------------------------------
-# the lift ring
-
-def phi(a):
-    """The Frobenius lift of the lift ring: the p-power lift phi on theta
-    together with t -> t^p."""
-    L = a.ctx
-    y = L.frobenius_p(a, 1)
-    if L.n == 1:
-        return y
-    c, m, p = y.coeffs, L.m, L.p
-    out = [0] * len(c)
-    for i in range(0, (L.n - 1) // p + 1):  # t^i -> t^(p*i)
-        out[i * p * m:(i * p + 1) * m] = c[i * m:(i + 1) * m]
-    return lr.RingElem(L, tuple(out))
-
-
-def _lift_ring(R, K):
-    """The lift of R with p-adic precision K, its Frobenius lift checked."""
-    L = lr.LocalRingCtx(R.p, R.m, 1, K, R.n)
-    g, t = L.gen, L.uniformizer
-    if any(c % L.p for c in (phi(g) - g ** L.p).coeffs) or \
-            (L.n > 1 and phi(t) != t ** L.p):
-        raise InternalError("Frobenius lift fails phi(a) = a^p mod p")
-    return L
 
 
 # The largest packed p-th power, in bits, taken as one integer power.  Its
@@ -125,10 +99,13 @@ class WittCtx:
         self.p = p
         self.n = n
         self.ring = R
-        self.lift = _lift if _lift is not None else _lift_ring(R, R.e + n + 2)
+        self.lift = _lift if _lift is not None else \
+            lr.LocalRingCtx(p, R.m, 1, R.e + n + 2, R.n)
         self._pth = _pth_power(self.lift)
         self._pw = [p ** j for j in range(n)]
         self._sizes = {n: self}
+        self.zero = WittVec(self, (R.zero,) * n)
+        self.one = self.teich(R.one)
 
     def resize(self, n2):
         ctx = self._sizes.get(n2)
@@ -151,14 +128,6 @@ class WittCtx:
         if any(not isinstance(c, lr.RingElem) or c.ctx is not ring for c in coords):
             raise CtxMismatchError("Witt coordinates must lie in the coefficient ring")
         return WittVec(self, coords)
-
-    @property
-    def zero(self):
-        return WittVec(self, (self.ring.zero,) * self.n)
-
-    @property
-    def one(self):
-        return self.teich(self.ring.one)
 
     def teich(self, a):
         return self.vec((a,) + (self.ring.zero,) * (self.n - 1))

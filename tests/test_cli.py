@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -67,6 +68,19 @@ def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "3 + $")
     assert code == 2
     assert "position 4" in err
+
+
+@pytest.mark.parametrize("expr,pos", [("x^²", 2), ("1 + " + "7" * 5000, 4)],
+                         ids=["superscript-digit", "5000-digit-literal"])
+def test_eval_non_decimal_digit_and_long_literal_exit_2(capsys, expr, pos):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ")
+    assert err.endswith(f"(at position {pos})\n") and "Traceback" not in err
+
+
+def test_eval_reads_unicode_decimal_digits(capsys):
+    assert run(capsys, "eval", "٣ + x") == run(capsys, "eval", "3 + x")
 
 
 @pytest.mark.parametrize("mode", ["mixed", "equal"])
@@ -183,6 +197,26 @@ def test_verify_fault_injection_fails(capsys):
     assert code == 1
     report = json.loads(out)
     assert any(s["failures"] for s in report["suites"])
+
+
+def test_sigma_order_fails_under_a_sigma_of_the_wrong_order(monkeypatch):
+    """`sigma-order` applies sigma d times.  At (p, f, d) = (3, 2, 2), phi
+    has order fd = 4; a sigma planted as phi^(k mod d), without the factor
+    f, has order 4 and must fail the check, with the case count unchanged."""
+    cfg = {"p": 3, "f": 2, "d": 2, "r": 1, "N": 6, "mode": "mixed", "seed": 0}
+
+    def local_ring(plant):
+        ctxs = suites._contexts(cfg)
+        T = ctxs[1]
+        if plant:
+            monkeypatch.setattr(T, "frobenius", lambda x, k=1: T.frobenius_p(x, k % T.d))
+        report = suites.suite_local_ring(cfg, ctxs, random.Random(0), None)
+        return report["cases"], {f["case"] for f in report["failures"]}
+
+    cases, failed = local_ring(False)
+    assert not failed
+    planted_cases, planted_failed = local_ring(True)
+    assert planted_cases == cases and "sigma-order" in planted_failed
 
 
 def test_verify_bad_twist_exit_2(capsys):

@@ -73,3 +73,17 @@ def test_negative_exponent_rejected():
     # '^-2' is a parse error: exponents are non-negative integers
     with pytest.raises(ParseError):
         evaluate(A, "x^-2")
+
+
+def test_digits_that_are_not_decimal_and_over_long_literals():
+    """A superscript digit is not an INT, and a literal past Python's limit
+    on int digits is a parse error at its position."""
+    T, A = make()
+    with pytest.raises(ParseError) as exc:
+        evaluate(A, "x^²")
+    assert exc.value.pos == 2
+    with pytest.raises(ParseError) as exc:
+        evaluate(A, "x + " + "1" * 5000)
+    assert exc.value.pos == 4
+    # any Unicode decimal digit is one
+    assert evaluate(A, "٣ + x") == evaluate(A, "3 + x")

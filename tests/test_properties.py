@@ -70,6 +70,60 @@ def algebra_and_elements(draw, count):
 
 
 @st.composite
+def algebra_and_expression(draw, mode):
+    """An algebra A over p in {2,3,5,7}, f in {1,2}, d <= 4, each twist r
+    valid for d, N in [2,8] in the given mode, and a random expression tree
+    of depth at most 3 over it: its text, with random whitespace and
+    redundant parentheses, and its value by DElem arithmetic.  `t` occurs
+    only in equal characteristic."""
+    d = draw(st.integers(1, 4))
+    A = algebra_ctx(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2)),
+                    d, draw(st.sampled_from(twists(d))), draw(st.integers(2, 8)), mode)
+    T = A.T
+    symbols = [("th", A.from_T(T.gen)), ("x", A.pi_D), ("pK", A.from_T(T.uniformizer))]
+    if mode == lr.EQUAL:
+        symbols.append(("t", A.from_T(T.uniformizer)))
+    space = st.sampled_from(("", "", " ", "  ", "\t", "\n"))
+
+    def paren(text):
+        return "(" + draw(space) + text + draw(space) + ")"
+
+    def operand(node, level):
+        """The text of node where the grammar allows at most `level`:
+        0 an atom, 1 a factor, 2 a term, 3 an expression."""
+        text, lvl, _ = node
+        return paren(text) if lvl > level else text
+
+    def tree(depth):
+        """(text, level, value)."""
+        kinds = ["int", "symbol"] + (["+", "-", "*", "neg", "^"] if depth else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            n = draw(st.integers(0, 10 ** 20))
+            text, level, value = str(n), 0, A.from_int(n)
+        elif kind == "symbol":
+            (text, value), level = draw(st.sampled_from(symbols)), 0
+        elif kind == "neg":
+            a = tree(depth - 1)
+            text, level, value = "-" + draw(space) + operand(a, 1), 1, -a[2]
+        elif kind == "^":
+            a, k = tree(depth - 1), draw(st.integers(0, 3))
+            text = operand(a, 0) + draw(space) + "^" + draw(space) + str(k)
+            level, value = 1, a[2] ** k
+        else:
+            a, b = tree(depth - 1), tree(depth - 1)
+            level = 2 if kind == "*" else 3
+            text = operand(a, level) + draw(space) + kind + draw(space) + operand(b, level - 1)
+            value = {"+": a[2] + b[2], "-": a[2] - b[2], "*": a[2] * b[2]}[kind]
+        if draw(st.integers(0, 4)) == 0:
+            text, level = paren(text), 0
+        return text, level, value
+
+    text, _, value = tree(3)
+    return A, draw(space) + text + draw(space), value
+
+
+@st.composite
 def module_and_map(draw):
     """A scrambled direct sum of one to three standards with random labels
     over p in {2,3,5}, f in {1,2}, d <= 5, each twist r valid for d, N in
@@ -129,6 +183,15 @@ def test_parser_reads_back_the_canonical_form(case):
     A, (a,) = case
     back = evaluate(A, fmt_delem(a))
     assert back == a and back.serialize() == a.serialize()
+
+
+@pytest.mark.parametrize("mode", [lr.MIXED, lr.EQUAL])
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(data=st.data())
+def test_parser_evaluates_expression_trees(mode, data):
+    A, text, value = data.draw(algebra_and_expression(mode))
+    got = evaluate(A, text)
+    assert got == value and got.serialize() == value.serialize()
 
 
 @hypothesis.settings(max_examples=150)

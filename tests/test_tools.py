@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 
 TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 
@@ -26,3 +27,21 @@ def test_pass_calls_counts_one_pass(capsys):
     counts = [list(map(int, row.split()[1:])) for row in rows]
     assert total.split() == ["total", *map(str, map(sum, zip(*counts)))]
     assert all(calls > 0 for calls, _ in counts) and sum(f for _, f in counts) > 0
+
+
+def test_output_digests_is_deterministic(capsys):
+    """Two runs on one small config per mode print the same lines, one per
+    run of the matrix, each `<exit> <SHA-256 hex> <argv>`."""
+    tool = load_tool("output_digests")
+    from hasseorder import suites
+    small = {"mixed": [(2, 1, 2, 1, 4)], "equal": [(2, 1, 1, 0, 4)]}
+    tool.CONFIGS = tool.FAULT_CONFIGS = small
+    outs = []
+    for _ in range(2):
+        tool.main()
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert len(lines) == 2 * (2 + len(tool.DUMPS) + len(tool.EXPRS) + len(suites.FAULTS))
+    for line, argv in zip(lines, tool.runs()):
+        assert re.fullmatch(r"\d+ [0-9a-f]{64} " + re.escape(" ".join(argv)), line)

@@ -173,10 +173,6 @@ def test_equal_lift_product_matches_schoolbook():
                         acc = [(x + y) % mod for x, y in zip(acc, prod)]
                     want += acc
                 assert (a * b).coeffs == tuple(want)
-                # the Frobenius lift: a ring map with t -> t^p, = x^p mod p
-                assert witt.phi(a * b) == witt.phi(a) * witt.phi(b)
-                diff = witt.phi(a) - a ** p
-                assert all(c % p == 0 for c in diff.coeffs)
 
 
 def _iota(Z, F, v):
