@@ -1,7 +1,10 @@
 """Command-line front end: eval / verify / dump.
 
-Exit codes: 0 success, 1 suite failures, 2 parameter or usage errors,
-141 (128 + SIGPIPE) when the reader of stdout closed it early.
+Every JSON document goes through `_print_json`, written as it is encoded.
+`main` maps each library error to one stderr line, `parse error:`,
+`parameter error:` or `error:` by its class.  Exit codes: 0 success, 1
+suite failures, 2 parameter, parse or usage errors, 141 (128 + SIGPIPE)
+when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ def build_contexts(args):
     return suitemod._contexts(vars(args))
 
 
+def _print_json(obj):
+    """obj as indented JSON on stdout, written as it is encoded."""
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def config_dict(args):
     return {"p": args.p, "f": args.f, "d": args.d, "r": args.r, "N": args.N,
             "mode": args.mode, "seed": args.seed}
@@ -103,7 +112,7 @@ def cmd_eval(args):
         "embed": [[fmt_ring(e) for e in row] for row in a.embed()],
     }
     if args.output == "json":
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         print(f"canonical: {out['canonical']}")
         print(f"ord_D: {out['ord_D']}")
@@ -115,18 +124,11 @@ def cmd_eval(args):
 
 
 def cmd_verify(args):
-    cfg = config_dict(args)
     names = args.suites.split(",") if args.suites else None
-    if names:
-        for n in names:
-            if n not in suitemod.SUITES:
-                raise ParameterError(f"unknown suite {n!r}")
-    if args.inject_fault and args.inject_fault not in suitemod.FAULTS:
-        raise ParameterError(f"unknown fault {args.inject_fault!r}")
-    report = suitemod.run(cfg, names, args.inject_fault)
+    report = suitemod.run(config_dict(args), names, args.inject_fault)
     nfail = suitemod.total_failures(report)
     if args.output == "json":
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         for s in report["suites"]:
             status = "ok" if not s["failures"] else f"{len(s['failures'])} FAILED"
@@ -188,8 +190,7 @@ DUMPS = {
 
 
 def cmd_dump(args):
-    ctxs = build_contexts(args)
-    print(json.dumps(DUMPS[args.what](*ctxs), indent=2))
+    _print_json(DUMPS[args.what](*build_contexts(args)))
     return 0
 
 
@@ -252,14 +253,10 @@ def main(argv=None):
         # send it to devnull so the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as ex:
-        print(f"parse error: {ex}", file=sys.stderr)
-        return 2
-    except ParameterError as ex:
-        print(f"parameter error: {ex}", file=sys.stderr)
-        return 2
     except HasseOrderError as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        kind = ("parse " if isinstance(ex, ParseError) else
+                "parameter " if isinstance(ex, ParameterError) else "")
+        print(f"{kind}error: {ex}", file=sys.stderr)
         return 2
 
 

@@ -35,48 +35,48 @@ def eliminate(rows, ring):
     row packed into one integer: entry k in segment k, the slots of one
     product in the ring's Kronecker layout (`LocalRingCtx._row_kernel`), one
     slot over Z/p^e.  The pivot is the first unit of the block, row by row;
-    its row, reduced, clears its column from each other row by a multiply-add
-    with the packed, negated multiplier, and an entry is reduced only when
-    it is read.  A row without a unit keeps none until the next division, so
-    a search resumes at the row where the last one stopped.  A block without
-    a unit is divided by pi (p for n = 1, t for n > 1): a pivot a taken after
-    s divisions is the factor pi^s a, exact mod pi^N.  Returns the product
-    of the pivots a, each signed (-1)^(i+j) by its position (i, j) in the
-    block; the sum of their s; and the number of rows left without one."""
+    the search finishes each entry it reads once.  The pivot row clears its
+    column from each other row by a multiply-add with the packed, negated
+    multiplier.  It is read as it is while no row has been updated since the
+    start or the last division, and reduced otherwise; no other entry is
+    reduced until it is read.  A row without a unit keeps none until the
+    next division, so a search resumes at the row where the last one
+    stopped.  A block without a unit is divided by pi (p for n = 1, t for
+    n > 1): a pivot a taken after s divisions is the factor pi^s a, exact
+    mod pi^N.  Returns the product of the pivots a, each signed (-1)^(i+j)
+    by its position (i, j) in the block; the sum of their s; and the number
+    of rows left without one."""
     pack, finish, red, span = ring._row_kernel(len(rows))
     mask, p, m = (1 << span) - 1, ring.p, ring.m
     offs = [k * span for k in range(len(rows[0]))] if rows else []  # the columns left
-
-    def first_unit(ys):  # (i, a) when the entry ys[i], reduced to a, is the first unit
-        for i, y in enumerate(ys):
-            a = finish(y)
-            if any(c % p for c in a[:m]):  # not all coefficients at t^0 are 0 mod p
-                return i, a
-
-    # the reduced packed entries of each row, until a row is updated
-    fresh = [list(map(pack, map(attrgetter("coeffs"), row))) for row in rows]
-    packed = [sum(map(lshift, ys, offs)) for ys in fresh]
-    unit, sign, s, shift, start = None, 0, 0, 0, 0
+    packed = [sum(map(lshift, map(pack, map(attrgetter("coeffs"), row)), offs))
+              for row in rows]
+    unit, sign, s, shift, start, clean = None, 0, 0, 0, 0, True  # clean: no row updated
     while packed and offs and s < ring.prec:
-        for j in range(start, len(packed)):
-            ys = fresh[j] if fresh else [red((packed[j] >> k) & mask) for k in offs]
-            if hit := first_unit(ys):
-                break
+        for j in range(start, len(packed)):  # the first unit a: entry i of row j
+            row = packed[j]
+            for i, k in enumerate(offs):
+                a = finish((row >> k) & mask)
+                if any(c % p for c in a[:m]):  # some coefficient at t^0 is a unit
+                    break
+            else:
+                continue
+            break
         else:  # no unit in the block: divide it by pi
-            s, start = s + 1, 0
-            fresh = [[pack(ring.from_vec(finish((row >> k) & mask)).shift_down(1).coeffs)
-                      for k in offs] for row in packed]
-            packed = [sum(map(lshift, ys, offs)) for ys in fresh]
+            s, start, clean = s + 1, 0, True
+            packed = [sum(pack(ring.from_vec(finish((r >> k) & mask)).shift_down(1).coeffs)
+                          << k for k in offs) for r in packed]
             continue
-        i, a = hit
-        del ys[i], packed[j]
+        del packed[j]
         off = offs.pop(i)
         unit = a if unit is None else ring._mul(unit, a)
-        sign, shift, start, fresh = sign + i + j, shift + s, j, None
+        sign, shift, start = sign + i + j, shift + s, j
         if packed:
             neg = pack(ring.from_vec([-c for c in a]).inv().coeffs)  # -1/a
-            top = sum(map(lshift, ys, offs))
-            packed = [row + red(red((row >> off) & mask) * neg) * top for row in packed]
+            top = (row & ~(mask << off) if clean else
+                   sum(red((row >> k) & mask) << k for k in offs))
+            packed = [r + red(red((r >> off) & mask) * neg) * top for r in packed]
+            clean = False
     unit = ring.one if unit is None else ring.from_vec(unit)
     return (-unit if sign % 2 else unit), shift, len(packed)
 

@@ -1,4 +1,7 @@
-"""Recursive-descent parser for the element grammar used by the CLI.
+"""Recursive-descent parser for the element grammar used by the CLI:
+`_tokens` splits the text, and `evaluate` descends the grammar below by
+one nested function per rule over the token list, which ends in an eof
+token.
 
 Grammar (whitespace insensitive):
 
@@ -27,103 +30,83 @@ from .errors import ParseError
 _TOKEN = re.compile(r"\s+|(\d+)|(th|pK|[tx+*^()-])|(.)", re.S)
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self.idx = 0
-        for match in _TOKEN.finditer(text):
-            num, sym, bad = match.groups()
-            pos = match.start()
-            if num:
-                try:
-                    self.tokens.append(("int", int(num), pos))
-                except ValueError:  # past Python's limit on int digits
-                    raise ParseError(f"integer literal of {len(num)} digits "
-                                     "is too long", pos) from None
-            elif sym:
-                self.tokens.append((sym, None, pos))
-            elif bad:
-                raise ParseError(f"unexpected character {bad!r}", pos)
-
-    def peek(self):
-        if self.idx < len(self.tokens):
-            return self.tokens[self.idx]
-        return ("eof", None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.idx += 1
-        return tok
+def _tokens(text):
+    """The (kind, value, pos) tokens of `text`, ending in an eof token."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        num, sym, bad = match.groups()
+        pos = match.start()
+        if num:
+            try:
+                tokens.append(("int", int(num), pos))
+            except ValueError:  # past Python's limit on int digits
+                raise ParseError(f"integer literal of {len(num)} digits "
+                                 "is too long", pos) from None
+        elif sym:
+            tokens.append((sym, None, pos))
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+    tokens.append(("eof", None, len(text)))
+    return tokens
 
 
-class Parser:
-    def __init__(self, ctx: AlgebraCtx):
-        self.ctx = ctx
+def evaluate(ctx: AlgebraCtx, text: str):
+    """The element of A (a DElem) that `text` denotes."""
+    toks = _tokens(text)[::-1]  # the next token is toks[-1]; eof is taken only to fail
 
-    def parse(self, text):
-        lex = _Lexer(text)
-        value = self._expr(lex)
-        tok = lex.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
-        return value
-
-    def _expr(self, lex):
-        value = self._term(lex)
-        while lex.peek()[0] in ("+", "-"):
-            op = lex.next()[0]
-            rhs = self._term(lex)
+    def expr():
+        value = term()
+        while toks[-1][0] in ("+", "-"):
+            op = toks.pop()[0]
+            rhs = term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def _term(self, lex):
-        value = self._factor(lex)
-        while lex.peek()[0] == "*":
-            lex.next()
-            value = value * self._factor(lex)
+    def term():
+        value = factor()
+        while toks[-1][0] == "*":
+            toks.pop()
+            value = value * factor()
         return value
 
-    def _factor(self, lex):
+    def factor():
         neg = False
-        while lex.peek()[0] == "-":
-            lex.next()
+        while toks[-1][0] == "-":
+            toks.pop()
             neg = not neg
-        value = self._atom(lex)
-        if lex.peek()[0] == "^":
-            pos = lex.next()[2]
-            tok = lex.next()
-            if tok[0] != "int":
+        value = atom()
+        if toks[-1][0] == "^":
+            pos = toks.pop()[2]
+            kind, exp, at = toks.pop()
+            if kind != "int":
                 raise ParseError("exponent must be a non-negative integer",
-                                 tok[2] if tok[0] != "eof" else pos + 1)
-            value = value ** tok[1]
+                                 at if kind != "eof" else pos + 1)
+            value = value ** exp
         return -value if neg else value
 
-    def _atom(self, lex):
-        ctx = self.ctx
-        tok = lex.next()
-        kind, val, pos = tok
+    def atom():
+        kind, val, pos = toks.pop()
         if kind == "int":
             return ctx.from_int(val)
         if kind == "th":
             return ctx.from_T(ctx.T.gen)
-        if kind == "t":
-            if ctx.T.n == 1:
-                raise ParseError("symbol 't' is only defined in equal "
-                                 "characteristic", pos)
+        if kind == "t" and ctx.T.n == 1:
+            raise ParseError("symbol 't' is only defined in equal "
+                             "characteristic", pos)
+        if kind in ("t", "pK"):
             return ctx.from_T(ctx.T.uniformizer)
         if kind == "x":
             return ctx.pi_D
-        if kind == "pK":
-            return ctx.from_T(ctx.T.uniformizer)
         if kind == "(":
-            value = self._expr(lex)
-            closing = lex.next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
+            value = expr()
+            kind, _, pos = toks.pop()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
             return value
         raise ParseError(f"unexpected token {kind!r}", pos)
 
-
-def evaluate(ctx: AlgebraCtx, text: str):
-    return Parser(ctx).parse(text)
+    value = expr()
+    kind, _, pos = toks[-1]
+    if kind != "eof":
+        raise ParseError(f"unexpected token {kind!r}", pos)
+    return value

@@ -22,7 +22,7 @@ from . import localring as lr
 from . import modcat
 from . import tensor as tnmod
 from . import witt as wmod
-from .errors import InternalError, ValidationError
+from .errors import InternalError, ParameterError, ValidationError
 
 SCHEMA = "hasse-order-report/1"
 
@@ -509,11 +509,14 @@ SUITES = {
 
 def run(cfg, suite_names=None, fault=None):
     """Run the selected suites on one build of the contexts; returns the
-    versioned report dict."""
+    versioned report dict.  An unknown suite or fault name (a falsy fault
+    is none) raises ParameterError before anything is built."""
     names = list(SUITES) if not suite_names else list(suite_names)
     for name in names:
         if name not in SUITES:
-            raise KeyError(name)
+            raise ParameterError(f"unknown suite {name!r}")
+    if fault and fault not in FAULTS:
+        raise ParameterError(f"unknown fault {fault!r}")
     t0 = time.time()
     ctxs = _contexts(cfg)
     results = []

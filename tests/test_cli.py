@@ -10,10 +10,11 @@ import pytest
 
 import hasseorder
 from hasseorder import algebra as almod
+from hasseorder import cli
 from hasseorder import localring as lr
 from hasseorder import suites
 from hasseorder.cli import main
-from hasseorder.errors import InternalError
+from hasseorder.errors import InternalError, ParameterError
 from hasseorder.parser import evaluate
 
 
@@ -242,6 +243,23 @@ def test_verify_unknown_suite_exit_2(capsys):
     assert code == 2
 
 
+def test_run_rejects_unknown_names_with_the_cli_message(capsys):
+    """suites.run checks suite and fault names before it builds anything;
+    the CLI prints its message.  A falsy fault is none."""
+    cfg = {"p": 3, "f": 1, "d": 2, "r": 1, "N": 8, "mode": "mixed", "seed": 0}
+    for args, argv, message in (
+            ((["nope"],), ["--suites", "nope"], "unknown suite 'nope'"),
+            ((["witt", "", "algebra"],), ["--suites", "witt,,algebra"], "unknown suite ''"),
+            ((None, "bogus"), ["--inject-fault", "bogus"], "unknown fault 'bogus'")):
+        with pytest.raises(ParameterError) as exc:
+            suites.run(cfg, *args)
+        assert str(exc.value) == message
+        assert run(capsys, "verify", *argv) == (2, "", f"parameter error: {message}\n")
+    code, out, _ = run(capsys, "--output", "json", "verify", "--suites", "finite_field",
+                       "--inject-fault", "")
+    assert code == 0 and json.loads(out)["fault"] == ""
+
+
 def test_determinism_modulo_timing(capsys):
     _, out1, _ = run(capsys, "--output", "json", "verify",
                      "--suites", "finite_field,witt")
@@ -313,3 +331,39 @@ def test_dump_peirce(capsys):
     for entry in data:
         expect = 1 if (entry["g"] - entry["h"] - 2) % 3 == 0 else 0
         assert entry["cokernel_length"] == expect
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _flags(cfg):
+    return [a for k, v in cfg.items() for a in (f"--{k}", str(v))]
+
+
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_dump_prints_the_library_object(capsys, mode, d):
+    """The streamed JSON of a dump has the bytes of json.dumps(obj, indent=2)
+    and a newline."""
+    cfg = {"p": 3, "f": 1, "d": d, "r": 1, "N": 8, "mode": mode}
+    ctxs = suites._contexts(cfg)
+    for what, dump in sorted(cli.DUMPS.items()):
+        code, out, _ = run(capsys, *_flags(cfg), "dump", what)
+        assert code == 0 and out == _json_text(dump(*ctxs))
+
+
+def test_eval_and_verify_json_print_the_library_object(capsys):
+    cfg = {"p": 3, "f": 1, "d": 2, "r": 1, "N": 8, "mode": "mixed", "seed": 0}
+    A = suites._contexts(cfg)[2]
+    a = evaluate(A, "(1 + th)*x + 2")
+    trd, nrd = a.trd_nrd()
+    want = {"canonical": cli.fmt_delem(a), "ord_D": a.ord(), "Trd": cli.fmt_ring(trd),
+            "Nrd": cli.fmt_ring(nrd),
+            "embed": [[cli.fmt_ring(e) for e in row] for row in a.embed()]}
+    code, out, _ = run(capsys, *_flags(cfg), "--output", "json", "eval", "(1 + th)*x + 2")
+    assert code == 0 and out == _json_text(want)
+    report = suites.run(cfg, ["witt"])
+    code, out, _ = run(capsys, *_flags(cfg), "--output", "json", "verify", "--suites", "witt")
+    report["wall_time"] = json.loads(out)["wall_time"]
+    assert code == 0 and out == _json_text(report)

@@ -49,23 +49,33 @@ def test_t_only_in_equal_characteristic():
     assert evaluate(Ae, "th") == Ae.from_T(Te.gen)
 
 
+# (input, message, position) of each parse error, in mixed characteristic
+PARSE_ERRORS = [
+    ("3 + $", "unexpected character '$'", 4),
+    ("1 +", "unexpected token 'eof'", 3),
+    ("3 +", "unexpected token 'eof'", 3),
+    ("(1 + x", "expected ')'", 6),
+    ("(3 + 2", "expected ')'", 6),
+    ("x^", "exponent must be a non-negative integer", 2),
+    ("x^ ", "exponent must be a non-negative integer", 2),
+    ("x^th", "exponent must be a non-negative integer", 2),
+    ("x^x", "exponent must be a non-negative integer", 2),
+    ("1 2", "unexpected token 'int'", 2),
+    ("3 3", "unexpected token 'int'", 2),
+    ("", "unexpected token 'eof'", 0),
+    ("1/x", "unexpected character '/'", 1),
+    ("t", "symbol 't' is only defined in equal characteristic", 0),
+    ("(1))", "unexpected token ')'", 3),
+    ("1 + * 2", "unexpected token '*'", 4),
+]
+
+
 def test_parse_errors_carry_position():
     T, A = make()
-    with pytest.raises(ParseError) as exc:
-        evaluate(A, "3 + $")
-    assert exc.value.pos == 4
-    with pytest.raises(ParseError):
-        evaluate(A, "3 +")
-    with pytest.raises(ParseError):
-        evaluate(A, "(3 + 2")
-    with pytest.raises(ParseError):
-        evaluate(A, "3 3")
-    with pytest.raises(ParseError):
-        evaluate(A, "x^")
-    with pytest.raises(ParseError):
-        evaluate(A, "x^x")
-    with pytest.raises(ParseError):
-        evaluate(A, "")
+    for text, message, pos in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            evaluate(A, text)
+        assert (str(exc.value), exc.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_negative_exponent_rejected():

@@ -31,7 +31,8 @@ def test_pass_calls_counts_one_pass(capsys):
 
 def test_output_digests_is_deterministic(capsys):
     """Two runs on one small config per mode print the same lines, one per
-    run of the matrix, each `<exit> <SHA-256 hex> <argv>`."""
+    run of the matrix, each `<exit> <SHA-256 hex> <argv>`; every error path
+    exits 2."""
     tool = load_tool("output_digests")
     from hasseorder import suites
     small = {"mixed": [(2, 1, 2, 1, 4)], "equal": [(2, 1, 1, 0, 4)]}
@@ -42,6 +43,8 @@ def test_output_digests_is_deterministic(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     lines = outs[0].splitlines()
-    assert len(lines) == 2 * (2 + len(tool.DUMPS) + len(tool.EXPRS) + len(suites.FAULTS))
+    errors = len(tool.BAD_NAMES) + 3 * len(tool.BAD_PARAMS) + len(tool.BAD_EXPRS)
+    assert len(lines) == 2 * (2 + len(tool.DUMPS) + len(tool.EXPRS) + len(suites.FAULTS)) + errors
+    assert [line.split()[0] for line in lines[-errors:]] == ["2"] * errors
     for line, argv in zip(lines, tool.runs()):
         assert re.fullmatch(r"\d+ [0-9a-f]{64} " + re.escape(" ".join(argv)), line)

@@ -2,9 +2,10 @@
 
 Each line is `<exit code> <SHA-256 of stdout + stderr> <argv>`.  The runs
 go through `hasseorder.cli.main` in one process; `verify --output json`
-reports are hashed without their `wall_time` key.  Run it on two checkouts
-and compare the outputs with `diff` to see whether a change moved any
-report, dump or evaluation:
+reports are hashed without their `wall_time` key.  The last runs take the
+error paths, whose stderr and exit code enter the digest.  Run it on two
+checkouts and compare the outputs with `diff` to see whether a change
+moved any report, dump, evaluation or error message:
 
     python3 tools/output_digests.py > after.txt
 """
@@ -35,6 +36,12 @@ EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
 # twist differs from its inverse mod d
 FAULT_CONFIGS = {"mixed": [(3, 1, 2, 1, 8), (3, 1, 5, 2, 6)],
                  "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8)]}
+# error paths, at the default config (mixed characteristic): unknown names,
+# bad parameters under each command, and malformed expressions
+BAD_NAMES = (["--suites", "nope"], ["--suites", "witt,,algebra"],
+             ["--inject-fault", "bogus"])
+BAD_PARAMS = (["--N", "1"], ["--p", "4"], ["--d", "2", "--r", "2"])
+BAD_EXPRS = ("1 +", "(1 + x", "x^", "x^th", "1 2", "", "1/x", "t")
 
 
 def flags(cfg, mode):
@@ -57,6 +64,13 @@ def runs():
             for fault in suites.FAULTS:
                 yield flags(cfg, mode) + ["--output", "json", "verify",
                                           "--inject-fault", fault]
+    for names in BAD_NAMES:
+        yield ["verify"] + names
+    for params in BAD_PARAMS:
+        for command in (["verify"], ["eval", "1"], ["dump", "peirce"]):
+            yield params + command
+    for expr in BAD_EXPRS:
+        yield ["eval", expr]
 
 
 def digest(argv):
