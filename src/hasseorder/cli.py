@@ -1,7 +1,7 @@
 """Command-line front end: eval / verify / dump.
 
-Every JSON document goes through `_print_json`, written as it is encoded.
-`main` maps each library error to one stderr line, `parse error:`,
+Every JSON document goes through `_print_json`, written in batches as it is
+encoded.  `main` maps each library error to one stderr line, `parse error:`,
 `parameter error:` or `error:` by its class.  Exit codes: 0 success, 1
 suite failures, 2 parameter, parse or usage errors, 141 (128 + SIGPIPE)
 when the reader of stdout closed it early.
@@ -10,6 +10,7 @@ when the reader of stdout closed it early.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -90,9 +91,15 @@ def build_contexts(args):
 
 
 def _print_json(obj):
-    """obj as indented JSON on stdout, written as it is encoded."""
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """obj as indented JSON and a newline on stdout, written as it is
+    encoded, in batches of about io.DEFAULT_BUFFER_SIZE characters."""
+    batch = io.StringIO()
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        batch.write(chunk)
+        if batch.tell() >= io.DEFAULT_BUFFER_SIZE:
+            sys.stdout.write(batch.getvalue())
+            batch = io.StringIO()
+    sys.stdout.write(batch.getvalue() + "\n")
 
 
 def config_dict(args):

@@ -5,11 +5,11 @@ every kernel ring `LocalRingCtx`: each row is one integer in the ring's
 Kronecker layout, an entry is reduced only when it is read, and a block
 without a unit is divided by the uniformizer.  The determinant over S
 (`det`) and the kernel size over Z/p^e (`kernel_log_size`) are read off it.
-`inv_mod_pe` inverts over Z/p^e by Gauss-Jordan.  Over T one division-free
-characteristic polynomial (Berkowitz, `charpoly`) gives traces and
-determinants, and by Cayley-Hamilton inverses (`rmat_inv`); `inv_all`
-inverts a list of units with a single inversion.  Matrix products go
-through the ring's `dot` and `matmul`, which reduce each sum once.
+Over a kernel ring, Z/p^e and T among them, one division-free characteristic
+polynomial (Berkowitz, `charpoly`) gives traces and determinants, and by
+Cayley-Hamilton inverses (`rmat_inv`); `inv_all` inverts a list of units
+with a single inversion.  Matrix products go through the ring's `dot` and
+`matmul`, which reduce each sum once.
 """
 
 from __future__ import annotations
@@ -96,26 +96,6 @@ def kernel_log_size(columns, p, e):
     ring = LocalRingCtx(p, 1, 1, e, 1)
     _, shift, left = eliminate([[ring.from_int(c) for c in col] for col in columns], ring)
     return shift + e * left
-
-
-def inv_mod_pe(mat, p, e):
-    """Inverse mod p^e of a square integer matrix, by Gauss-Jordan with unit
-    pivots on [mat | I].  Raises NotInvertibleError when a column has no
-    unit mod p, i.e. when the matrix is singular mod p."""
-    mod = p ** e
-    n = len(mat)
-    rows = [[c % mod for c in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for c in range(n):
-        k = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if k is None:
-            raise NotInvertibleError(f"matrix is singular mod {p}")
-        rows[c], rows[k] = rows[k], rows[c]
-        inv = pow(rows[c][c], -1, mod)
-        top = rows[c] = [x * inv % mod for x in rows[c]]
-        rows = [[(x - f * y) % mod for x, y in zip(row, top)]
-                if i != c and (f := row[c]) else row for i, row in enumerate(rows)]
-    return [row[n:] for row in rows]
 
 
 def charpoly(mat, ctx):

@@ -500,18 +500,20 @@ class LocalRingCtx:
         if self._rel_maps is None:
             fb, m = self.base.m, self.m
             # basis theta^j * theta_S^l (index j*f + l) of one t-block, by
-            # running products; rows j*f .. j*f + f-1 of its inverse give
-            # coordinate j of every t-block
+            # running products, as a matrix over Z/p^e; rows j*f .. j*f + f-1
+            # of its inverse give coordinate j of every t-block
+            zp = LocalRingCtx(self.p, 1, 1, self.e, 1)
             cols, gj = [], self.one
             for j in range(self.d):
                 b = gj = gj * self.gen if j else gj
                 for l in range(fb):
                     b = b * self.base_gen_image if l else b
-                    cols.append(b.coeffs[:m])
+                    cols.append([zp.from_int(c) for c in b.coeffs[:m]])
             try:
-                rows = linalg.inv_mod_pe(list(zip(*cols)), self.p, self.e)
+                inv = linalg.rmat_inv(list(zip(*cols)), zp)
             except NotInvertibleError:
                 raise InternalError("relative coordinate solve failed") from None
+            rows = [[x.coeffs[0] for x in row] for row in inv]
             self._rel_maps = [_block_map(rows[j * fb:(j + 1) * fb], m, self.n, self.modulus)
                               for j in range(self.d)]
         return self._rel_maps

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import random
@@ -220,6 +221,28 @@ def test_sigma_order_fails_under_a_sigma_of_the_wrong_order(monkeypatch):
     assert planted_cases == cases and "sigma-order" in planted_failed
 
 
+@pytest.mark.parametrize("p,f,d", [(3, 1, 3), (5, 2, 3), (2, 1, 5)])
+def test_hensel_fails_under_another_generator_of_the_galois_group(monkeypatch, p, f, d):
+    """sigma^2 generates Gal(T/S) when d is odd, so a sigma planted as
+    sigma^2 after construction passes every other check of the suite; it
+    does not lift the q-power Frobenius, and `hensel` must fail, with the
+    case count unchanged."""
+    cfg = {"p": p, "f": f, "d": d, "r": 1, "N": 8, "mode": "mixed", "seed": 0}
+
+    def local_ring(plant):
+        ctxs = suites._contexts(cfg)
+        T = ctxs[1]
+        if plant:
+            sigma = T.frobenius
+            monkeypatch.setattr(T, "frobenius", lambda x, k=1: sigma(x, 2 * k))
+        report = suites.suite_local_ring(cfg, ctxs, random.Random(0), None)
+        return report["cases"], {fail["case"] for fail in report["failures"]}
+
+    cases, failed = local_ring(False)
+    assert not failed
+    assert local_ring(True) == (cases, {"hensel"})
+
+
 def test_verify_bad_twist_exit_2(capsys):
     code, _, err = run(capsys, "--d", "4", "--r", "2", "verify")
     assert code == 2
@@ -335,6 +358,27 @@ def test_dump_peirce(capsys):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
+
+
+def test_print_json_writes_in_batches(monkeypatch):
+    """`_print_json` writes the text of json.dumps(obj, indent=2) and a
+    newline in batches of about io.DEFAULT_BUFFER_SIZE characters, not one
+    write per encoder chunk."""
+    class Counting:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, s):
+            self.parts.append(s)
+            return len(s)
+
+    obj = {"rows": [[i, str(i), {"k": [i] * 3}] for i in range(2000)], "empty": []}
+    out = Counting()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._print_json(obj)
+    text = _json_text(obj)
+    assert "".join(out.parts) == text
+    assert len(out.parts) <= len(text) // io.DEFAULT_BUFFER_SIZE + 2
 
 
 def _flags(cfg):

@@ -85,7 +85,7 @@ def test_det_mod_pe_vs_bareiss():
     assert zp_det([[0, 1], [0, 2]], 3, 4) == 0
 
 
-# Oracle for kernel_log_size and inv_mod_pe: a full Smith-type reduction
+# Oracle for kernel_log_size and rmat_inv over Z/p^e: a full Smith-type reduction
 # that keeps both transforms.
 class ColumnSolver:
     """Solve sum_j x_j * col_j = b over Z/p^e, reusing one Smith-type reduction.
@@ -293,13 +293,20 @@ def _mat_mul_mod(A, B, mod):
     return [[sum(a * b for a, b in zip(row, col)) % mod for col in zip(*B)] for row in A]
 
 
-def test_inv_mod_pe():
-    """inv_mod_pe gives a two-sided inverse mod p^e, equal to the oracle's
-    solves against the unit vectors, and rejects a nonzero matrix that is
-    singular mod p."""
+def _zp_inv(M, Z):
+    """rmat_inv of an integer matrix over Z = Z/p^e, read back as integers."""
+    X = linalg.rmat_inv([[Z.from_int(c) for c in row] for row in M], Z)
+    return [[x.coeffs[0] for x in row] for row in X]
+
+
+def test_rmat_inv_over_z_mod_pe():
+    """rmat_inv over the kernel ring Z/p^e gives a two-sided inverse, equal
+    to the oracle's solves against the unit vectors, and rejects a nonzero
+    matrix that is singular mod p."""
     rng = random.Random(6)
     for p in (2, 3, 5, 7):
         for e in (1, 2, 3, 4, 8):
+            Z = lr.LocalRingCtx(p, 1, 1, e, 1)
             mod = p ** e
             for n in range(7):
                 for _ in range(4):
@@ -307,7 +314,7 @@ def test_inv_mod_pe():
                         M = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
                         if det_bareiss(M) % p:
                             break
-                    X = linalg.inv_mod_pe(M, p, e)
+                    X = _zp_inv(M, Z)
                     eye = [[int(i == j) for j in range(n)] for i in range(n)]
                     assert _mat_mul_mod(M, X, mod) == eye
                     assert _mat_mul_mod(X, M, mod) == eye
@@ -328,8 +335,8 @@ def test_inv_mod_pe():
                                 row[k] = row[k] * p % mod
                         assert any(map(any, S))
                         with pytest.raises(NotInvertibleError):
-                            linalg.inv_mod_pe(S, p, e)
-    assert linalg.inv_mod_pe([], 3, 4) == []
+                            _zp_inv(S, Z)
+    assert _zp_inv([], lr.LocalRingCtx(3, 1, 1, 4, 1)) == []
 
 
 def test_echelon_basis():

@@ -131,7 +131,7 @@ def test_rel_coords_roundtrip():
     rng = random.Random(3)
     for mode in (lr.MIXED, lr.EQUAL):
         for p, f, d, N in ((3, 2, 2, 4), (3, 1, 4, 8), (3, 1, 8, 8), (2, 2, 4, 8),
-                           (5, 2, 3, 8)):
+                           (5, 2, 3, 8), (2, 4, 4, 8)):
             S, T = ctx_pair(p=p, f=f, d=d, N=N, mode=mode)
             for _ in range(20):
                 x = T.random(rng)

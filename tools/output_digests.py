@@ -25,9 +25,9 @@ from hasseorder import cli, suites  # noqa: E402
 CONFIGS = {
     "mixed": [(3, 1, 2, 1, 8), (5, 1, 3, 2, 8), (3, 1, 4, 1, 8), (2, 2, 4, 3, 8),
               (3, 1, 1, 0, 8), (3, 1, 4, 1, 4), (3, 1, 5, 2, 6), (17, 1, 2, 1, 6),
-              (3, 1, 8, 1, 8)],
+              (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
     "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4),
-              (17, 1, 2, 1, 6), (3, 1, 8, 1, 8)],
+              (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
 }
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
