@@ -19,20 +19,16 @@ The residue field F_{p^m} itself is the case (e, n) = (1, 1)
 An element is the flat tuple of its m*n coefficients in [0, p^e): the
 coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, and the Galois and base-ring
-maps are precomputed Z/p^e-linear maps applied to each t-block.  A product
-is one integer multiply of Kronecker packings, finished by one reduction by
-G and p^e, when n > 1, and when n = 1 with m >= 4 and slots of at most 8
-bytes; the other rings of n = 1 (m <= 3, or a product term wider than
-64 bits, as at e = 32) keep the schoolbook product in theta, which is
-faster there.  A sum of
-products (`dot`, `matmul`) is packed and reduced once: each operand is
-packed into one integer, the integer products are added in slots wide
-enough for the number of terms, and one `finish` reduces the sum.  The skew
-product of the order A (`algebra.skew_mul`) runs on the same packings
-(`_skew_kernel`): sigma^k acts on a packing through the packed columns
-sigma^k(theta^l), the wrap x^d = pi_K is folded into the packed sum (p times
-it for n = 1, a shift by one t-slot for n > 1), and each output coefficient
-is finished once.
+maps are precomputed Z/p^e-linear maps applied to each t-block.  A product,
+in every ring, is one integer multiply of Kronecker packings, finished by
+one reduction by G and p^e.  A sum of products (`dot`, `matmul`) is packed
+and reduced once: each operand is packed into one integer, the integer
+products are added in slots wide enough for the number of terms, and one
+`finish` reduces the sum.  The skew product of the order A
+(`algebra.skew_mul`) runs on the same packings (`_skew_kernel`): sigma^k
+acts on a packing through the packed columns sigma^k(theta^l), the wrap
+x^d = pi_K is folded into the packed sum (p times it for n = 1, a shift by
+one t-slot for n > 1), and each output coefficient is finished once.
 
 Each element is packed at most once per kernel: it keeps its packing
 together with the pack function of the kernel that made it
@@ -102,28 +98,6 @@ def _red_table(poly, m, mod, count=None):
         if lead:
             cur = [(c + lead * t) % mod for c, t in zip(cur, top)]
     return rows
-
-
-def _schoolbook_mul(m, mod, red):
-    """Product in (Z/p^e)[theta]/(G), the case n = 1."""
-    if m == 1:
-        return lambda a, b: ((a[0] * b[0]) % mod,)
-    width = 2 * m - 1
-    red = [(m + l, row) for l, row in enumerate(red)]
-
-    def mul(a, b):
-        out = [0] * width
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    out[k] += ai * bj
-        for l, row in red:
-            c = out[l]
-            if c:
-                for j, r in row:
-                    out[j] += c * r
-        return tuple([c % mod for c in out[:m]])
-    return mul
 
 
 # _ROUND[w]: the bytes per slot of values needing w bytes, when an array
@@ -234,7 +208,7 @@ def _packed_sums(m, n, mod, red, bound):
 
 def _kronecker_mul(pack, finish):
     """Product of coefficient tuples by one integer multiply of their
-    packings (the rings with a packed product, `LocalRingCtx._prod`)."""
+    packings (`LocalRingCtx._prod`)."""
     def mul(a, b):
         pa = pack(a)
         return finish(pa * (pa if a is b else pack(b)))
@@ -307,14 +281,10 @@ class LocalRingCtx:
         # packed sums of products: one (pack, finish) per slot width in use
         self._term_bound = _term_bound(m, n, self.modulus)
         self._sums = {}
-        # (pack, finish) of a single product when products are packed: for
-        # n > 1, and for n = 1 when m >= 4 and a slot fits an array type (the
-        # schoolbook product stays faster below m = 4 and on byte slots)
-        self._prod = (self._sum_kernel(1) if n > 1 or (
-            m >= 4 and _slot_bytes(self._term_bound) <= 8) else None)
-        # the product of coefficient tuples
-        self._mul = (_schoolbook_mul(m, self.modulus, self._red) if self._prod is None
-                     else _kronecker_mul(*self._prod))
+        # (pack, finish) of a single product, and the product of coefficient
+        # tuples through it
+        self._prod = self._sum_kernel(1)
+        self._mul = _kronecker_mul(*self._prod)
         self._zero_tail = (0,) * (m * (n - 1))
         self.zero = RingElem(self, (0,) * self.zp_rank)
         self.one = self.from_int(1)
@@ -686,10 +656,8 @@ class RingElem:
     """Element of a LocalRingCtx: its flat coefficient tuple over Z/p^e, and
     its Kronecker packing once a packed kernel asked for it (`_packing`).
 
-    The product of two elements is packed (the packings multiplied as
-    integers, then finished) when n > 1, and when n = 1 with m >= 4 and
-    slots of at most 8 bytes; the other rings of n = 1 take the schoolbook
-    product in theta."""
+    The product of two elements multiplies their packings as integers and
+    finishes the result once (`LocalRingCtx._prod`)."""
 
     __slots__ = ("ctx", "coeffs", "_packed")
 
@@ -733,8 +701,6 @@ class RingElem:
     def __mul__(self, other):
         self._check(other)
         ctx = self.ctx
-        if ctx._prod is None:
-            return RingElem(ctx, ctx._mul(self.coeffs, other.coeffs))
         pack, finish = ctx._prod
         c = self._packing(pack) * other._packing(pack)
         return RingElem(ctx, finish(c)) if c else ctx.zero
@@ -803,11 +769,11 @@ class RingElem:
         ctx = self.ctx
         if k < 0:
             if ctx.n == 1:
-                return self.scale(ctx.p ** -k)
+                return self.scale(ctx.p ** min(-k, ctx.e))  # p^e = 0
             km = min(-k, ctx.n) * ctx.m
             return RingElem(ctx, (0,) * km + self.coeffs[:ctx.zp_rank - km])
         if ctx.n == 1:
-            pk = ctx.p ** k
+            pk = ctx.p ** min(k, ctx.e)  # beyond p^e only zero divides
             if any(c % pk for c in self.coeffs):
                 raise PrecisionError(f"element is not divisible by p^{k}")
             return RingElem(ctx, tuple([c // pk for c in self.coeffs]))

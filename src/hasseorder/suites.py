@@ -489,7 +489,15 @@ def suite_modcat(cfg, ctxs, rng, fault):
         if err is not None:
             continue
         rec.check_eq("adjoint-restriction", f, al.blocks[g])
-        rec.check_eq("adjoint-unit", q, modcat.deg(modcat.ind(TO, g, q), g))
+        # the unit alpha(id): its block at h is phi along the succ-walk from
+        # h to g, whose determinant has one pi_K for each summand whose pi_K
+        # edge, out of piece e = (l + r) mod d, the walk passes before g
+        unit = modcat.adjoint(mod, g, linalg.rmat_id(T, mod.ranks[g]))
+        edges = [(l + TO.r) % d for l in labels]
+        rec.check_eq("adjoint-unit",
+                     [min(sum(TO.x_power(e, h) < TO.x_power(g, h) for e in edges), T.prec)
+                      for h in range(d)],
+                     [linalg.det(b, T).ord() for b in unit.blocks])
     # trd / ird / tr ranks
     for q in (1, 2, 3):
         P = modcat.F(modcat.ird(TO, q))

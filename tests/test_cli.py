@@ -12,8 +12,9 @@ import pytest
 import hasseorder
 from hasseorder import algebra as almod
 from hasseorder import cli
+from hasseorder import linalg
 from hasseorder import localring as lr
-from hasseorder import suites
+from hasseorder import modcat, suites
 from hasseorder.cli import main
 from hasseorder.errors import InternalError, ParameterError
 from hasseorder.parser import evaluate
@@ -241,6 +242,35 @@ def test_hensel_fails_under_another_generator_of_the_galois_group(monkeypatch, p
     cases, failed = local_ring(False)
     assert not failed
     assert local_ring(True) == (cases, {"hensel"})
+
+
+@pytest.mark.parametrize("p,d,r,mode", [(5, 5, 2, "mixed"), (3, 2, 1, "equal")])
+def test_adjoint_unit_fails_under_an_adjoint_scaled_by_pi(monkeypatch, p, d, r, mode):
+    """pi_K is central and fixed by sigma, so an adjoint with every block
+    scaled by pi_K stays equivariant and `adjoint-equivariant` passes; the
+    determinant of each block of the unit gains ord ranks[g], and
+    `adjoint-unit` must fail, with the case count unchanged."""
+    cfg = {"p": p, "f": 1, "d": d, "r": r, "N": 8, "mode": mode, "seed": 0}
+    adjoint = modcat.adjoint
+
+    def scaled(module, g, f):
+        al = adjoint(module, g, f)
+        piK = module.ctx.T.uniformizer
+        return modcat.ModuleMap(al.source, al.target,
+                                [linalg.rmat_scale(b, piK) for b in al.blocks])
+
+    def modcat_suite(plant):
+        if plant:
+            monkeypatch.setattr(modcat, "adjoint", scaled)
+        report = suites.suite_modcat(cfg, suites._contexts(cfg), random.Random(0), None)
+        return report["cases"], {fail["case"] for fail in report["failures"]}
+
+    cases, failed = modcat_suite(False)
+    assert not failed
+    planted_cases, planted_failed = modcat_suite(True)
+    assert planted_cases == cases
+    assert "adjoint-unit" in planted_failed
+    assert "adjoint-equivariant" not in planted_failed
 
 
 def test_verify_bad_twist_exit_2(capsys):

@@ -95,6 +95,10 @@ def test_shift_down():
         (T.one + pi).shift_down(1)
     # negative k multiplies
     assert x.shift_down(-1) == x * pi
+    # far past the precision: only zero divides, with no power of p beyond p^e
+    assert T.zero.shift_down(10 ** 9) == T.zero
+    with pytest.raises(PrecisionError):
+        x.shift_down(10 ** 9)
 
 
 def test_teichmueller():
@@ -342,18 +346,18 @@ def test_kernel_wide_slots():
         assert R.frobenius_p(R.uniformizer) == R.uniformizer
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 17))
 @pytest.mark.parametrize("N", (2, 8, 32))
 def test_packed_product_matches_schoolbook(p, N):
-    # the packed n = 1 product at every m, whether or not the ring uses it
+    # the packed n = 1 product at every m against the theta-product oracle
     rng = random.Random(f"prod:{p}:{N}")
     for m in range(1, 9):
         R = lr.base_ring(p, m, N, lr.MIXED)
         if N == 32 and m > 1:  # (p^32 - 1)^2 fits 64 bits only at p = 2
             assert lr._slot_bytes(R._term_bound) > 8  # the bytes fallback
-        assert (R._prod is not None) == (m >= 4 and N < 32)
+        if N == 8 and p in (13, 17):  # the last array width, the first bytes join
+            assert lr._slot_bytes(R._term_bound) == {13: 8, 17: 9}[p]
         mod = R.modulus
-        school = lr._schoolbook_mul(m, mod, R._red)
         packed = lr._kronecker_mul(*R._sum_kernel(1))
         zero, top = (0,) * m, (mod - 1,) * m
         cases = [(zero, zero), (zero, top), (top, zero), (top, top)]
@@ -361,20 +365,17 @@ def test_packed_product_matches_schoolbook(p, N):
             x = R.random(rng).coeffs
             cases += [(x, R.random(rng).coeffs), (x, x), (x, top), (zero, x)]
         for a, b in cases:
-            want = school(a, b)
+            want = tuple(_theta_mulmod(a, b, R.poly, mod))
             assert packed(a, b) == want
             assert (lr.RingElem(R, a) * lr.RingElem(R, b)).coeffs == want
 
 
-def test_products_choose_the_packed_kernel_by_m_and_slot_width():
+def test_every_ring_multiplies_through_its_one_term_kernel():
     for p, f, d, N, mode in product((2, 3), (1, 2), (1, 2, 3, 4), (2, 8, 32),
                                     (lr.MIXED, lr.EQUAL)):
         S = lr.base_ring(p, f, N, mode)
         for R in (S, lr.unramified(S, d), S.residue):
-            narrow = lr._slot_bytes(R._term_bound) <= 8
-            assert (R._prod is not None) == (R.n > 1 or (R.m >= 4 and narrow))
-            if R._prod is not None:
-                assert R._prod == R._sum_kernel(1)
+            assert R._prod == R._sum_kernel(1)
 
 
 def _naive_dot(R, xs, ys):
@@ -480,6 +481,8 @@ def test_negative_shift_down_is_exact_pi_multiplication():
             x = T.random(rng)
             for k in range(1, T.prec + 2):
                 assert x.shift_down(-k) == x * pi ** k
+            # far past the precision: zero, with no power of p beyond p^e
+            assert x.shift_down(-10 ** 9).is_zero()
 
 
 def newton_inv(x):

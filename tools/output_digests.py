@@ -25,7 +25,7 @@ from hasseorder import cli, suites  # noqa: E402
 CONFIGS = {
     "mixed": [(3, 1, 2, 1, 8), (5, 1, 3, 2, 8), (3, 1, 4, 1, 8), (2, 2, 4, 3, 8),
               (3, 1, 1, 0, 8), (3, 1, 4, 1, 4), (3, 1, 5, 2, 6), (17, 1, 2, 1, 6),
-              (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
+              (3, 1, 8, 1, 8), (2, 3, 2, 1, 6), (3, 1, 2, 1, 32), (3, 1, 3, 1, 32)],
     "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4),
               (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
 }
