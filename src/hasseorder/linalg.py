@@ -7,9 +7,8 @@ without a unit is divided by the uniformizer.  The determinant over S
 (`det`) and the kernel size over Z/p^e (`kernel_log_size`) are read off it.
 Over a kernel ring, Z/p^e and T among them, one division-free characteristic
 polynomial (Berkowitz, `charpoly`) gives traces and determinants, and by
-Cayley-Hamilton inverses (`rmat_inv`); `inv_all` inverts a list of units
-with a single inversion.  Matrix products go through the ring's `dot` and
-`matmul`, which reduce each sum once.
+Cayley-Hamilton inverses (`rmat_inv`).  Matrix products go through the
+ring's `dot` and `matmul`, which reduce each sum once.
 """
 
 from __future__ import annotations
@@ -175,31 +174,6 @@ def rmat_vec(A, v, ctx):
 
 def rmat_scale(A, s):
     return [[s * a for a in row] for row in A]
-
-
-def inv_all(xs):
-    """The inverses of the units xs with one inversion (Montgomery): the
-    product of all of them is inverted once, and each inverse is peeled off
-    with the prefix products.
-
-    Raises NotInvertibleError when some x is not a unit.
-    """
-    for x in xs:
-        if not x.is_unit():
-            v = x.ord()
-            raise NotInvertibleError(f"element of valuation {v} is not a unit", ord=v)
-    prefix = []
-    for x in xs:
-        prefix.append(x if not prefix else prefix[-1] * x)
-    if not prefix:
-        return []
-    out = [None] * len(xs)
-    inv = prefix[-1].inv()
-    for i in range(len(xs) - 1, 0, -1):
-        out[i] = inv * prefix[i - 1]
-        inv = inv * xs[i]
-    out[0] = inv
-    return out
 
 
 def rmat_inv(M, ctx):

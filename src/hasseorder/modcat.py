@@ -402,7 +402,7 @@ def _split_along(module: GradedPhiModule, vecs):
 
     # cycle scalars: phi[k_j] x'_j = lambda_j x'_{j+1}
     units = [next(i for i, c in enumerate(s) if c.is_unit()) for s in sat]
-    unit_inv = linalg.inv_all([s[u] for s, u in zip(sat, units)])
+    unit_inv = [s[u].inv() for s, u in zip(sat, units)]
     lambdas = [None] * d
     for j in range(d):
         w = linalg.rmat_vec(module.phi[cycle[j]], sat[j], T)

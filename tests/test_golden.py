@@ -156,13 +156,20 @@ DECOMPOSE_CONFIGS = {
     "mixed-d4": (3, 1, 4, 1, 8, lr.MIXED),
     "equal-d2": (3, 1, 2, 1, 8, lr.EQUAL),
     "mixed-d1": (3, 1, 1, 0, 8, lr.MIXED),
+    # the largest batches of orbit units: d = 8 in both modes, and p = 5
+    "mixed-d8": (3, 1, 8, 1, 8, lr.MIXED),
+    "equal-d8": (3, 1, 8, 3, 8, lr.EQUAL),
+    "mixed-p5-d5": (5, 1, 5, 2, 6, lr.MIXED),
 }
 
 # name -> SHA-256 of the serialized steps under the rules "min" and "first"
 DECOMPOSE_GOLDEN = {
     "equal-d2": "7ecb46e7b7d54d5e8312c1e6bbbae02363c0dd32d803fe44aae2eb9cfd736d10",
+    "equal-d8": "f8e9cb6b777c5deab3e8550bd6ad43ef1cb8af100cad8fef97e81fe1edbca21a",
     "mixed-d1": "2175852790b90cfcb67e644a54ad23313e06db5811f66299d86e2785e09967de",
     "mixed-d4": "be87c474f4c8f3950687c63e9dd2096cab7bd15dec439759133e4839fdbf9ac8",
+    "mixed-d8": "b99ca26d0152de2458b2082ab11eceeb7de88166d9e2ae5e31b45fc53938253b",
+    "mixed-p5-d5": "5b7a55314f47605a8f9e1ad179af9c48e5e1a06db2eaac981edd5456f50c2479",
 }
 
 

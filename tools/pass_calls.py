@@ -4,7 +4,7 @@
 Unlike wall times, these counts repeat exactly from run to run, so a change
 that removes work can report them next to its noisy timings.  A `finish`
 call is one reduction of a packed sum by G and p^e in the coefficient
-kernel (a `finish` of `localring._packed_sums`, any of its three branches);
+kernel (a `finish` of `localring._packed_sums`, any of its four branches);
 every packed ring product, matrix entry and skew-product coefficient ends
 in one.  The row `(run)` is what `suites.run` does outside the suites,
 such as building the contexts.
