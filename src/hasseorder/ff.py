@@ -110,8 +110,9 @@ def _pgcd(a, b, K):
 
 
 def _is_irreducible(poly, p):
-    """Monic poly of degree m: gcd(x^{p^k} - x, poly) = 1 for 0 < k < m
-    and x^{p^m} = x mod poly."""
+    """Monic poly of degree m: gcd(x^{p^k} - x, poly) = 1 for 0 < k <= m/2
+    (Ben-Or).  A reducible poly has an irreducible factor of some degree
+    k <= m/2, and that factor divides x^{p^k} - x."""
     m = len(poly) - 1
     if m == 1:
         return True
@@ -120,12 +121,11 @@ def _is_irreducible(poly, p):
     K = _Field(0, 1, p.__rmod__, lambda c: pow(c, -1, p))
     minus_x = (0, p - 1)
     xp = (0, 1)
-    for k in range(1, m):
+    for k in range(1, m // 2 + 1):
         xp = _ppowmod(xp, p, poly, K)
         if len(_pgcd(poly, _padd(xp, minus_x, K), K)) > 1:
             return False
-    xp = _ppowmod(xp, p, poly, K)
-    return _pmod(_padd(xp, minus_x, K), poly, K) == ()
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -68,7 +68,7 @@ def eliminate(rows, ring):
             continue
         del packed[j]
         off = offs.pop(i)
-        unit = a if unit is None else ring._mul(unit, a)
+        unit = a if unit is None else finish(pack(unit) * pack(a))
         sign, shift, start = sign + i + j, shift + s, j
         if packed:
             neg = pack(ring.from_vec([-c for c in a]).inv().coeffs)  # -1/a

@@ -206,15 +206,6 @@ def _packed_sums(m, n, mod, red, bound):
     return (lambda a: pack(take(a + (0,)))), finish
 
 
-def _kronecker_mul(pack, finish):
-    """Product of coefficient tuples by one integer multiply of their
-    packings (`LocalRingCtx._prod`)."""
-    def mul(a, b):
-        pa = pack(a)
-        return finish(pa * (pa if a is b else pack(b)))
-    return mul
-
-
 def _block_map(rows, k, n, mod):
     """The Z/p^e-linear map applying a matrix (its rows, each of length k) to
     each of the n t-blocks, of length k, of a coefficient vector.
@@ -264,6 +255,8 @@ class LocalRingCtx:
             raise ParameterError("degrees must be >= 1")
         if e < 1 or n < 1:
             raise ParameterError("exponents e, n must be >= 1")
+        if base is not None and (base.d, base.p, base.f, base.e, base.n) != (1, p, f, e, n):
+            raise ParameterError("base must be a base ring with the same (p, f, e, n)")
         self.p = p
         self.f = f
         self.d = d
@@ -281,10 +274,8 @@ class LocalRingCtx:
         # packed sums of products: one (pack, finish) per slot width in use
         self._term_bound = _term_bound(m, n, self.modulus)
         self._sums = {}
-        # (pack, finish) of a single product, and the product of coefficient
-        # tuples through it
+        # (pack, finish) of a single product
         self._prod = self._sum_kernel(1)
-        self._mul = _kronecker_mul(*self._prod)
         self._zero_tail = (0,) * (m * (n - 1))
         self.zero = RingElem(self, (0,) * self.zp_rank)
         self.one = self.from_int(1)
@@ -745,7 +736,7 @@ class RingElem:
         for k in range(1, m):
             c = ctx.frobenius_p(c)
             y = c if k == 1 else y * c
-        norm = self.coeffs if y is None else ctx._mul(self.coeffs, y.coeffs)
+        norm = self.coeffs if y is None else (self * y).coeffs
         if any(any(norm[j::m]) for j in range(1, m)):
             raise InternalError("norm does not lie in the prime ring")
         digits = norm[::m]

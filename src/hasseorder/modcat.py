@@ -11,7 +11,7 @@ is the composite around that cycle.  The index arithmetic of the twist
 
 A module is immutable: phi is frozen at construction into a tuple of
 blocks, each a tuple of row tuples.  So a module keeps what it derives from
-phi (the passing `validate` report and the split of `decompose` along each
+phi (that `validate` passed, and the split of `decompose` along each
 orbit index) for good, and `decompose` under a second rule reuses every
 split the first one made.
 """
@@ -37,7 +37,7 @@ class GradedPhiModule:
         # this module; identities hold mod pi_K^{N - slack}
         self.slack = slack
         self.phi = tuple(tuple(map(tuple, m)) for m in phi)
-        self._report = None  # the passing validate report
+        self._validated = False  # validate passed
         self._splits = {}    # orbit index b -> (step, quotient) of decompose
         for k in range(ctx.d):
             m = self.phi[k]
@@ -50,28 +50,25 @@ class GradedPhiModule:
                         raise CtxMismatchError("phi entries must lie in T")
 
     def validate(self):
-        """Check the cycle condition phi^d = pi_K * id; per-g residual report.
+        """Check the cycle condition phi^d = pi_K * id at every starting g.
 
-        Raises ValidationError naming the offending starting pieces.  A
-        passing report is kept and returned again.
+        Raises ValidationError naming the offending starting pieces.  A pass
+        is kept, and a second call returns at once.
         """
-        if self._report is not None:
-            return dict(self._report)
+        if self._validated:
+            return
         piK = self.ctx.T.uniformizer
         tol = self.ctx.T.prec - self.slack
-        report = {}
         bad = []
         for k, M in enumerate(cycle_composites(self)):
             ok = all((e - piK if i == c else e).ord() >= tol
                      for i, row in enumerate(M) for c, e in enumerate(row))
-            report[k] = ok
             if not ok:
                 bad.append(k)
         if bad:
             raise ValidationError(
                 f"cycle condition phi^d = pi_K fails starting at g in {bad}")
-        self._report = report
-        return dict(report)
+        self._validated = True
 
     def __eq__(self, other):
         return (isinstance(other, GradedPhiModule) and other.ctx is self.ctx

@@ -174,7 +174,7 @@ def suite_witt(cfg, ctxs, rng, fault):
               "local": S}
     for kind, R in coeffs.items():
         for n in (2, 3, 4):
-            W = wmod.WittCtx(p, n, R)
+            W = wmod.WittCtx(n, R)
             for i in range(8):
                 x, y, z = W.random(rng), W.random(rng), W.random(rng)
                 xy, fx, ry = x * y, x.frobenius(), y.restriction()
@@ -207,7 +207,7 @@ def suite_witt(cfg, ctxs, rng, fault):
                              ta.frobenius(), W.resize(n - 1).teich(a ** p))
     # identities over S needing valuations
     for n in (2, 3, 4):
-        W = wmod.WittCtx(p, n, S)
+        W = wmod.WittCtx(n, S)
         for _ in range(8):
             a = W.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(lambda c: c ** p)
@@ -234,8 +234,8 @@ def suite_witt(cfg, ctxs, rng, fault):
         Sd = T.base
         klog = _fixed_log_size(T)
         for n in (2, 3):
-            W = wmod.WittCtx(p, n, T)
-            WS = wmod.WittCtx(p, n, Sd)
+            W = wmod.WittCtx(n, T)
+            WS = wmod.WittCtx(n, Sd)
             for _ in range(5):
                 a = WS.random(rng)
                 emb = W.vec([T.embed_base(c) for c in a.coords])
@@ -249,7 +249,7 @@ def suite_witt(cfg, ctxs, rng, fault):
     # re-indexing over k_S: phi^n bijective, F = W(phi) o R in char p
     kS = lr.residue_field(p, cfg["f"])
     for n in (2, 3, 4):
-        W = wmod.WittCtx(p, n, kS)
+        W = wmod.WittCtx(n, kS)
         for _ in range(8):
             a = W.random(rng)
             img = a.map_coords(lambda c: kS.frobenius_p(c, n))

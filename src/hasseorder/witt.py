@@ -16,17 +16,17 @@ method only adds, multiplies, takes p-th powers and divides by p^i, so L
 needs no Frobenius lift of its own.
 
 The ghost arithmetic runs on L's flat coefficient tuples: a `RingElem` is
-built only where the API hands one out, for the reduced coordinates and
-for `ghost`.  Sums and negatives of ghost components are left
-unreduced until the solve reduces them mod p^K; products go through L's
-kernel product.  Each p-th power is one call of the context's `_pth`
-(`_pth_power`): pow(c, p, p^K) when L has one coefficient, and when L is a
-polynomial ring in t alone (m = 1) or in theta alone (n = 1), one integer
-power of its Kronecker packing, in slots wide enough for every coefficient
-of the unreduced power, k^(p-1) (p^K - 1)^p for k coefficients, then one
-`finish` of the kernel's packed sums in those slots: a mask at t^n, or the
-reduction by G.  Lifts with m, n > 1, and packings wider than
-`_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
+built only where the API hands one out, for the reduced coordinates and for
+`ghost`.  Sums and differences of ghost components are left unreduced until
+the solve reduces them mod p^K, and a negative is 0 - x; a product multiplies
+L's packings (`lift._prod`) and finishes once.  Each p-th power is one call of
+the context's `_pth` (`_pth_power`): pow(c, p, p^K) when L has one
+coefficient, and when L is a polynomial ring in t alone (m = 1) or in theta
+alone (n = 1), one integer power of its Kronecker packing, in slots wide
+enough for every coefficient of the unreduced power, k^(p-1) (p^K - 1)^p for k
+coefficients, then one `finish` of the kernel's packed sums in those slots: a
+mask at t^n, or the reduction by G.  Lifts with m, n > 1, and packings wider
+than `_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
 `WittCtx.resize` keeps the context of each length it builds.
 """
 
@@ -81,27 +81,28 @@ def _sub(a, b):
 
 
 class WittCtx:
-    """Length-n p-typical Witt vectors over a kernel ring R.
+    """Length-n p-typical Witt vectors over a kernel ring R, with p = R.p.
 
-    `lift` is the lift ring, and `_pth` its p-th power on coefficient tuples
-    (`_pth_power`), built once.  `resize(n2)` returns the context of length
-    n2, built on first use and then kept; the contexts on one lift ring
-    share that cache.  It passes `lift` on as long as its precision
-    suffices, because `frobenius` solves a long vector's ghost components in
-    the shorter context; a context built on a new lift starts its own cache.
+    `lift` is the lift ring, and `_pth` and `_prod` its p-th power and
+    product on coefficient tuples (`_pth_power`, `lift._prod`), built once.
+    `resize(n2)` returns the context of length n2, built on first use and
+    then kept; the contexts on one lift ring share that cache.  It passes
+    `lift` on as long as its precision suffices, because `frobenius` solves
+    a long vector's ghost components in the shorter context; a context
+    built on a new lift starts its own cache.
     """
 
-    def __init__(self, p, n, R, _lift=None):
+    def __init__(self, n, R, _lift=None):
         if n < 1 or n > MAX_N:
             raise ParameterError(f"Witt length n = {n} out of range [1, {MAX_N}]")
-        if R.p != p:
-            raise ParameterError("coefficient ring characteristic mismatch")
-        self.p = p
+        self.p = p = R.p
         self.n = n
         self.ring = R
         self.lift = _lift if _lift is not None else \
             lr.LocalRingCtx(p, R.m, 1, R.e + n + 2, R.n)
         self._pth = _pth_power(self.lift)
+        pack, finish = self.lift._prod
+        self._prod = lambda a, b: finish(pack(a) * pack(b))
         self._pw = [p ** j for j in range(n)]
         self._sizes = {n: self}
         self.zero = WittVec(self, (R.zero,) * n)
@@ -111,10 +112,10 @@ class WittCtx:
         ctx = self._sizes.get(n2)
         if ctx is None:
             if self.lift.e >= self.ring.e + n2:
-                ctx = WittCtx(self.p, n2, self.ring, self.lift)
+                ctx = WittCtx(n2, self.ring, self.lift)
                 ctx._sizes = self._sizes
             else:
-                ctx = WittCtx(self.p, n2, self.ring)
+                ctx = WittCtx(n2, self.ring)
             self._sizes[n2] = ctx
         return ctx
 
@@ -212,12 +213,10 @@ class WittVec:
         return self._binop(other, _sub)
 
     def __mul__(self, other):
-        return self._binop(other, self.ctx.lift._mul)
+        return self._binop(other, self.ctx._prod)
 
     def __neg__(self):
-        ctx = self.ctx
-        targets = [[-c for c in g] for g in ctx._ghost(self)]
-        return WittVec(ctx, ctx._solve_ghost(targets, ctx.n))
+        return self.ctx.zero - self
 
     def frobenius(self):
         """F: W_n -> W_{n-1}, the unique map shifting ghost components."""

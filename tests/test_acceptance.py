@@ -218,7 +218,7 @@ def test_criterion_8():
         rng = random.Random(f"acc8:{p}")
         for kind, R in coeffs.items():
             for n in (2, 3, 4):
-                W = witt.WittCtx(p, n, R)
+                W = witt.WittCtx(n, R)
                 for _ in range(5):
                     x, y = W.random(rng), W.random(rng)
                     # ghost is a ring homomorphism
@@ -268,8 +268,8 @@ def test_criterion_8():
             klog = linalg.kernel_log_size(cols, T.p, T.e)
             assert klog == Sd.prec
             for n in (2, 3):
-                W = witt.WittCtx(p, n, T)
-                WS = witt.WittCtx(p, n, Sd)
+                W = witt.WittCtx(n, T)
+                WS = witt.WittCtx(n, Sd)
                 for _ in range(5):
                     v = WS.random(rng)
                     emb = W.vec([T.embed_base(c) for c in v.coords])

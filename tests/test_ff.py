@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,6 +21,16 @@ def test_bad_parameters():
             ff.defining_poly(p, m)
         with pytest.raises(ParameterError):
             lr.residue_field(p, m)
+
+
+def test_defining_polys_pinned():
+    # every defining polynomial for p < 54 and p^m < 2^63, digested when the
+    # test ran every k < m and x^{p^m} = x: the Ben-Or bound changes none
+    rows = [[p, m, list(ff.defining_poly(p, m))] for p in range(2, 54) if ff.is_prime(p)
+            for m in range(1, 17) if p ** m < 1 << 63]
+    assert len(rows) == 217
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "3343b68a0fd6a4209d6e8dc07588ce26a5db686db9015db1bf32f74d637a7c7d"
 
 
 def test_f9_polynomial_is_lex_least():

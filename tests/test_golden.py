@@ -109,7 +109,7 @@ def witt_digest(kind):
     """Each coordinate is written as its flat coefficient tuple."""
     rows = []
     for p in (2, 3, 13):
-        W = witt.WittCtx(p, 3, WITT_RINGS[kind](p))
+        W = witt.WittCtx(3, WITT_RINGS[kind](p))
         rng = random.Random(f"golden-witt:{kind}:{p}")
         for _ in range(3):
             x, y = W.random(rng), W.random(rng)
@@ -136,7 +136,7 @@ WITT_MAX_N_GOLDEN = {
 def witt_max_n_digest(kind):
     rows = []
     for p in (2, 3, 5, 13):
-        W = witt.WittCtx(p, witt.MAX_N, WITT_RINGS[kind](p))
+        W = witt.WittCtx(witt.MAX_N, WITT_RINGS[kind](p))
         rng = random.Random(f"golden-witt-max-n:{kind}:{p}")
         for _ in range(3):
             x, y = W.random(rng), W.random(rng)

@@ -19,11 +19,9 @@ def contexts(p):
 
 def test_parameter_caps():
     with pytest.raises(ParameterError):
-        witt.WittCtx(3, witt.MAX_N + 1, lr.base_ring(3, 1, 6))
-    with pytest.raises(ParameterError):
-        witt.WittCtx(5, 2, lr.base_ring(3, 1, 6))
+        witt.WittCtx(witt.MAX_N + 1, lr.base_ring(3, 1, 6))
     # no cap on p: at p = 17 the ghost map is still a ring homomorphism
-    W = witt.WittCtx(17, 2, lr.base_ring(17, 1, 6))
+    W = witt.WittCtx(2, lr.base_ring(17, 1, 6))
     rng = random.Random(17)
     a, b = W.random(rng), W.random(rng)
     assert W.ghost(a * b) == [x * y for x, y in zip(W.ghost(a), W.ghost(b))]
@@ -32,7 +30,7 @@ def test_parameter_caps():
 def test_ghost_spec_example():
     # p = 3, v = (1, 1, 1) -> ghost (1, 4, 13)
     Z = lr.base_ring(3, 1, 6)
-    W = witt.WittCtx(3, 3, Z)
+    W = witt.WittCtx(3, Z)
     g = W.ghost(W.vec([Z.one] * 3))
     assert [c.coeffs for c in g] == [(1,), (4,), (13,)]
     # coordinates are elements of the coefficient ring, not bare ints
@@ -47,7 +45,7 @@ def test_ghost_is_ring_hom():
     for p in (2, 3, 5):
         for R in contexts(p):
             for n in (2, 3):
-                W = witt.WittCtx(p, n, R)
+                W = witt.WittCtx(n, R)
                 for _ in range(10):
                     x, y = W.random(rng), W.random(rng)
                     gx, gy = W.ghost(x), W.ghost(y)
@@ -59,7 +57,7 @@ def test_ring_axioms():
     rng = random.Random(1)
     for p in (2, 3):
         for R in contexts(p)[:2]:
-            W = witt.WittCtx(p, 3, R)
+            W = witt.WittCtx(3, R)
             for _ in range(15):
                 x, y, z = W.random(rng), W.random(rng), W.random(rng)
                 assert (x + y) + z == x + (y + z)
@@ -73,7 +71,7 @@ def test_fv_equals_p():
     rng = random.Random(2)
     for p in (2, 3, 5):
         for R in contexts(p):
-            W = witt.WittCtx(p, 3, R)
+            W = witt.WittCtx(3, R)
             x = W.random(rng)
             px = W.zero
             for _ in range(p):
@@ -85,7 +83,7 @@ def test_frobenius_teichmueller_and_hom():
     rng = random.Random(3)
     for p in (2, 3):
         for R in contexts(p):
-            W = witt.WittCtx(p, 3, R)
+            W = witt.WittCtx(3, R)
             a = W.ring.random(rng)
             assert W.teich(a).frobenius() == W.resize(2).teich(a ** p)
             x, y = W.random(rng), W.random(rng)
@@ -97,7 +95,7 @@ def test_projection_formula():
     rng = random.Random(4)
     for p in (2, 3):
         for R in contexts(p):
-            W = witt.WittCtx(p, 3, R)
+            W = witt.WittCtx(3, R)
             x, y = W.random(rng), W.random(rng)
             vy = y.restriction().verschiebung()
             assert x * vy == \
@@ -113,20 +111,20 @@ def test_frobenius_congruence_coordinatewise():
     rng = random.Random(5)
     for p in (2, 3):
         S = lr.base_ring(p, 1, 6, lr.MIXED)
-        W = witt.WittCtx(p, 4, S)
+        W = witt.WittCtx(4, S)
         for _ in range(10):
             a = W.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(lambda c: c ** p)
             assert all(c.ord() >= 1 for c in diff.coords)
         # over Z/p^M the difference coordinates are divisible by p
-        Wz = witt.WittCtx(p, 4, lr.base_ring(p, 1, 6))
+        Wz = witt.WittCtx(4, lr.base_ring(p, 1, 6))
         for _ in range(10):
             a = Wz.random(rng)
             diff = a.frobenius() - a.restriction().map_coords(
                 lambda c: c ** p)
             assert all(c.ord() >= 1 for c in diff.coords)
         # in characteristic p the congruence is an equality
-        Wf = witt.WittCtx(p, 4, lr.residue_field(p, 2))
+        Wf = witt.WittCtx(4, lr.residue_field(p, 2))
         for _ in range(10):
             a = Wf.random(rng)
             assert a.frobenius() == \
@@ -139,7 +137,7 @@ def test_frobenius_filtration():
         S = lr.base_ring(p, 1, 6, lr.MIXED)
         pi = S.uniformizer
         for n in (2, 3, 4):
-            W = witt.WittCtx(p, n, S)
+            W = witt.WittCtx(n, S)
             for m in (1, 2, 3, 4):
                 a = W.vec([S.random(rng) * pi ** m for _ in range(n)])
                 assert all(c.ord() >= m + 1 for c in a.frobenius().coords)
@@ -147,7 +145,7 @@ def test_frobenius_filtration():
 
 def test_serialize_roundtrip_shape():
     Z = lr.base_ring(3, 1, 6)
-    W = witt.WittCtx(3, 2, Z)
+    W = witt.WittCtx(2, Z)
     v = W.vec([Z.from_int(5), Z.from_int(7)])
     assert v.serialize() == [[5], [7]]
 
@@ -159,7 +157,7 @@ def test_equal_lift_product_matches_schoolbook():
     for p in (2, 3, 5):
         for f, d in ((1, 1), (1, 2), (2, 1), (1, 3)):
             E = lr.unramified(lr.base_ring(p, f, 6, lr.EQUAL), d)
-            L = witt.WittCtx(p, 3, E).lift
+            L = witt.WittCtx(3, E).lift
             m, N = E.m, E.prec
             mod = L.modulus
             for _ in range(5):
@@ -195,7 +193,7 @@ def test_witt_of_finite_field_is_unramified_ring():
             F = lr.residue_field(p, m)
             for n in (2, 3, 4):
                 Z = lr.base_ring(p, m, n)
-                W = witt.WittCtx(p, n, F)
+                W = witt.WittCtx(n, F)
                 naive_fails = False
                 for _ in range(10):
                     x, y = W.random(rng), W.random(rng)
@@ -212,7 +210,7 @@ def test_ghost_components_are_kept_per_lift_ring():
     used with a context on another lift ring it gets them there anew."""
     rng = random.Random(9)
     for R in contexts(3):
-        W1, W2 = witt.WittCtx(3, 3, R), witt.WittCtx(3, 3, R)
+        W1, W2 = witt.WittCtx(3, R), witt.WittCtx(3, R)
         assert W1.lift is not W2.lift
         x, y = W1.random(rng), W2.random(rng)
         g1 = W1._ghost(x)
@@ -236,7 +234,7 @@ def test_pth_power_matches_square_and_multiply():
         rings += [lr.unramified(lr.base_ring(p, 1, 4, lr.EQUAL), d) for d in (2, 3)]
         for R in rings:
             for n in range(1, witt.MAX_N + 1):
-                W = witt.WittCtx(p, n, R)
+                W = witt.WittCtx(n, R)
                 L = W.lift
                 top = L.from_vec([L.modulus - 1] * L.zp_rank)
                 for a in [L.zero, top] + [L.random(rng) for _ in range(2)]:
@@ -248,7 +246,7 @@ def test_resize_keeps_its_contexts():
     its precision suffices and builds a new one when it is short."""
     rng = random.Random(11)
     R = lr.base_ring(3, 1, 6)
-    W = witt.WittCtx(3, 1, R)  # lift precision e + 3
+    W = witt.WittCtx(1, R)  # lift precision e + 3
     W4 = W.resize(4)
     assert W.resize(4) is W4 and W.resize(1) is W and W4.resize(4) is W4
     assert W4.lift is not W.lift and W4.lift.e >= R.e + 4
