@@ -224,14 +224,10 @@ class DElem:
 
     def inv(self):
         """Two-sided inverse: self = pi_D^v * u with u a unit, and u^{-1}
-        by Cayley-Hamilton on the first column.
+        by Newton's iteration b <- b * (2 - u * b) from b = y_0^{-1}.
 
-        In right coordinates b = sum_s pi_D^s t_s, u * b = 1 reads
-        M t = e_0 for M = u.embed(); with det(x - M) = x^d + c_0 x^{d-1}
-        + ... + c_{d-1}, t = -c_{d-1}^{-1} (M^{d-1} + c_0 M^{d-2} + ...
-        + c_{d-2}) e_0, by Horner's rule from M e_0, the first column of M:
-        d - 2 products with M.  b has left coefficients
-        y_s = sigma_r^s(t_s).
+        1 - u * b starts at ord_D >= 1 and is squared each round, so
+        ceil(log2(d * N)) rounds reach ord_D >= d * N, which is zero.
         """
         ctx = self.ctx
         if self.is_zero():
@@ -243,15 +239,10 @@ class DElem:
                 f"ord_D = {v} leaves no precision margin for inversion")
         if u.ord() != 0:
             raise InternalError("unit part of inversion input is not a unit")
-        T = ctx.T
-        M = u.embed()
-        *cs, last = linalg.charpoly(M, T)
-        t = [T.one] + [T.zero] * (ctx.d - 1)
-        for k, c in enumerate(cs):
-            t = linalg.rmat_vec(M, t, T) if k else [row[0] for row in M]
-            t[0] = t[0] + c
-        scale = -last.inv()
-        b = ctx.elem(0, [T.frobenius(scale * ts, ctx.r * s) for s, ts in enumerate(t)])
+        two = ctx.from_int(2)
+        b = ctx.from_T(u.coeffs[0].inv())
+        for _ in range((ctx.ord_cap - 1).bit_length()):
+            b = b * (two - u * b)
         if not (u * b == ctx.one and b * u == ctx.one):
             raise InternalError("inverse of the unit part fails u * b = b * u = 1")
         return b if v == 0 else b * ctx.pi_D_pow(-v)
@@ -287,13 +278,12 @@ class DElem:
         return embed_matrix(ctx.d, entry)
 
     def trd_nrd(self):
-        """Reduced trace and norm in S, from the characteristic polynomial
-        x^d + c_0 x^{d-1} + ... + c_{d-1} of embed(): Trd = -c_0 and
-        Nrd = (-1)^d c_{d-1}."""
-        T, d = self.ctx.T, self.ctx.d
-        cs = linalg.charpoly(self.embed(), T)
-        trd = -cs[0]
-        nrd = cs[-1] if d % 2 == 0 else -cs[-1]
+        """Reduced trace and norm in S: the trace and the determinant
+        (`linalg.det`) of embed() over T."""
+        T = self.ctx.T
+        M = self.embed()
+        trd = sum((row[j] for j, row in enumerate(M)), T.zero)
+        nrd = linalg.det(M, T)
         for val in (trd, nrd):
             if T.frobenius(val, 1) != val:
                 raise InternalError("reduced trace/norm is not Galois-invariant")

@@ -6,9 +6,9 @@ Kronecker layout, an entry is reduced only when it is read, and a block
 without a unit is divided by the uniformizer.  The determinant over S
 (`det`) and the kernel size over Z/p^e (`kernel_log_size`) are read off it.
 Over a kernel ring, Z/p^e and T among them, one division-free characteristic
-polynomial (Berkowitz, `charpoly`) gives traces and determinants, and by
-Cayley-Hamilton inverses (`rmat_inv`).  Matrix products go through the
-ring's `dot` and `matmul`, which reduce each sum once.
+polynomial (Berkowitz, `charpoly`) gives inverses by Cayley-Hamilton
+(`rmat_inv`).  Matrix products go through the ring's `dot` and `matmul`,
+which reduce each sum once.
 """
 
 from __future__ import annotations

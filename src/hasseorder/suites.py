@@ -534,7 +534,7 @@ def run(cfg, suite_names=None, fault=None):
         results.append(SUITES[name](cfg, ctxs, rng, fault))
     return {
         "schema": SCHEMA,
-        "params": dict(cfg),
+        "params": dict(cfg, r=ctxs[2].r),
         "fault": fault,
         "suites": results,
         "wall_time": round(time.time() - t0, 3),

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -169,10 +168,16 @@ def test_inverse():
         A.zero.inv()
 
 
-def newton_inv(a):
-    """Oracle: the Newton inverse in D.  Peel pi_D off on the left, seed
-    with the residue inverse of the unit part's y_0, and iterate
-    b <- b(2 - ub) until pi_D^(dN) = 0."""
+def cayley_hamilton_inv(a):
+    """Oracle: peel pi_D off on the left, a = pi_D^v * u with u a unit, and
+    invert u by Cayley-Hamilton on the first column.
+
+    In right coordinates b = sum_s pi_D^s t_s, u * b = 1 reads M t = e_0 for
+    M = u.embed(); with det(x - M) = x^d + c_0 x^{d-1} + ... + c_{d-1}
+    (Berkowitz, `linalg.charpoly`), t = -c_{d-1}^{-1} (M^{d-1} + c_0 M^{d-2}
+    + ... + c_{d-2}) e_0, by Horner's rule from M e_0, the first column of
+    M: d - 2 products with M.  b has left coefficients y_s = sigma_r^s(t_s).
+    """
     A = a.ctx
     T, d, v = A.T, A.d, a.ord()
     ys = list(a.coeffs)
@@ -180,10 +185,14 @@ def newton_inv(a):
         # one exact left division by pi_D
         ys = [T.frobenius(c, -A.r) for c in ys[1:]] + [T.frobenius(ys[0].shift_down(1), -A.r)]
     u = algebra.DElem(A, 0, tuple(c.shift_down(v // d - a.shift) for c in ys))
-    b = A.from_T(A.T.from_residue(A.T.residue_of(u.coeffs[0]).inv()))
-    two = A.from_int(2)
-    for _ in range(max(1, math.ceil(math.log2(d * A.prec)))):
-        b = b * (two - u * b)
+    M = u.embed()
+    *cs, last = linalg.charpoly(M, T)
+    t = [T.one] + [T.zero] * (d - 1)
+    for k, c in enumerate(cs):
+        t = linalg.rmat_vec(M, t, T) if k else [row[0] for row in M]
+        t[0] = t[0] + c
+    scale = -last.inv()
+    b = A.elem(0, [T.frobenius(scale * ts, A.r * s) for s, ts in enumerate(t)])
     assert (u * b - A.one).is_zero() and (b * u - A.one).is_zero()
     return b * A.pi_D_pow(-v)
 
@@ -195,7 +204,7 @@ INVERSE_CONFIGS = ((3, 2, 1, lr.MIXED), (5, 3, 1, lr.MIXED), (5, 3, 2, lr.MIXED)
 
 
 @pytest.mark.parametrize("p, d, r, mode", INVERSE_CONFIGS)
-def test_inverse_matches_newton_oracle(p, d, r, mode):
+def test_inverse_matches_cayley_hamilton_oracle(p, d, r, mode):
     rng = random.Random(f"inv-oracle:{p}:{d}:{r}:{mode}")
     S, T, A = make(p=p, d=d, r=r, mode=mode)
     top = d * (A.prec - 2)
@@ -207,9 +216,27 @@ def test_inverse_matches_newton_oracle(p, d, r, mode):
             continue
         ords.add(a.ord())
         b = a.inv()
-        want = newton_inv(a)
+        want = cayley_hamilton_inv(a)
         assert (b.shift, b.coeffs) == (want.shift, want.coeffs)
     assert 0 in ords and len(ords) > 5
+
+
+@pytest.mark.parametrize("p, d, r, mode",
+                         INVERSE_CONFIGS + ((3, 8, 1, lr.MIXED), (3, 8, 1, lr.EQUAL)))
+def test_trd_nrd_matches_charpoly(p, d, r, mode):
+    """Oracle: det(x - M) = x^d + c_0 x^{d-1} + ... + c_{d-1} of M = a.embed()
+    by Berkowitz (`linalg.charpoly`), so Trd = -c_0 and Nrd = (-1)^d c_{d-1}:
+    a determinant over T that does not come from `linalg.eliminate`."""
+    rng = random.Random(f"trd-nrd-oracle:{p}:{d}:{r}:{mode}")
+    S, T, A = make(p=p, d=d, r=r, mode=mode)
+    nonunits = 0
+    for k in range(12):
+        a = A.random(rng) * A.pi_D_pow(0 if k % 3 == 0 else rng.randint(1, d * A.prec))
+        cs = linalg.charpoly(a.embed(), T)
+        trd, nrd = -cs[0], (cs[-1] if d % 2 == 0 else -cs[-1])
+        assert a.trd_nrd() == (T.to_base(trd), T.to_base(nrd))
+        nonunits += not nrd.is_unit()
+    assert nonunits > 0
 
 
 @pytest.mark.parametrize("p, d, r, mode", INVERSE_CONFIGS)

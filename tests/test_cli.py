@@ -249,7 +249,9 @@ def test_adjoint_unit_fails_under_an_adjoint_scaled_by_pi(monkeypatch, p, d, r, 
     """pi_K is central and fixed by sigma, so an adjoint with every block
     scaled by pi_K stays equivariant and `adjoint-equivariant` passes; the
     determinant of each block of the unit gains ord ranks[g], and
-    `adjoint-unit` must fail, with the case count unchanged."""
+    `adjoint-unit` must fail, with the case count unchanged.  Block g of
+    the adjoint is then pi_K * f instead of f, so `adjoint-restriction`
+    must fail too."""
     cfg = {"p": p, "f": 1, "d": d, "r": r, "N": 8, "mode": mode, "seed": 0}
     adjoint = modcat.adjoint
 
@@ -270,7 +272,16 @@ def test_adjoint_unit_fails_under_an_adjoint_scaled_by_pi(monkeypatch, p, d, r, 
     planted_cases, planted_failed = modcat_suite(True)
     assert planted_cases == cases
     assert "adjoint-unit" in planted_failed
+    assert "adjoint-restriction" in planted_failed
     assert "adjoint-equivariant" not in planted_failed
+
+
+def test_verify_reports_the_twist_it_built_at_d1(capsys):
+    """At d = 1, D = K and the algebra is built with r = 0 whatever --r
+    says; the report names the twist it checked."""
+    code, out, _ = run(capsys, "--d", "1", "--r", "5", "--output", "json", "verify")
+    assert code == 0
+    assert json.loads(out)["params"]["r"] == 0
 
 
 def test_verify_bad_twist_exit_2(capsys):

@@ -9,7 +9,8 @@ only case counts, so the coordinates of seeded sums, products, negatives,
 Frobenius and Verschiebung images are digested here directly.  The same
 holds for `modcat.decompose`: the labels, cycle scalars, change-of-basis
 witnesses and unit slots of its steps are digested here, and for the exact
-inverses `RingElem.inv`, `DElem.inv` and `linalg.rmat_inv`.
+inverses `RingElem.inv`, `DElem.inv` and `linalg.rmat_inv`, and for
+`DElem.trd_nrd` and `DElem.inv` at d = 8 and 12.
 """
 
 import hashlib
@@ -238,6 +239,41 @@ def inverse_digest(mode):
 @pytest.mark.parametrize("mode", sorted(INVERSE_GOLDEN))
 def test_inverse_golden_digest(mode):
     assert inverse_digest(mode) == INVERSE_GOLDEN[mode]
+
+
+# name -> (p, f, d, r, N, mode) of the seeded reduced traces, norms and
+# inverses in A at the largest d
+NORM_CONFIGS = {
+    "mixed-d8": (3, 1, 8, 1, 8, lr.MIXED),
+    "equal-d8": (3, 1, 8, 1, 8, lr.EQUAL),
+    "mixed-d12": (3, 1, 12, 1, 8, lr.MIXED),
+}
+
+# name -> SHA-256 of (Trd, Nrd) and the inverse of seeded elements of A of
+# ord_D up to d(N-2)
+NORM_GOLDEN = {
+    "equal-d8": "58e38634abdffffddab3a0c0cbe4985bcda7047eee326295cf91bc9672ffb363",
+    "mixed-d12": "a4dae0777a29bb31009327938ef19c76a758c1e2b4e1d849f2d98ac801189497",
+    "mixed-d8": "693884f974a241f114971ede504cc6857b0eb3eeeb0e351bb33b3943e4fdcf51",
+}
+
+
+def norm_digest(name):
+    p, f, d, r, N, mode = NORM_CONFIGS[name]
+    A = algebra.make(lr.unramified(lr.base_ring(p, f, N, mode), d), r)
+    rng = random.Random(f"golden-norm:{name}")
+    rows = []
+    for k in range(6):
+        a = A.random(rng) * A.pi_D_pow(0 if k % 2 == 0 else rng.randrange(1, d * (N - 2) + 1))
+        rows.append([c.serialize() for c in a.trd_nrd()])
+        if not a.is_zero() and a.ord() <= d * (N - 2):
+            rows.append(a.inv().serialize())
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CONFIGS))
+def test_norm_golden_digest(name):
+    assert norm_digest(name) == NORM_GOLDEN[name]
 
 
 # name -> (p, f, d, r, N, mode) of the seeded products in A and A (x)_S T

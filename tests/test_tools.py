@@ -36,7 +36,7 @@ def test_output_digests_is_deterministic(capsys):
     tool = load_tool("output_digests")
     from hasseorder import suites
     small = {"mixed": [(2, 1, 2, 1, 4)], "equal": [(2, 1, 1, 0, 4)]}
-    tool.CONFIGS = tool.FAULT_CONFIGS = small
+    tool.CONFIGS = tool.FAULT_CONFIGS = tool.EVAL_CONFIGS = small
     outs = []
     for _ in range(2):
         tool.main()
@@ -44,7 +44,8 @@ def test_output_digests_is_deterministic(capsys):
     assert outs[0] == outs[1]
     lines = outs[0].splitlines()
     errors = len(tool.BAD_NAMES) + 3 * len(tool.BAD_PARAMS) + len(tool.BAD_EXPRS)
-    assert len(lines) == 2 * (2 + len(tool.DUMPS) + len(tool.EXPRS) + len(suites.FAULTS)) + errors
+    assert len(lines) == 2 * (2 + len(tool.DUMPS) + 2 * len(tool.EXPRS)
+                              + len(suites.FAULTS)) + errors
     assert [line.split()[0] for line in lines[-errors:]] == ["2"] * errors
     for line, argv in zip(lines, tool.runs()):
         assert re.fullmatch(r"\d+ [0-9a-f]{64} " + re.escape(" ".join(argv)), line)

@@ -29,6 +29,9 @@ CONFIGS = {
     "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4),
               (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
 }
+# (p, f, d, r, N) per mode of eval-only runs: d = 12, where the reduced
+# norm and trace come from the largest matrix of any run
+EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8)], "equal": [(3, 1, 12, 1, 8)]}
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
          "pK^2*(th - x)", "x^2 + 7*th")
@@ -57,6 +60,10 @@ def runs():
                 yield flags(cfg, mode) + ["--seed", str(seed), "--output", "json", "verify"]
             for what in DUMPS:
                 yield flags(cfg, mode) + ["dump", what]
+            for expr in EXPRS:
+                yield flags(cfg, mode) + ["--output", "json", "eval", expr]
+    for mode, cfgs in EVAL_CONFIGS.items():
+        for cfg in cfgs:
             for expr in EXPRS:
                 yield flags(cfg, mode) + ["--output", "json", "eval", expr]
     for mode, cfgs in FAULT_CONFIGS.items():
