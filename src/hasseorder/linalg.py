@@ -5,10 +5,9 @@ every kernel ring `LocalRingCtx`: each row is one integer in the ring's
 Kronecker layout, an entry is reduced only when it is read, and a block
 without a unit is divided by the uniformizer.  The determinant over S
 (`det`) and the kernel size over Z/p^e (`kernel_log_size`) are read off it.
-Over a kernel ring, Z/p^e and T among them, one division-free characteristic
-polynomial (Berkowitz, `charpoly`) gives inverses by Cayley-Hamilton
-(`rmat_inv`).  Matrix products go through the ring's `dot` and `matmul`,
-which reduce each sum once.
+Over a kernel ring, Z/p^e and T among them, an in-place Gauss-Jordan with
+unit pivots gives inverses (`rmat_inv`).  Matrix products go through the
+ring's `dot` and `matmul`, which reduce each sum once.
 """
 
 from __future__ import annotations
@@ -97,44 +96,6 @@ def kernel_log_size(columns, p, e):
     return shift + e * left
 
 
-def charpoly(mat, ctx):
-    """The coefficients c_0, ..., c_{n-1} of det(x - M) = x^n + c_0 x^{n-1}
-    + ... + c_{n-1}, over a kernel ring `ctx`, division-free.
-
-    Berkowitz: the characteristic polynomial of each leading block follows
-    from that of the previous one by a Toeplitz product, of which only the
-    coefficients below the leading 1 are kept.  c_0 is minus the trace and
-    c_{n-1} is (-1)^n det M.  Each entry is packed once (`_sum_kernel`); a
-    power step re-packs only the vector it multiplies.
-    """
-    n = len(mat)
-    if n == 0:
-        return []
-    pack, finish = ctx._sum_kernel(n)
-    packed = [ctx._packings(row, pack) for row in mat]
-
-    def dot(xs, ys):
-        return ctx._packed_dot(xs, ys, finish)
-
-    tail = [-mat[0][0]]  # det(x - A_1) = x + tail[0]
-    for i in range(1, n):
-        R = packed[i][:i]
-        vec = [row[i] for row in packed[:i]]
-        block = [row[:i] for row in packed[:i]]
-        items = [-mat[i][i], -dot(R, vec)]
-        for _ in range(i - 1):
-            vec = ctx._packings([dot(row, vec) for row in block], pack)
-            items.append(-dot(R, vec))
-        # the next polynomial is the product of the coefficient sequences
-        # (1, *items) and (1, *tail), read from the top; below its leading 1,
-        # entry k is items[k] + sum_j items[k-1-j] tail[j] + tail[k]
-        pitems, ptail = ctx._packings(items, pack), ctx._packings(tail, pack)
-        new = [items[0]] + [items[k] + dot(pitems[k - 1::-1], ptail)
-                            for k in range(1, i + 1)]
-        tail = [a + b for a, b in zip(new, tail)] + new[i:]
-    return tail
-
-
 def echelon_basis(rows):
     """A basis of the span of row vectors over a field, in row-echelon form.
 
@@ -177,24 +138,31 @@ def rmat_scale(A, s):
 
 
 def rmat_inv(M, ctx):
-    """Inverse of a matrix over a kernel ring, by Cayley-Hamilton: with
-    det(x - M) = x^n + c_0 x^{n-1} + ... + c_{n-1} (`charpoly`),
-
-        M^{-1} = -c_{n-1}^{-1} (M^{n-1} + c_0 M^{n-2} + ... + c_{n-2}),
-
-    formed by Horner's rule in n - 2 matrix products.  Raises
-    NotInvertibleError when c_{n-1} = (-1)^n det M is not a unit, i.e. when
-    M is singular modulo the maximal ideal.
+    """Inverse of a matrix over a kernel ring, by Gauss-Jordan in place with
+    unit pivots (Press et al., Numerical Recipes, 2.1, `gaussj`).  Column k
+    takes the first row at or below k whose entry there is a unit, swapped
+    up to row k.  The pivot entry is set to one before the row is scaled by
+    the pivot's inverse, and every other row's entry in column k to zero
+    before that multiple of the pivot row is subtracted, so column k comes
+    to hold the inverse's entries.  The row swaps, undone in reverse order
+    as column swaps, give M^{-1}: n pivot inverses and about n^3 products.
+    Raises NotInvertibleError when a column has no unit pivot, i.e. when M
+    is singular modulo the maximal ideal.
     """
-    if not M:
-        return []
-    *cs, last = charpoly(M, ctx)
-    if not last.is_unit():
-        raise NotInvertibleError("matrix over local ring is not invertible")
-    X = rmat_id(ctx, len(M))
-    for k, c in enumerate(cs):
-        X = ctx.matmul(M, X) if k else [list(row) for row in M]
+    X, swaps = [list(row) for row in M], []
+    for k in range(len(X)):
+        r = next((i for i in range(k, len(X)) if X[i][k].is_unit()), None)
+        if r is None:
+            raise NotInvertibleError("matrix over local ring is not invertible")
+        X[k], X[r] = X[r], X[k]
+        swaps.append(r)
+        inv, X[k][k] = X[k][k].inv(), ctx.one
+        pivot = X[k] = [inv * x for x in X[k]]
         for i, row in enumerate(X):
-            row[i] = row[i] + c
-    scale = -last.inv()
-    return [[scale * x for x in row] for row in X]
+            if i != k:
+                f, row[k] = row[k], ctx.zero
+                X[i] = [a - f * b for a, b in zip(row, pivot)]
+    for k, r in reversed(list(enumerate(swaps))):
+        for row in X:
+            row[k], row[r] = row[r], row[k]
+    return X

@@ -33,10 +33,9 @@ one t-slot for n > 1), and each output coefficient is finished once.
 Each element is packed at most once per kernel: it keeps its packing
 together with the pack function of the kernel that made it
 (`RingElem._packing`), and every packed consumer (the product, `dot`,
-`matmul`, the characteristic polynomial `linalg.charpoly`, the skew
-products of A and of A (x)_S T) reads it from there.  Kernels of different
-slot widths have different pack functions, so an element passed from one
-to another is packed again for the new one.
+`matmul`, the skew products of A and of A (x)_S T) reads it from there.
+Kernels of different slot widths have different pack functions, so an
+element passed from one to another is packed again for the new one.
 
 Every ring carries the absolute Frobenius lift phi, fixing t: the image of
 theta is the Hensel/Newton lift of theta^p (exact when e = 1, where phi acts

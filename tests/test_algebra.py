@@ -6,7 +6,7 @@ from hasseorder import algebra, linalg
 from hasseorder import localring as lr
 from hasseorder.errors import (NotInvertibleError, ParameterError,
                                PrecisionError)
-from test_linalg import det_bareiss, zp_det, zp_rows
+from test_linalg import charpoly, det_bareiss, zp_det, zp_rows
 
 
 def make(p=3, f=1, d=2, r=1, N=8, mode=lr.MIXED):
@@ -174,7 +174,7 @@ def cayley_hamilton_inv(a):
 
     In right coordinates b = sum_s pi_D^s t_s, u * b = 1 reads M t = e_0 for
     M = u.embed(); with det(x - M) = x^d + c_0 x^{d-1} + ... + c_{d-1}
-    (Berkowitz, `linalg.charpoly`), t = -c_{d-1}^{-1} (M^{d-1} + c_0 M^{d-2}
+    (Berkowitz, `charpoly`), t = -c_{d-1}^{-1} (M^{d-1} + c_0 M^{d-2}
     + ... + c_{d-2}) e_0, by Horner's rule from M e_0, the first column of
     M: d - 2 products with M.  b has left coefficients y_s = sigma_r^s(t_s).
     """
@@ -186,7 +186,7 @@ def cayley_hamilton_inv(a):
         ys = [T.frobenius(c, -A.r) for c in ys[1:]] + [T.frobenius(ys[0].shift_down(1), -A.r)]
     u = algebra.DElem(A, 0, tuple(c.shift_down(v // d - a.shift) for c in ys))
     M = u.embed()
-    *cs, last = linalg.charpoly(M, T)
+    *cs, last = charpoly(M, T)
     t = [T.one] + [T.zero] * (d - 1)
     for k, c in enumerate(cs):
         t = linalg.rmat_vec(M, t, T) if k else [row[0] for row in M]
@@ -225,14 +225,14 @@ def test_inverse_matches_cayley_hamilton_oracle(p, d, r, mode):
                          INVERSE_CONFIGS + ((3, 8, 1, lr.MIXED), (3, 8, 1, lr.EQUAL)))
 def test_trd_nrd_matches_charpoly(p, d, r, mode):
     """Oracle: det(x - M) = x^d + c_0 x^{d-1} + ... + c_{d-1} of M = a.embed()
-    by Berkowitz (`linalg.charpoly`), so Trd = -c_0 and Nrd = (-1)^d c_{d-1}:
+    by Berkowitz (`charpoly`), so Trd = -c_0 and Nrd = (-1)^d c_{d-1}:
     a determinant over T that does not come from `linalg.eliminate`."""
     rng = random.Random(f"trd-nrd-oracle:{p}:{d}:{r}:{mode}")
     S, T, A = make(p=p, d=d, r=r, mode=mode)
     nonunits = 0
     for k in range(12):
         a = A.random(rng) * A.pi_D_pow(0 if k % 3 == 0 else rng.randint(1, d * A.prec))
-        cs = linalg.charpoly(a.embed(), T)
+        cs = charpoly(a.embed(), T)
         trd, nrd = -cs[0], (cs[-1] if d % 2 == 0 else -cs[-1])
         assert a.trd_nrd() == (T.to_base(trd), T.to_base(nrd))
         nonunits += not nrd.is_unit()

@@ -195,6 +195,47 @@ class _Fq:
                    self.G, self.p)
 
 
+# Oracle for determinants and inverses over a kernel ring (test_algebra,
+# test_properties): Berkowitz's division-free characteristic polynomial,
+# itself checked against the principal minors below.
+def charpoly(mat, ctx):
+    """The coefficients c_0, ..., c_{n-1} of det(x - M) = x^n + c_0 x^{n-1}
+    + ... + c_{n-1}, over a kernel ring `ctx`, division-free.
+
+    Berkowitz: the characteristic polynomial of each leading block follows
+    from that of the previous one by a Toeplitz product, of which only the
+    coefficients below the leading 1 are kept.  c_0 is minus the trace and
+    c_{n-1} is (-1)^n det M.  Each entry is packed once (`_sum_kernel`); a
+    power step re-packs only the vector it multiplies.
+    """
+    n = len(mat)
+    if n == 0:
+        return []
+    pack, finish = ctx._sum_kernel(n)
+    packed = [ctx._packings(row, pack) for row in mat]
+
+    def dot(xs, ys):
+        return ctx._packed_dot(xs, ys, finish)
+
+    tail = [-mat[0][0]]  # det(x - A_1) = x + tail[0]
+    for i in range(1, n):
+        R = packed[i][:i]
+        vec = [row[i] for row in packed[:i]]
+        block = [row[:i] for row in packed[:i]]
+        items = [-mat[i][i], -dot(R, vec)]
+        for _ in range(i - 1):
+            vec = ctx._packings([dot(row, vec) for row in block], pack)
+            items.append(-dot(R, vec))
+        # the next polynomial is the product of the coefficient sequences
+        # (1, *items) and (1, *tail), read from the top; below its leading 1,
+        # entry k is items[k] + sum_j items[k-1-j] tail[j] + tail[k]
+        pitems, ptail = ctx._packings(items, pack), ctx._packings(tail, pack)
+        new = [items[0]] + [items[k] + dot(pitems[k - 1::-1], ptail)
+                            for k in range(1, i + 1)]
+        tail = [a + b for a, b in zip(new, tail)] + new[i:]
+    return tail
+
+
 def charpoly_leibniz(mat, zero):
     """Oracle: the coefficients c_0, ..., c_{n-1} of det(x - M) below its
     leading 1, c_k = (-1)^(k+1) times the sum of the principal minors of
@@ -219,9 +260,9 @@ def test_charpoly_matches_over_ff():
             M = [[F.random(rng) for _ in range(n)] for _ in range(n)]
             oracle = [[_Fq(a.coeffs, F.poly, 5) for a in row] for row in M]
             want = charpoly_leibniz(oracle, _Fq((0, 0), F.poly, 5))
-            assert [c.coeffs for c in linalg.charpoly(M, F)] == \
+            assert [c.coeffs for c in charpoly(M, F)] == \
                 [c.coeffs for c in want]
-    assert linalg.charpoly([], F) == []
+    assert charpoly([], F) == []
 
 
 def test_charpoly_over_local_ring():
@@ -233,7 +274,7 @@ def test_charpoly_over_local_ring():
         for R in (S, lr.unramified(S, 2)):
             for n in (1, 2, 3, 4, 5):
                 M = [[R.random(rng) for _ in range(n)] for _ in range(n)]
-                assert linalg.charpoly(M, R) == charpoly_leibniz(M, R.zero)
+                assert charpoly(M, R) == charpoly_leibniz(M, R.zero)
 
 
 def test_column_solver():
@@ -407,10 +448,24 @@ def test_rmat_inv_exactly_when_the_determinant_is_a_unit():
             assert seen == {True, False}, (R, n)
 
 
+def random_unit(R, rng):
+    while True:
+        x = R.random(rng)
+        if x.is_unit():
+            return x
+
+
 def test_rmat_inv_against_identity():
+    """Random invertible matrices over T, and M = C + pi R, where C has
+    random units on the cyclic positions (i, i+1 mod n) and zeros elsewhere:
+    when the reduction reaches a column, its unit sits in the last row, so
+    it swaps rows n - 1 times.  C with one cyclic entry replaced by pi has
+    a column without a unit."""
     rng = random.Random(11)
+    rings = [lr.LocalRingCtx(3, 1, 1, 8, 1)]
     for mode in (lr.MIXED, lr.EQUAL):
         T = lr.unramified(lr.base_ring(3, 1, 5, mode), 3)
+        rings.append(T)
         for n in (1, 2, 3, 4, 6):
             M = random_invertible(T, n, rng)
             Mi = linalg.rmat_inv(M, T)
@@ -420,6 +475,20 @@ def test_rmat_inv_against_identity():
                 assert T.matmul(M, T.matmul(Mi, B)) == B
             assert T.matmul(M, Mi) == linalg.rmat_id(T, n)
             assert T.matmul(Mi, M) == linalg.rmat_id(T, n)
+    for R in rings:
+        pi = R.uniformizer
+        for n in (2, 3, 4, 6):
+            C = linalg.rmat_zero(R, n, n)
+            for i in range(n):
+                C[i][(i + 1) % n] = random_unit(R, rng)
+            M = [[c + pi * R.random(rng) for c in row] for row in C]
+            X = linalg.rmat_inv(M, R)
+            assert R.matmul(M, X) == linalg.rmat_id(R, n)
+            assert R.matmul(X, M) == linalg.rmat_id(R, n)
+            i = rng.randrange(n)
+            C[i][(i + 1) % n] = pi
+            with pytest.raises(NotInvertibleError):
+                linalg.rmat_inv(C, R)
 
 
 def test_rmat_inv_rejects_matrices_singular_mod_pi():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from hasseorder import algebra, linalg, tensor
+from hasseorder import algebra, tensor
 from hasseorder import localring as lr
 from hasseorder.errors import (CtxMismatchError, InternalError,
                                NotInvertibleError, ParameterError,
@@ -432,6 +432,7 @@ def test_packing_cache_follows_the_kernel(mode):
     copy of the element, which packs anew, and the element's equality and
     hash stay.  The dot of cap + 1 terms packs in wider slots than the
     product, so a packing kept without its kernel would be misread."""
+    from test_linalg import charpoly  # test_linalg imports this module
     S, T = ctx_pair(d=4, N=8, mode=mode)
     A, TO = algebra.make(T, 1), tensor.make(T, 1)
     rng = random.Random(f"cache:{mode}")
@@ -452,7 +453,7 @@ def test_packing_cache_follows_the_kernel(mode):
         lambda z: T.dot([z] * cap, ys[:cap]),
         lambda z: T.dot([z] * (cap + 1), ys),
         lambda z: T.matmul([[z, y], [y, z]], [[y, z], [z, z]]),
-        lambda z: linalg.charpoly([[z, y, z], [y, z, y], [z, z, y]], T),
+        lambda z: charpoly([[z, y, z], [y, z, y], [z, z, y]], T),
         lambda z: A.elem(0, [z, y, z, y]) * A.elem(0, [y, z, z, z]),
         lambda z: (TO.order_elem([tensor_elem(z), TO.zero, TO.one, tensor_elem(z)])
                    * TO.order_elem([TO.one, tensor_elem(z), TO.zero, tensor_elem(z)])),
