@@ -295,10 +295,11 @@ class DElem:
 
         Read off the skew structure: with a = pi_K^shift sum_k y_k pi_D^k,
         a * theta^j pi_D^i = sum_k pi_K^shift y_k sigma_r^k(theta^j)
-        pi_D^{k+i}, and pi_D^{k+i} = pi_K pi_D^{k+i-d} once k + i >= d.
+        pi_D^{k+i}, and pi_D^{k+i} = pi_K pi_D^{k+i-d} once k + i reaches d:
+        block (k', i) is x^k at the position (k', i) of `embed_matrix`.
         """
         ctx = self.ctx
-        T, S, d = ctx.T, ctx.S, ctx.d
+        T, d = ctx.T, ctx.d
         if self.shift < 0:
             raise PrecisionError("left multiplication left the order A")
         # coords[k][w][j]: S-coordinates of pi_K^{shift+w} y_k sigma_r^k(theta^j),
@@ -306,37 +307,22 @@ class DElem:
         # w = 1 coordinates are pi_K times the w = 0 ones
         coords = []
         for k, y in enumerate(self.coeffs):
-            if y.is_zero():
-                coords.append(None)
-                continue
             cs = [T.rel_coords((y * t).shift_down(-self.shift))
                   for t in T.conjugates(ctx.r * k)[:d]]
             coords.append([cs, [[c.shift_down(-1) for c in v] for v in cs]] if k
                           else [cs])
-        zero = [S.zero] * d
-        n = d * d
         # row k'*d + j' is the (theta^{j'} pi_D^{k'})-coordinate, column
         # i*d + j is the image of theta^j pi_D^i
-        M = [[None] * n for _ in range(n)]
-        for i in range(d):
-            for kk in range(d):
-                k = (kk - i) % d
-                for j in range(d):
-                    col = coords[k][k + i >= d][j] if coords[k] else zero
-                    for jj in range(d):
-                        M[kk * d + jj][i * d + j] = col[jj]
-        return M
+        blocks = embed_matrix(d, lambda k, kk, w: coords[k][w])
+        return [[col[jj] for block in row for col in block]
+                for row in blocks for jj in range(d)]
 
     def full_norm_trace(self):
         """Trace and determinant of left multiplication on the d^2-dimensional
         S-module D: the independent oracle for N = Nrd^d, Tr = d*Trd."""
-        ctx = self.ctx
-        S = ctx.S
+        S = self.ctx.S
         M = self._left_mult_matrix()
-        tr = S.zero
-        for i in range(len(M)):
-            tr = tr + M[i][i]
-        return tr, linalg.det(M, S)
+        return sum((row[j] for j, row in enumerate(M)), S.zero), linalg.det(M, S)
 
     def __eq__(self, other):
         """Equality at working precision.

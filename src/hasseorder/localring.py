@@ -339,11 +339,11 @@ class LocalRingCtx:
         """Unique root of int_poly congruent to start mod p, by Newton iteration.
 
         Each step doubles the p-adic valuation of int_poly(z), which starts
-        at >= 1, so ceil(log2(e)) steps reach p^e (none at e = 1).  No
-        inverse is taken in this ring, whose Frobenius the inverse needs:
+        at >= 1, so (e - 1).bit_length() steps reach p^e (none at e = 1).
+        No inverse is taken in this ring, whose Frobenius the inverse needs:
         w ~ 1/G'(z) is seeded with the residue-field inverse, and each step
         refines it, w <- w(2 - G'(z)w), before z <- z - G(z)w."""
-        steps = math.ceil(math.log2(self.e))
+        steps = (self.e - 1).bit_length()
         consts = [self.from_int(c) for c in int_poly]
         dconsts = [self.from_int(i * int_poly[i]) for i in range(1, len(int_poly))]
         two = self.from_int(2)
@@ -626,10 +626,7 @@ class LocalRingCtx:
     # -- relative trace and norm ------------------------------------------
 
     def trace_rel(self, x):
-        acc = self.zero
-        for k in range(self.d):
-            acc = acc + self.frobenius(x, k)
-        return acc
+        return sum((self.frobenius(x, k) for k in range(self.d)), self.zero)
 
     def norm_rel(self, x):
         acc = self.one

@@ -283,13 +283,8 @@ def suite_algebra(cfg, ctxs, rng, fault):
         if fault == "algebra.nrd" and i == 0:
             nrd = nrd + S.one
         tr, nm = a.full_norm_trace()
-        nrd_d = S.one
-        trd_d = S.zero
-        for _ in range(d):
-            nrd_d = nrd_d * nrd
-            trd_d = trd_d + trd
-        rec.check_eq("Nrd^d=N", nm, nrd_d)
-        rec.check_eq("d*Trd=Tr", trd_d, tr)
+        rec.check_eq("Nrd^d=N", nm, nrd ** d)
+        rec.check_eq("d*Trd=Tr", trd.scale(d), tr)
         if a.ord() <= d * (N - 2):
             rec.check_eq("ord=vK(Nrd)", nrd.ord(), a.ord())
             iv = _inverse(rec, "inv", A.one, a)
@@ -417,7 +412,11 @@ def suite_tensor(cfg, ctxs, rng, fault):
                      T.matmul(M, TO.embed_l(w)))
         rec.check("milnor-member", TO.milnor_member(M),
                   "lower triangular mod m_T", M)
-        rec.check_eq("milnor-roundtrip", M, TO.embed_l(TO.milnor_preimage(M)))
+        try:
+            back = TO.embed_l(TO.milnor_preimage(M))
+        except (InternalError, ParameterError) as ex:
+            back = repr(ex)
+        rec.check_eq("milnor-roundtrip", M, back)
     # image mod m_T spans the lower-triangular algebra; radical the strict part
     lattice = TO.milnor_lattice()
     span_rows = TO.residue_rows(lattice)

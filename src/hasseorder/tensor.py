@@ -200,13 +200,8 @@ class TensorRingCtx:
 
     def milnor_member(self, M):
         """True iff M mod m_T is lower triangular (the image of l)."""
-        for j in range(self.d):
-            for s in range(self.d):
-                if M[j][s].ord() < 0:
-                    raise ParameterError("matrix entries must be integral")
-                if s > j and M[j][s].ord() < 1:
-                    return False
-        return True
+        return all(M[j][s].ord() >= 1 for j in range(self.d)
+                   for s in range(j + 1, self.d))
 
     def milnor_preimage(self, M):
         """The unique z with l(z) = M, for M in the Milnor-square image.
@@ -247,8 +242,7 @@ class TensorRingCtx:
         scaled = self.order_elem([self.right(lam) * c for c in tgt.parts])
         if prod != scaled:
             raise InternalError("Peirce transition scalar mismatch")
-        return {"generator": gen, "i": i, "target": (tgt_g, h),
-                "cokernel_length": lam.ord()}
+        return {"generator": gen, "i": i, "cokernel_length": lam.ord()}
 
 
 class _Parts:

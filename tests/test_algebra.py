@@ -380,11 +380,14 @@ def left_mult_matrix_oracle(a):
 
 
 @pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
-@pytest.mark.parametrize("p,d,r", ((3, 2, 1), (5, 3, 1), (5, 3, 2), (3, 4, 1)))
+@pytest.mark.parametrize("p,d,r", ((3, 2, 1), (5, 3, 1), (5, 3, 2), (3, 4, 1),
+                                   (3, 5, 2)))
 def test_left_mult_matrix_matches_products(p, d, r, mode):
+    """At d = 5 the twist r = 2 differs from r^{-1} = 3 mod d; A.zero, pi_D
+    and theta have zero x-coefficients, whose blocks are zero."""
     S, T, A = make(p=p, d=d, r=r, mode=mode)
     rng = random.Random(f"left-mult:{p}:{d}:{r}:{mode}")
-    elems = [A.zero, A.one, A.pi_D_pow(d - 1)]
+    elems = [A.zero, A.one, A.pi_D, A.from_T(T.gen), A.pi_D_pow(d - 1)]
     for shift in (0, 0, 1, 3):
         coeffs = [T.random(rng) for _ in range(d)]
         coeffs[rng.randrange(d)] = T.zero

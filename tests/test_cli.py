@@ -14,7 +14,7 @@ from hasseorder import algebra as almod
 from hasseorder import cli
 from hasseorder import linalg
 from hasseorder import localring as lr
-from hasseorder import modcat, suites
+from hasseorder import modcat, suites, tensor
 from hasseorder.cli import main
 from hasseorder.errors import InternalError, ParameterError
 from hasseorder.parser import evaluate
@@ -184,6 +184,31 @@ def test_verify_records_failed_inverses(capsys, monkeypatch):
         ("local_ring", {"case": "inv", "expected": one_T, "got": msg}),
         ("algebra", {"case": "inv", "got": msg,
                      "expected": str({"shift": 0, "coeffs": [[1, 0], [0, 0]]})})]
+
+
+def test_verify_records_a_failing_milnor_preimage(capsys, monkeypatch):
+    """A preimage that fails to re-embed (InternalError) is recorded as a
+    failure of `milnor-roundtrip`, with got the exception, and the report
+    is printed: under components shifted by 1, every roundtrip fails and
+    no other case does."""
+    code, out, _ = run(capsys, "--d", "2", "--output", "json", "verify",
+                       "--suites", "tensor")
+    assert code == 0
+    cases = json.loads(out)["suites"][0]["cases"]
+    real = tensor.TensorRingCtx.from_components
+
+    def shifted(self, comps):
+        return real(self, [comps[0] + self.T.one, *comps[1:]])
+    monkeypatch.setattr(tensor.TensorRingCtx, "from_components", shifted)
+    code, out, _ = run(capsys, "--d", "2", "--output", "json", "verify",
+                       "--suites", "tensor")
+    assert code == 1
+    [report] = json.loads(out)["suites"]
+    assert report["cases"] == cases == 223
+    assert len(report["failures"]) == 20
+    for failure in report["failures"]:
+        assert failure["case"] == "milnor-roundtrip"
+        assert failure["got"].startswith("InternalError('Milnor preimage failed")
 
 
 def test_verify_suite_selection(capsys):

@@ -1,10 +1,13 @@
-"""Smoke tests of the scripts in `tools/`, run in-process."""
+"""Smoke tests of the scripts in `tools/`, run in-process, and a static
+check of the library's source."""
 
+import ast
 import importlib.util
 import os
 import re
 
 TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+SRC = os.path.join(TOOLS, "..", "src", "hasseorder")
 
 
 def load_tool(name):
@@ -49,3 +52,33 @@ def test_output_digests_is_deterministic(capsys):
     assert [line.split()[0] for line in lines[-errors:]] == ["2"] * errors
     for line, argv in zip(lines, tool.runs()):
         assert re.fullmatch(r"\d+ [0-9a-f]{64} " + re.escape(" ".join(argv)), line)
+
+
+def floats(tree):
+    """The nodes of a module that compute with floats: true division, float
+    literals, float(...), and math functions other than gcd and comb."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            yield node
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in ("gcd", "comb")):
+            yield node
+
+
+def test_library_is_integer_only():
+    """Arithmetic in the library is exact: no module computes with floats."""
+    names = sorted(n for n in os.listdir(SRC) if n.endswith(".py"))
+    assert "localring.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        found += [f"{name}:{node.lineno}" for node in floats(tree)]
+    assert found == []
+    sample = "a / b\nc /= 2\n0.5\nfloat(x)\nmath.log2(e)\nmath.gcd(a, b) // 2"
+    assert sorted(node.lineno for node in floats(ast.parse(sample))) == [1, 2, 3, 4, 5]
