@@ -138,17 +138,15 @@ def rmat_scale(A, s):
 
 
 def rmat_inv(M, ctx):
-    """Inverse of a matrix over a kernel ring, by Gauss-Jordan in place with
-    unit pivots (Press et al., Numerical Recipes, 2.1, `gaussj`).  Column k
-    takes the first row at or below k whose entry there is a unit, swapped
-    up to row k.  The pivot entry is set to one before the row is scaled by
-    the pivot's inverse, and every other row's entry in column k to zero
-    before that multiple of the pivot row is subtracted, so column k comes
-    to hold the inverse's entries.  The row swaps, undone in reverse order
-    as column swaps, give M^{-1}: n pivot inverses and about n^3 products.
-    Raises NotInvertibleError when a column has no unit pivot, i.e. when M
-    is singular modulo the maximal ideal.
-    """
+    """Inverse over a kernel ring by Gauss-Jordan in place with unit pivots
+    (Press et al., Numerical Recipes, 2.1, `gaussj`).  Column k takes the
+    first row at or below k with a unit there, swapped up to row k.  A
+    pivot other than one is set to one and its row scaled by its inverse;
+    each other row with a nonzero entry in column k has it set to zero and
+    that multiple of the pivot row subtracted, so column k comes to hold
+    the inverse's entries.  The row swaps, undone as column swaps, give
+    M^{-1}; a permutation matrix costs no product.  Raises
+    NotInvertibleError when M is singular modulo the maximal ideal."""
     X, swaps = [list(row) for row in M], []
     for k in range(len(X)):
         r = next((i for i in range(k, len(X)) if X[i][k].is_unit()), None)
@@ -156,10 +154,12 @@ def rmat_inv(M, ctx):
             raise NotInvertibleError("matrix over local ring is not invertible")
         X[k], X[r] = X[r], X[k]
         swaps.append(r)
-        inv, X[k][k] = X[k][k].inv(), ctx.one
-        pivot = X[k] = [inv * x for x in X[k]]
+        if X[k][k].coeffs != ctx.one.coeffs:
+            inv, X[k][k] = X[k][k].inv(), ctx.one
+            X[k] = [inv * x for x in X[k]]
+        pivot = X[k]
         for i, row in enumerate(X):
-            if i != k:
+            if i != k and row[k].coeffs != ctx.zero.coeffs:
                 f, row[k] = row[k], ctx.zero
                 X[i] = [a - f * b for a, b in zip(row, pivot)]
     for k, r in reversed(list(enumerate(swaps))):

@@ -19,10 +19,10 @@ The residue field F_{p^m} itself is the case (e, n) = (1, 1)
 An element is the flat tuple of its m*n coefficients in [0, p^e): the
 coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, and the Galois and base-ring
-maps are precomputed Z/p^e-linear maps applied to each t-block.  A product,
-in every ring, is one integer multiply of Kronecker packings, finished by
-one reduction by G and p^e.  A sum of products (`dot`, `matmul`) is packed
-and reduced once: each operand is packed into one integer, the integer
+maps are precomputed Z/p^e-linear maps applied to all t-blocks at once.  A
+product, in every ring, is one integer multiply of Kronecker packings,
+finished by one reduction by G and p^e (`finish`, on the packing for n > 1).
+A sum of products (`dot`, `matmul`) is packed and reduced once: the integer
 products are added in slots wide enough for the number of terms, and one
 `finish` reduces the sum.  The skew product of the order A
 (`algebra.skew_mul`) runs on the same packings (`_skew_kernel`): sigma^k
@@ -156,9 +156,9 @@ def _packed_sums(m, n, mod, red, bound):
     sits in slot j: finish unpacks the m + len(red) slots (2m-1 for the
     rows of a product) and reduces them by G and p^e.  For n > 1 theta^j
     t^i sits in slot j*(2n-1) + i, so the t-product of two theta-degrees
-    never spills into the next one: finish reduces by G on whole packed
-    t-polynomials, truncated at t^n, and only the m*n surviving slots are
-    unpacked and reduced mod p^e.  For m = 1 that is one mask at t^n.
+    never spills into the next one: finish masks the degrees below m at
+    t^n, adds each reduction term r * s (s a degree m + l, masked alike)
+    into the degree where it lands, and unpacks once.  For m = 1 it masks.
     """
     bits, pack, unpack = _slots(bound)
     if m == n == 1:  # one slot: the packing is the coefficient itself
@@ -181,27 +181,25 @@ def _packed_sums(m, n, mod, red, bound):
         return pack, lambda c: tuple([v % mod for v in unpack(c & mask, n)])
     wt = 2 * n - 1
     seg = bits * wt  # one theta-degree of the product
-    tbits = bits * n  # one truncated t-polynomial
-    mask = (1 << tbits) - 1
-    count = m * n
-    red = [(seg * (m + l), row) for l, row in enumerate(red)]
+    mask = (1 << bits * n) - 1  # one t-polynomial, truncated at t^n
+    low = sum(mask << (j * seg) for j in range(m))  # theta-degrees below m
+    count = m * wt
+    red = [(seg * (m + l), [(seg * j, r) for j, r in row])
+           for l, row in enumerate(red)]
     # packing reads a + (0,): index m*n is the zero of the padding slots
-    take = itemgetter(*[i * m + j if i < n else count
+    take = itemgetter(*[i * m + j if i < n else m * n
                         for j in range(m) for i in range(wt)])
-    # slot j*n + i of the unpacked result is the coefficient of t^i theta^j
-    put = itemgetter(*[j * n + i for i in range(n) for j in range(m)])
+    # slot j*wt + i of the unpacked result is the coefficient of t^i theta^j
+    put = itemgetter(*[j * wt + i for i in range(n) for j in range(m)])
 
     def finish(c):
-        out = [(c >> (j * seg)) & mask for j in range(m)]
+        x = c & low
         for shift, row in red:
             s = (c >> shift) & mask
             if s:
-                for j, r in row:
-                    out[j] += r * s
-        acc = 0
-        for x in reversed(out):
-            acc = (acc << tbits) | x
-        return put([v % mod for v in unpack(acc, count)])
+                for at, r in row:
+                    x += r * s << at
+        return tuple([v % mod for v in put(unpack(x, count))])
     return (lambda a: pack(take(a + (0,)))), finish
 
 
@@ -209,8 +207,8 @@ def _block_map(rows, k, n, mod):
     """The Z/p^e-linear map applying a matrix (its rows, each of length k) to
     each of the n t-blocks, of length k, of a coefficient vector.
 
-    For n > 1 the blocks are packed theta-major, so each output row costs k
-    integer-times-packed-vector products over all t-degrees at once."""
+    For n > 1 the blocks are packed theta-major, and the map is one sum of
+    the k packed theta-segments times the k packed matrix columns."""
     if n == 1:
         return lambda v: tuple([sum(map(_mul, row, v)) % mod for row in rows])
     bits, pack, unpack = _slots(k * (mod - 1) ** 2)
@@ -218,6 +216,7 @@ def _block_map(rows, k, n, mod):
     mask = (1 << tbits) - 1
     count = len(rows) * n
     zero = (0,) * count
+    cols = [sum(c << (r * tbits) for r, c in enumerate(col)) for col in zip(*rows)]
     take = itemgetter(*[i * k + j for j in range(k) for i in range(n)])
     put = itemgetter(*[r * n + i for i in range(n) for r in range(len(rows))])
 
@@ -225,10 +224,7 @@ def _block_map(rows, k, n, mod):
         if not any(v):
             return zero
         x = pack(take(v))
-        xs = [(x >> (j * tbits)) & mask for j in range(k)]
-        acc = 0
-        for row in reversed(rows):
-            acc = (acc << tbits) | sum(map(_mul, row, xs))
+        acc = sum(map(_mul, [(x >> (j * tbits)) & mask for j in range(k)], cols))
         return put([c % mod for c in unpack(acc, count)])
     return apply
 

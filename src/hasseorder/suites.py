@@ -433,7 +433,11 @@ def suite_tensor(cfg, ctxs, rng, fault):
     for h in range(d):
         cnt = 0
         for g in range(d):
-            info = TO.peirce(g, h)
+            try:
+                info = TO.peirce(g, h)
+            except InternalError as ex:
+                rec.check_eq("peirce-cokernel-len", 1, repr(ex))
+                continue
             if info["cokernel_length"]:
                 cnt += 1
                 rec.check_eq("peirce-cokernel-len", 1, info["cokernel_length"])

@@ -211,6 +211,25 @@ def test_verify_records_a_failing_milnor_preimage(capsys, monkeypatch):
         assert failure["got"].startswith("InternalError('Milnor preimage failed")
 
 
+def test_verify_records_a_wrong_peirce_transition(capsys, monkeypatch):
+    """A Peirce transition that fails its scalar check (InternalError) is
+    recorded as a failure of `peirce-cokernel-len`, with got the exception,
+    and the report is printed: under the successor applied twice every
+    (g, h) fails, so every column also has no cokernel."""
+    real = tensor.TensorRingCtx.succ
+    monkeypatch.setattr(tensor.TensorRingCtx, "succ",
+                        lambda self, k: real(self, real(self, k)))
+    code, out, _ = run(capsys, "--d", "3", "--r", "1", "--p", "5", "--output", "json",
+                       "verify", "--suites", "tensor")
+    assert code == 1
+    [report] = json.loads(out)["suites"]
+    assert report["cases"] == 236
+    cases = [(f["case"], f["got"]) for f in report["failures"]]
+    mismatch = repr(InternalError("Peirce transition scalar mismatch"))
+    assert sorted(cases) == ([("peirce-cokernel-len", mismatch)] * 9
+                             + [("peirce-one-per-column", "0")] * 3)
+
+
 def test_verify_suite_selection(capsys):
     code, out, _ = run(capsys, "--output", "json", "verify",
                        "--suites", "finite_field,algebra")

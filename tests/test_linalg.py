@@ -507,3 +507,39 @@ def test_rmat_inv_rejects_matrices_singular_mod_pi():
     M[2] = list(M[0])
     with pytest.raises(NotInvertibleError):
         linalg.rmat_inv(M, T)
+
+
+def test_rmat_inv_of_sparse_matrices(monkeypatch):
+    """The identity, a permutation matrix and a block-diagonal matrix are
+    inverted exactly over Z/p^e and over T in both modes.  A pivot of one
+    scales no row and a zero entry clears nothing, so the identity and a
+    permutation matrix cost no ring product."""
+    rng = random.Random(14)
+    rings = [lr.LocalRingCtx(3, 1, 1, 8, 1)]
+    for mode in (lr.MIXED, lr.EQUAL):
+        rings.append(lr.unramified(lr.base_ring(3, 1, 5, mode), 3))
+    products = []
+    real = lr.RingElem.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    def diag(A, B, zero):
+        return [row + [zero] * len(B) for row in A] + [[zero] * len(A) + row for row in B]
+    for R in rings:
+        for n in (1, 2, 5):
+            eye = linalg.rmat_id(R, n)
+            perm = rng.sample(range(n), n)
+            P = [[R.one if j == perm[i] else R.zero for j in range(n)] for i in range(n)]
+            with monkeypatch.context() as patch:
+                patch.setattr(lr.RingElem, "__mul__", counted)
+                assert linalg.rmat_inv(eye, R) == eye
+                assert linalg.rmat_inv(P, R) == [list(col) for col in zip(*P)]
+            assert products == []
+            # invertible diagonal blocks of sizes n and 2
+            A, B = random_invertible(R, n, rng), random_invertible(R, 2, rng)
+            M = diag(A, B, R.zero)
+            X = linalg.rmat_inv(M, R)
+            assert R.matmul(M, X) == linalg.rmat_id(R, n + 2)
+            assert X == diag(linalg.rmat_inv(A, R), linalg.rmat_inv(B, R), R.zero)

@@ -360,6 +360,26 @@ def test_kernel_wide_slots():
         assert R.frobenius_p(R.uniformizer) == R.uniformizer
 
 
+@pytest.mark.parametrize("p", (2, 3, 13))
+@pytest.mark.parametrize("k", (1, 2, 4, 8))
+def test_block_map_at_its_slot_bound(p, k):
+    """The block map of a matrix with k columns and k rows (or one row)
+    against the naive matrix product on each t-block mod p^e: with every
+    entry and every input coefficient p^e - 1, the largest slot values of
+    the packed map, and with random ones.  At p = 13, e = 9 the slots are
+    wider than any array type."""
+    rng = random.Random(f"block:{p}:{k}")
+    for e, n in product((1, 3, 9), (2, 8, 32, 64)):
+        mod = p ** e
+        for count in (k, 1):
+            for draw in (lambda: mod - 1, lambda: rng.randrange(mod)):
+                rows = [[draw() for _ in range(k)] for _ in range(count)]
+                v = tuple(draw() for _ in range(k * n))
+                want = [sum(map(int.__mul__, row, v[i * k:(i + 1) * k])) % mod
+                        for i in range(n) for row in rows]
+                assert lr._block_map(rows, k, n, mod)(v) == tuple(want)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 17))
 @pytest.mark.parametrize("N", (2, 8, 32))
 def test_packed_product_matches_schoolbook(p, N):
@@ -399,7 +419,7 @@ def _naive_dot(R, xs, ys):
 
 @pytest.mark.parametrize("mode", (lr.MIXED, lr.EQUAL))
 @pytest.mark.parametrize("m", (1, 2, 4, 8))
-@pytest.mark.parametrize("N", (2, 8, 32))
+@pytest.mark.parametrize("N", (2, 8, 32, 64))
 def test_dot_and_matmul_match_naive_sums(mode, m, N):
     R = lr.base_ring(3, m, N, mode)
     # every coefficient p^e - 1: the largest slot values a sum can reach

@@ -27,11 +27,13 @@ CONFIGS = {
               (3, 1, 1, 0, 8), (3, 1, 4, 1, 4), (3, 1, 5, 2, 6), (17, 1, 2, 1, 6),
               (3, 1, 8, 1, 8), (2, 3, 2, 1, 6), (3, 1, 2, 1, 32), (3, 1, 3, 1, 32)],
     "equal": [(3, 1, 2, 1, 8), (3, 1, 4, 3, 8), (5, 2, 3, 1, 8), (5, 1, 5, 3, 4),
-              (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6)],
+              (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6), (3, 1, 2, 1, 32)],
 }
 # (p, f, d, r, N) per mode of eval-only runs: d = 12, where the reduced
-# norm and trace come from the largest matrix of any run
-EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8)], "equal": [(3, 1, 12, 1, 8)]}
+# norm and trace come from the largest matrix of any run, and the equal
+# kernel at N = 32 and 64
+EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8)],
+                "equal": [(3, 1, 12, 1, 8), (3, 1, 4, 1, 32), (3, 1, 2, 1, 64)]}
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
          "pK^2*(th - x)", "x^2 + 7*th")
