@@ -2,10 +2,10 @@
 
 For a fixed (p, m) the defining polynomial is always the least monic
 irreducible one in the deterministic order below, so contexts are
-reproducible across runs.  One set of dense polynomial helpers serves that
-search over Z/p and the subfield root finding over F_{p^m}; arithmetic in
-F_{p^m} itself is the flat kernel of `localring` at (e, n) = (1, 1)
-(`localring.residue_field`).
+reproducible across runs.  Arithmetic in F_{p^m} is the flat kernel of
+`localring` at (e, n) = (1, 1) (`localring.residue_field`), and one set of
+dense polynomial helpers over such a field serves both the irreducibility
+test of that search, over F_p, and the subfield root finding over F_{p^m}.
 """
 
 from __future__ import annotations
@@ -33,97 +33,88 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over a field K (tuples, low-to-high, no trailing
-# zeros): Z/p on ints, or F_{p^m} on kernel elements
+# dense polynomial helpers over a kernel field F (`localring.residue_field`):
+# tuples of its elements, low-to-high, no trailing zeros
 
 
-class _Field:
-    """The coefficient arithmetic the helpers need beyond + - *: `red` maps
-    a sum or product to its canonical representative."""
-
-    __slots__ = ("zero", "one", "red", "inv")
-
-    def __init__(self, zero, one, red, inv):
-        self.zero, self.one, self.red, self.inv = zero, one, red, inv
-
-
-def _trim(c, zero):
+def _trim(c):
     i = len(c)
-    while i > 0 and c[i - 1] == zero:
+    while i > 0 and c[i - 1].is_zero():
         i -= 1
     return tuple(c[:i])
 
 
-def _padd(a, b, K):
+def _padd(a, b):
     if len(a) < len(b):
         a, b = b, a
-    return _trim([K.red(x + y) for x, y in zip(a, b)] + list(a[len(b):]), K.zero)
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
-def _pmul(a, b, K):
+def _pmul(a, b, F):
     if not a or not b:
         return ()
-    zero = K.zero
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [F.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai != zero:
+        if not ai.is_zero():
             for k, bj in enumerate(b, i):
                 out[k] += ai * bj
-    return _trim(list(map(K.red, out)), zero)
+    return _trim(out)
 
 
-def _pmod(a, m, K):
-    # m monic; only the leading coefficient is reduced in the loop
+def _pmod(a, m):
+    # m monic
     a = list(a)
     dm = len(m) - 1
-    red, zero = K.red, K.zero
-    if len(a) > dm:
-        terms = [(j - dm, mj) for j, mj in enumerate(m[:dm]) if mj != zero]
-        for i in range(len(a) - 1, dm - 1, -1):
-            c = red(a[i])
-            if c != zero:
-                for j, mj in terms:
-                    a[i + j] -= c * mj
-    return _trim(list(map(red, a[:dm])), zero)
+    terms = [(j - dm, mj) for j, mj in enumerate(m[:dm]) if not mj.is_zero()]
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if not c.is_zero():
+            for j, mj in terms:
+                a[i + j] -= c * mj
+    return _trim(a[:dm])
 
 
-def _ppowmod(a, e, m, K):
-    r = (K.one,)
-    a = _pmod(a, m, K)
+def _ppowmod(a, e, m, F):
+    r = (F.one,)
+    a = _pmod(a, m)
     while e:
         if e & 1:
-            r = _pmod(_pmul(r, a, K), m, K)
+            r = _pmod(_pmul(r, a, F), m)
         e >>= 1
         if e:
-            a = _pmod(_pmul(a, a, K), m, K)
+            a = _pmod(_pmul(a, a, F), m)
     return r
 
 
-def _pgcd(a, b, K):
+def _pgcd(a, b):
     """Monic gcd (unless b = 0, when a is returned as given)."""
-    a, b = _trim(a, K.zero), _trim(b, K.zero)
+    a, b = _trim(a), _trim(b)
     while b:
-        inv = K.inv(b[-1])
-        bm = tuple([K.red(c * inv) for c in b])
-        a, b = bm, _pmod(a, bm, K)
+        inv = b[-1].inv()
+        bm = tuple([c * inv for c in b])
+        a, b = bm, _pmod(a, bm)
     return a
 
 
 def _is_irreducible(poly, p):
-    """Monic poly of degree m: gcd(x^{p^k} - x, poly) = 1 for 0 < k <= m/2
-    (Ben-Or).  A reducible poly has an irreducible factor of some degree
-    k <= m/2, and that factor divides x^{p^k} - x."""
+    """Monic poly of degree m over F_p: gcd(x^{p^k} - x, poly) = 1 for
+    0 < k <= m/2 (Ben-Or).  A reducible poly has an irreducible factor of
+    some degree k <= m/2, and that factor divides x^{p^k} - x."""
     m = len(poly) - 1
     if m == 1:
         return True
     if poly[0] == 0:  # divisible by x
         return False
-    K = _Field(0, 1, p.__rmod__, lambda c: pow(c, -1, p))
-    minus_x = (0, p - 1)
-    xp = (0, 1)
+    # localring imports this module.  Building residue_field(p, 1) calls
+    # defining_poly(p, 1), which the m == 1 return above answers at once
+    from .localring import residue_field
+    F = residue_field(p, 1)
+    g = tuple(map(F.from_int, poly))
+    minus_x = (F.zero, -F.one)
+    xp = (F.zero, F.one)
     for k in range(1, m // 2 + 1):
-        xp = _ppowmod(xp, p, poly, K)
-        if len(_pgcd(poly, _padd(xp, minus_x, K), K)) > 1:
+        xp = _ppowmod(xp, p, g, F)
+        if len(_pgcd(g, _padd(xp, minus_x))) > 1:
             return False
     return True
 
@@ -149,7 +140,7 @@ def defining_poly(p: int, m: int) -> tuple:
     raise ParameterError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _split(g, F, K, rng):
+def _split(g, F, rng):
     """A proper monic factor of g, a monic product of at least two distinct
     linear factors over F = F_Q (equal-degree splitting).
 
@@ -160,14 +151,14 @@ def _split(g, F, K, rng):
     for _ in range(64):
         c = F.random(rng)
         if F.p == 2:
-            t = h = _pmod((K.zero, c), g, K)
+            t = h = _pmod((F.zero, c), g)
             for _ in range(F.m - 1):
-                t = _pmod(_pmul(t, t, K), g, K)
-                h = _padd(h, t, K)
+                t = _pmod(_pmul(t, t, F), g)
+                h = _padd(h, t)
         else:
-            h = _ppowmod((c, K.one), (F.p ** F.m - 1) // 2, g, K)
-            h = _padd(h, (-K.one,), K)
-        h = _pgcd(g, h, K)
+            h = _ppowmod((c, F.one), (F.p ** F.m - 1) // 2, g, F)
+            h = _padd(h, (-F.one,))
+        h = _pgcd(g, h)
         if 1 < len(h) < len(g):
             return h
     raise InternalError("equal-degree splitting found no factor")
@@ -188,11 +179,10 @@ def embedding_root(small, big):
     """
     if small.p != big.p or big.m % small.m != 0:
         raise ParameterError("no subfield embedding between these contexts")
-    K = _Field(big.zero, big.one, lambda c: c, lambda c: c.inv())  # kernel ops reduce
     g = tuple(big.from_int(c) for c in small.poly)
     rng = random.Random(0)
     while len(g) > 2:
-        g = _split(g, big, K, rng)
+        g = _split(g, big, rng)
     orbit = [-g[0]]
     for _ in range(small.m - 1):
         orbit.append(big.frobenius_p(orbit[-1]))

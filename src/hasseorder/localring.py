@@ -732,6 +732,8 @@ class RingElem:
         if any(any(norm[j::m]) for j in range(1, m)):
             raise InternalError("norm does not lie in the prime ring")
         digits = norm[::m]
+        if digits[0] % ctx.p == 0:
+            raise InternalError("norm of a unit is not a unit")
         b = [pow(digits[0], -1, mod)]
         for k in range(1, ctx.n):
             b.append(-b[0] * sum(map(_mul, digits[1:k + 1], reversed(b))) % mod)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from hasseorder import algebra, tensor
+from hasseorder import algebra, ff, tensor
 from hasseorder import localring as lr
 from hasseorder.errors import (CtxMismatchError, InternalError,
                                NotInvertibleError, ParameterError,
@@ -571,7 +571,12 @@ def test_inverse_rejects_non_units():
 def test_building_a_ring_inverts_only_in_residue_fields(monkeypatch):
     """Newton's method in a ring under construction takes no inverse there
     (an inverse needs the ring's Frobenius): residue-field inverses seed it
-    in mixed characteristic, and e = 1 rings need none at all."""
+    in mixed characteristic, and e = 1 rings need none at all.  The search
+    for the defining polynomials, which inverts in F_p, is done first."""
+    configs = ((3, 1, 4), (2, 2, 3), (5, 2, 2), (7, 1, 3))
+    for p, f, d in configs + ((5, 3, 1),):
+        ff.defining_poly(p, f)
+        ff.defining_poly(p, f * d)
     seen = []
     inv = lr.RingElem.inv
 
@@ -579,7 +584,7 @@ def test_building_a_ring_inverts_only_in_residue_fields(monkeypatch):
         seen.append(x.ctx)
         return inv(x)
     monkeypatch.setattr(lr.RingElem, "inv", spy)
-    for p, f, d in ((3, 1, 4), (2, 2, 3), (5, 2, 2), (7, 1, 3)):
+    for p, f, d in configs:
         for mode in (lr.MIXED, lr.EQUAL):
             seen.clear()
             S = lr.base_ring(p, f, 8, mode)
@@ -592,3 +597,22 @@ def test_building_a_ring_inverts_only_in_residue_fields(monkeypatch):
     F = lr.LocalRingCtx(5, 3, 1, 1, 1)
     F.frobenius_p(F.gen)
     assert seen == []
+
+
+def test_inverse_under_a_wrong_product_raises_internal_error():
+    """A product one too large in its constant coefficient makes the norm
+    of some units divisible by p, or leave the prime ring: both are
+    reported as InternalError.  The planted field is built here, not
+    taken from the shared residue_field cache, and its phi first."""
+    F = lr.LocalRingCtx(3, 2, 1, 1, 1)
+    F.frobenius_p(F.gen)
+    pack, finish = F._prod
+
+    def plus_one(c):
+        t = finish(c)
+        return ((t[0] + 1) % 3,) + t[1:]
+    F._prod = (pack, plus_one)
+    units = [lr.RingElem(F, (a, b)) for a in range(3) for b in range(3) if a or b]
+    for x in units:
+        with pytest.raises(InternalError):
+            x.inv()

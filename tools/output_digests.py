@@ -30,10 +30,12 @@ CONFIGS = {
               (17, 1, 2, 1, 6), (3, 1, 8, 1, 8), (2, 3, 2, 1, 6), (3, 1, 2, 1, 32)],
 }
 # (p, f, d, r, N) per mode of eval-only runs: d = 12, where the reduced
-# norm and trace come from the largest matrix of any run, and the equal
-# kernel at N = 32 and 64
-EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8)],
-                "equal": [(3, 1, 12, 1, 8), (3, 1, 4, 1, 32), (3, 1, 2, 1, 64)]}
+# norm and trace come from the largest matrix of any run, the equal
+# kernel at N = 32 and 64, and an embedding of F_{p^2} into F_{p^8} at
+# p = 7 and 13
+EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8), (7, 2, 4, 1, 4)],
+                "equal": [(3, 1, 12, 1, 8), (3, 1, 4, 1, 32), (3, 1, 2, 1, 64),
+                          (13, 2, 4, 1, 4)]}
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
 EXPRS = ("1 + x", "(1 + 2*th + x)*(3 - th*x) + 5*pK*x", "th^2*x^3 + pK",
          "pK^2*(th - x)", "x^2 + 7*th")
