@@ -2,17 +2,20 @@
 
 For a fixed (p, m) the defining polynomial is always the least monic
 irreducible one in the deterministic order below, so contexts are
-reproducible across runs.  Arithmetic in F_{p^m} is the flat kernel of
-`localring` at (e, n) = (1, 1) (`localring.residue_field`), and one set of
-dense polynomial helpers over such a field serves both the irreducibility
-test of that search, over F_p, and the subfield root finding over F_{p^m}.
+reproducible across runs.  The search tests each candidate g by Rabin's
+criterion on the powers x^{p^k} mod g, iterates of the kernel's packed p-th
+power (`localring._pth_power`) on F_p[x]/(g), and skips the binomials
+x^m + c where none is irreducible.  Arithmetic in F_{p^m} is the flat
+kernel of `localring` at (e, n) = (1, 1) (`localring.residue_field`), and
+one set of dense polynomial helpers over such a field serves the gcds of
+Rabin's test, over F_p, and the subfield root finding over F_{p^m}.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .errors import InternalError, ParameterError
 
@@ -96,10 +99,17 @@ def _pgcd(a, b):
     return a
 
 
+def _prime_factors(m):
+    return [q for q in range(2, m + 1) if m % q == 0 and is_prime(q)]
+
+
 def _is_irreducible(poly, p):
-    """Monic poly of degree m over F_p: gcd(x^{p^k} - x, poly) = 1 for
-    0 < k <= m/2 (Ben-Or).  A reducible poly has an irreducible factor of
-    some degree k <= m/2, and that factor divides x^{p^k} - x."""
+    """Monic poly g of degree m over F_p (Rabin): g divides x^{p^m} - x, and
+    gcd(g, x^{p^(m/q)} - x) = 1 for each prime q | m.  By the first, g is
+    squarefree and each irreducible factor has a degree dividing m; by the
+    second, no factor has a degree dividing m/q, so the one factor is g.
+    x^{p^k} mod g is the k-th iterate of the packed p-th power of
+    F_p[x]/(g) (`localring._pth_power`), and the gcds run over F_p."""
     m = len(poly) - 1
     if m == 1:
         return True
@@ -107,16 +117,30 @@ def _is_irreducible(poly, p):
         return False
     # localring imports this module.  Building residue_field(p, 1) calls
     # defining_poly(p, 1), which the m == 1 return above answers at once
-    from .localring import residue_field
+    from .localring import _pth_power, residue_field
+    pth = _pth_power(p, m, 1, p, poly)
+    xs = [(0, 1) + (0,) * (m - 2)]  # xs[k] = x^{p^k} mod g
+    for _ in range(m):
+        xs.append(pth(xs[-1]))
+    if xs[m] != xs[0]:
+        return False
     F = residue_field(p, 1)
     g = tuple(map(F.from_int, poly))
-    minus_x = (F.zero, -F.one)
-    xp = (F.zero, F.one)
-    for k in range(1, m // 2 + 1):
-        xp = _ppowmod(xp, p, g, F)
-        if len(_pgcd(g, _padd(xp, minus_x))) > 1:
+    for q in _prime_factors(m):
+        h = [F.from_int(c) for c in xs[m // q]]
+        h[1] -= F.one
+        if len(_pgcd(g, h)) > 1:
             return False
     return True
+
+
+def _binomials_reducible(p, m):
+    """Whether every binomial x^m + c is reducible over F_p.  For a != 0,
+    x^m - a is irreducible exactly when each prime q | m divides the order
+    of a in F_p^* but not (p - 1)/ord(a), and p = 1 mod 4 if 4 | m (Lidl and
+    Niederreiter, Finite Fields, Theorem 3.75).  A generator a of F_p^*
+    passes once each q divides p - 1, so the rule below is exact."""
+    return any((p - 1) % q for q in _prime_factors(m)) or (m % 4 == 0 and p % 4 != 1)
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +149,8 @@ def defining_poly(p: int, m: int) -> tuple:
 
     Candidates are ordered by their coefficient tuples read from the
     highest-degree coefficient down, which picks e.g. x^3 + x + 1 over F_2
-    and x^2 + 1 over F_3.
+    and x^2 + 1 over F_3.  The first p of them, the binomials x^m + c, are
+    skipped where none is irreducible (`_binomials_reducible`).
     """
     if not is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
@@ -133,7 +158,8 @@ def defining_poly(p: int, m: int) -> tuple:
         raise ParameterError(f"extension degree m = {m} out of range [1, 16]")
     if p ** m >= 1 << 63:
         raise ParameterError(f"field order p^m = {p}^{m} exceeds 64 bits")
-    for hi in product(range(p), repeat=m):
+    skip = p if _binomials_reducible(p, m) else 0
+    for hi in islice(product(range(p), repeat=m), skip, None):
         poly = tuple(hi[::-1]) + (1,)  # low-to-high with leading 1
         if _is_irreducible(poly, p):
             return poly

@@ -21,8 +21,11 @@ coefficient of t^i theta^j sits at index i*m + j.  One kernel serves both
 families: sums act on the tuples directly, and the Galois and base-ring
 maps are precomputed Z/p^e-linear maps applied to all t-blocks at once.  A
 product, in every ring, is one integer multiply of Kronecker packings,
-finished by one reduction by G and p^e (`finish`, on the packing for n > 1).
-A sum of products (`dot`, `matmul`) is packed and reduced once: the integer
+finished by one reduction by G and p^e (`finish`, on the packing for n > 1),
+and a p-th power on coefficient tuples (`_pth_power`: the Witt ghost maps,
+and the Frobenius of `ff`'s irreducibility test) is one integer power of a
+packing wherever the unreduced power packs into a few thousand bits.  A sum
+of products (`dot`, `matmul`) is packed and reduced once: the integer
 products are added in slots wide enough for the number of terms, and one
 `finish` reduces the sum.  The skew product of the order A
 (`algebra.skew_mul`) runs on the same packings (`_skew_kernel`): sigma^k
@@ -108,7 +111,12 @@ _ROUND = tuple(next(size for size, _ in _ARRAY_CODES if size >= w)
 def _slot_bytes(bound):
     """Bytes per slot of values up to `bound`: an array itemsize if one is
     wide enough, else the bytes the values need."""
-    width = (bound.bit_length() + 7) // 8
+    return _bits_slot_bytes(bound.bit_length())
+
+
+def _bits_slot_bytes(bits):
+    """`_slot_bytes` of values of `bits` bits."""
+    width = (bits + 7) // 8
     return _ROUND[width] if width < len(_ROUND) else width
 
 
@@ -227,6 +235,58 @@ def _block_map(rows, k, n, mod):
         acc = sum(map(_mul, [(x >> (j * tbits)) & mask for j in range(k)], cols))
         return put([c % mod for c in unpack(acc, count)])
     return apply
+
+
+# The largest packed p-th power, in bits, taken as one integer power.  Its
+# slots widen with p, and past about 4k bits (from p = 7 on) square-and-multiply
+# through the kernel product is faster: on a 2-core Xeon under Python 3.11,
+# every lift up to 3.5k bits was faster packed, and most from 4.7k bits on
+# were slower, up to 50 times at p = 13, n = 32.
+_PACKED_POWER_BITS = 4096
+
+
+def _pth_slot_bytes(p, k, mod):
+    """Bytes per slot of the packed p-th power of a polynomial with k > 1
+    coefficients in [0, mod), or None when its packing, p(k-1)+1 slots,
+    exceeds _PACKED_POWER_BITS.  Each coefficient of the unreduced power is
+    at most k^(p-1) (mod - 1)^p.  The size is decided on an upper bound of
+    that bound's bit length, (p-1) bitlen(k) + p bitlen(mod - 1), and the
+    bound itself is formed only for a packing that fits."""
+    bits = (p - 1) * k.bit_length() + p * (mod - 1).bit_length()
+    if 8 * _bits_slot_bytes(bits) * (p * (k - 1) + 1) > _PACKED_POWER_BITS:
+        return None
+    return _slot_bytes(k ** (p - 1) * (mod - 1) ** p)
+
+
+def _pth_power(p, m, n, mod, poly):
+    """The p-th power on coefficient tuples of R = (Z/mod)[theta]/(G)[t]/(t^n),
+    G = poly of degree m: the ring of a `LocalRingCtx` with modulus mod.
+
+    One coefficient (m = n = 1) is raised by pow(c, p, mod).  A polynomial
+    in t (m = 1) or in theta (n = 1) takes one integer power of its
+    Kronecker packing, in the slots of `_pth_slot_bytes`, and is finished by
+    `_packed_sums`: the power in t is masked at t^n, and the p(m-1)+1 slots
+    of the power in theta are reduced by G, with the rows for theta^m ..
+    theta^(p(m-1)).  Rings with m, n > 1, and powers whose packing exceeds
+    _PACKED_POWER_BITS, square and multiply on the packings of R's product."""
+    if m * n == 1:
+        return lambda a: (pow(a[0], p, mod),)
+    width = None if m > 1 and n > 1 else _pth_slot_bytes(p, m * n, mod)
+    if width is not None:
+        red = _red_table(poly, m, mod, (p - 1) * (m - 1))
+        pack, finish = _packed_sums(m, n, mod, red, (1 << 8 * width) - 1)
+        return lambda a: finish(pack(a) ** p)
+    pack, finish = _packed_sums(m, n, mod, _red_table(poly, m, mod),
+                                _term_bound(m, n, mod))
+
+    def pth(a):
+        r, x, e = None, pack(a), p
+        while e > 1:
+            if e & 1:
+                r = x if r is None else pack(finish(r * x))
+            x, e = pack(finish(x * x)), e >> 1
+        return finish(x if r is None else r * x)
+    return pth
 
 
 class LocalRingCtx:

@@ -19,14 +19,9 @@ The ghost arithmetic runs on L's flat coefficient tuples: a `RingElem` is
 built only where the API hands one out, for the reduced coordinates and for
 `ghost`.  Sums and differences of ghost components are left unreduced until
 the solve reduces them mod p^K, and a negative is 0 - x; a product multiplies
-L's packings (`lift._prod`) and finishes once.  Each p-th power is one call of
-the context's `_pth` (`_pth_power`): pow(c, p, p^K) when L has one
-coefficient, and when L is a polynomial ring in t alone (m = 1) or in theta
-alone (n = 1), one integer power of its Kronecker packing, in slots wide
-enough for every coefficient of the unreduced power, k^(p-1) (p^K - 1)^p for k
-coefficients, then one `finish` of the kernel's packed sums in those slots: a
-mask at t^n, or the reduction by G.  Lifts with m, n > 1, and packings wider
-than `_PACKED_POWER_BITS` (the slots widen with p), square and multiply.
+L's packings (`lift._prod`) and finishes once, and each p-th power is one
+call of `localring._pth_power` on L's data, the one packed p-th power of the
+kernel rings (also the Frobenius of `ff`'s irreducibility test).
 `WittCtx.resize` keeps the context of each length it builds.
 """
 
@@ -38,38 +33,6 @@ from . import localring as lr
 from .errors import CtxMismatchError, InternalError, ParameterError
 
 MAX_N = 6
-
-
-# The largest packed p-th power, in bits, taken as one integer power.  Its
-# slots widen with p, and past about 4k bits (from p = 7 on) square-and-multiply
-# through the kernel product is faster: on a 2-core Xeon under Python 3.11,
-# every lift up to 3.5k bits was faster packed, and most from 4.7k bits on
-# were slower, up to 50 times at p = 13, n = 32.
-_PACKED_POWER_BITS = 4096
-
-
-def _pth_power(L):
-    """The p-th power on coefficient tuples of the lift ring L.
-
-    One coefficient (m = n = 1) is raised by pow(c, p, p^K).  A polynomial
-    in t (m = 1) or in theta (n = 1) with k coefficients takes one integer
-    power of its Kronecker packing, in slots that hold every coefficient of
-    the unreduced power, at most k^(p-1) (p^K - 1)^p, and is finished by
-    `localring._packed_sums`: the power in t is masked at t^n, and the
-    p(m-1)+1 slots of the power in theta are reduced by G, with the rows for
-    theta^m .. theta^(p(m-1)).  Lifts with m, n > 1, and powers whose
-    packing exceeds _PACKED_POWER_BITS, square and multiply."""
-    p, m, n, mod = L.p, L.m, L.n, L.modulus
-    if L.zp_rank == 1:
-        return lambda a: (pow(a[0], p, mod),)
-    k = m * n
-    bound = k ** (p - 1) * (mod - 1) ** p
-    if (m > 1 and n > 1) or \
-            8 * lr._slot_bytes(bound) * (p * (k - 1) + 1) > _PACKED_POWER_BITS:
-        return lambda a: lr.power(lr.RingElem(L, a), p, L.one).coeffs
-    red = lr._red_table(L.poly, m, mod, (p - 1) * (m - 1))
-    pack, finish = lr._packed_sums(m, n, mod, red, bound)
-    return lambda a: finish(pack(a) ** p)
 
 
 def _add(a, b):
@@ -84,12 +47,12 @@ class WittCtx:
     """Length-n p-typical Witt vectors over a kernel ring R, with p = R.p.
 
     `lift` is the lift ring, and `_pth` and `_prod` its p-th power and
-    product on coefficient tuples (`_pth_power`, `lift._prod`), built once.
-    `resize(n2)` returns the context of length n2, built on first use and
-    then kept; the contexts on one lift ring share that cache.  It passes
-    `lift` on as long as its precision suffices, because `frobenius` solves
-    a long vector's ghost components in the shorter context; a context
-    built on a new lift starts its own cache.
+    product on coefficient tuples (`localring._pth_power`, `lift._prod`),
+    built once.  `resize(n2)` returns the context of length n2, built on
+    first use and then kept; the contexts on one lift ring share that cache.
+    It passes `lift` on as long as its precision suffices, because
+    `frobenius` solves a long vector's ghost components in the shorter
+    context; a context built on a new lift starts its own cache.
     """
 
     def __init__(self, n, R, _lift=None):
@@ -98,10 +61,10 @@ class WittCtx:
         self.p = p = R.p
         self.n = n
         self.ring = R
-        self.lift = _lift if _lift is not None else \
+        self.lift = L = _lift if _lift is not None else \
             lr.LocalRingCtx(p, R.m, 1, R.e + n + 2, R.n)
-        self._pth = _pth_power(self.lift)
-        pack, finish = self.lift._prod
+        self._pth = lr._pth_power(p, L.m, L.n, L.modulus, L.poly)
+        pack, finish = L._prod
         self._prod = lambda a, b: finish(pack(a) * pack(b))
         self._pw = [p ** j for j in range(n)]
         self._sizes = {n: self}

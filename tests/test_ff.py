@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
 from hasseorder import ff
 from hasseorder import localring as lr
 from hasseorder.errors import NotInvertibleError, ParameterError
+from hasseorder.ff import _padd, _pgcd, _ppowmod
 from test_localring import _least_root, _theta_eval, _theta_mulmod, _theta_pow
 
 
@@ -31,6 +33,83 @@ def test_defining_polys_pinned():
     assert len(rows) == 217
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
         "3343b68a0fd6a4209d6e8dc07588ce26a5db686db9015db1bf32f74d637a7c7d"
+
+
+# The library's irreducibility test before Rabin's, kept as an oracle
+def ben_or(poly, p):
+    """Monic poly of degree m over F_p: gcd(x^{p^k} - x, poly) = 1 for
+    0 < k <= m/2 (Ben-Or).  A reducible poly has an irreducible factor of
+    some degree k <= m/2, and that factor divides x^{p^k} - x."""
+    m = len(poly) - 1
+    if m == 1:
+        return True
+    if poly[0] == 0:  # divisible by x
+        return False
+    F = lr.residue_field(p, 1)
+    g = tuple(map(F.from_int, poly))
+    minus_x = (F.zero, -F.one)
+    xp = (F.zero, F.one)
+    for k in range(1, m // 2 + 1):
+        xp = _ppowmod(xp, p, g, F)
+        if len(_pgcd(g, _padd(xp, minus_x))) > 1:
+            return False
+    return True
+
+
+def monic(p, m):
+    """Every monic polynomial of degree m over F_p, low-to-high."""
+    return [lo + (1,) for lo in product(range(p), repeat=m)]
+
+
+def gauss_count(p, m):
+    """(1/m) sum_{e | m} mu(e) p^(m/e): the number of monic irreducible
+    polynomials of degree m over F_p."""
+    def mu(e):
+        qs = [q for q in range(2, e + 1) if e % q == 0 and ff.is_prime(q)]
+        return 0 if any(e % (q * q) == 0 for q in qs) else (-1) ** len(qs)
+    return sum(mu(e) * p ** (m // e) for e in range(1, m + 1) if m % e == 0) // m
+
+
+RABIN_GRID = [(2, m) for m in range(2, 7)] + [(3, m) for m in range(2, 7)] + \
+    [(5, m) for m in range(2, 5)] + [(7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,m", RABIN_GRID)
+def test_rabin_matches_ben_or_and_gauss_count(p, m):
+    """Rabin's test agrees with Ben-Or's on every monic polynomial of degree
+    m, and accepts as many as Gauss's formula counts."""
+    found = [poly for poly in monic(p, m) if ff._is_irreducible(poly, p)]
+    assert found == [poly for poly in monic(p, m) if ben_or(poly, p)]
+    assert len(found) == gauss_count(p, m)
+
+
+def test_rabin_needs_its_gcd_step():
+    """(x^2 + 1)(x^2 + x + 2) over F_3 divides x^{3^4} - x, as every
+    product of distinct irreducible quadratics does; the gcd with
+    x^{3^2} - x rejects it."""
+    assert ben_or((1, 0, 1), 3) and ben_or((2, 1, 1), 3)
+    assert not ff._is_irreducible((2, 1, 0, 1, 1), 3)
+
+
+def test_binomial_rule_is_exact():
+    """The binomials are skipped exactly where none is irreducible."""
+    for p in range(2, 60):
+        if not ff.is_prime(p):
+            continue
+        for m in range(2, 9):
+            if p ** m >= 1 << 24:
+                break
+            irreducible = any(ben_or((c,) + (0,) * (m - 1) + (1,), p) for c in range(p))
+            assert ff._binomials_reducible(p, m) == (not irreducible), (p, m)
+
+
+def test_no_sweep_through_reducible_binomials():
+    """At p = 65537 = 2 mod 3 no x^3 + c is irreducible; the search skips
+    all p of them and returns the least irreducible cubic."""
+    assert ff._binomials_reducible(65537, 3)
+    assert ff.defining_poly(65537, 3) == (4, 1, 0, 1)
+    assert ben_or((4, 1, 0, 1), 65537)
+    assert not any(ben_or((c, 1, 0, 1), 65537) for c in range(4))
 
 
 def test_f9_polynomial_is_lex_least():

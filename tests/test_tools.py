@@ -82,3 +82,23 @@ def test_library_is_integer_only():
     assert found == []
     sample = "a / b\nc /= 2\n0.5\nfloat(x)\nmath.log2(e)\nmath.gcd(a, b) // 2"
     assert sorted(node.lineno for node in floats(ast.parse(sample))) == [1, 2, 3, 4, 5]
+
+
+def test_ab_runs_an_aa_pair(capsys, monkeypatch):
+    """Two setup pairs of one checkout against itself on a tiny config: a
+    line per pair, each side's median and quartiles, the ratio and the win
+    count."""
+    tool = load_tool("ab")
+    tiny = [{"p": 2, "f": 1, "d": 2, "r": 1, "N": 2, "mode": "mixed"}]
+    monkeypatch.setattr(tool.wl, "setup_configs", lambda workload: tiny)
+    root = os.path.join(TOOLS, "..")
+    times = tool.main(["--base", root, "--head", root, "--kind", "setup",
+                       "--workload", "cli-sweep", "--pairs", "2"])
+    assert [len(times[side]) for side in ("base", "head")] == [2, 2]
+    assert all(t > 0 for side in times.values() for t in side)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 0", "pair 1"]
+    assert "(base first)" in lines[0] and "(head first)" in lines[1]
+    assert lines[2] == "setup cli-sweep, 2 pairs:"
+    assert lines[3].startswith("  base: median ") and lines[4].startswith("  head: median ")
+    assert re.fullmatch(r"  ratio head/base \d+\.\d{3}; head won [012] of 2 pairs", lines[5])

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from hasseorder import localring as lr
-from hasseorder import witt
+from hasseorder import suites, witt
 from hasseorder.errors import CtxMismatchError, ParameterError
 from test_localring import _theta_mulmod
 
@@ -239,6 +240,55 @@ def test_pth_power_matches_square_and_multiply():
                 top = L.from_vec([L.modulus - 1] * L.zp_rank)
                 for a in [L.zero, top] + [L.random(rng) for _ in range(2)]:
                     assert W._pth(a.coeffs) == lr.power(a, p, L.one).coeffs, (p, R, n)
+
+
+def test_large_p_lift_is_sized_without_its_bound():
+    """At p = 65521 the bound of a packed p-th power has about 5.3M bits;
+    the size is decided on bit lengths, so the context builds at once (it
+    took about half a second when the bound was formed), and its
+    square-and-multiply p-th power is the lift ring's."""
+    F = lr.residue_field(65521, 2)
+    best = None
+    for _ in range(3):
+        start = time.perf_counter()
+        W = witt.WittCtx(2, F)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    assert best < 0.05
+    L = W.lift
+    assert lr._pth_slot_bytes(L.p, L.zp_rank, L.modulus) is None
+    rng = random.Random(11)
+    for a in [L.zero, L.from_vec([L.modulus - 1] * L.zp_rank)] + \
+            [L.random(rng) for _ in range(4)]:
+        assert W._pth(a.coeffs) == lr.power(a, L.p, L.one).coeffs
+
+
+def test_p3_lifts_keep_their_packing(monkeypatch):
+    """Every lift ring the witt suite builds at p = 3 packs its p-th power
+    in the slots the exact bound k^(p-1) (p^K - 1)^p gives, and takes the
+    packed power exactly where that packing fits _PACKED_POWER_BITS."""
+    lifts = set()
+    init = witt.WittCtx.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        L = self.lift
+        lifts.add((L.p, L.m, L.n, L.modulus))
+    monkeypatch.setattr(witt.WittCtx, "__init__", spy)
+    for mode in (lr.MIXED, lr.EQUAL):
+        for f in (1, 2):
+            cfg = {"p": 3, "f": f, "d": 2, "r": 1, "N": 8, "mode": mode, "seed": 0}
+            suites.run(cfg, ["witt"])
+    packed = 0
+    for p, m, n, mod in sorted(lifts):
+        k = m * n
+        if k == 1 or (m > 1 and n > 1):
+            continue
+        width = lr._slot_bytes(k ** (p - 1) * (mod - 1) ** p)
+        fits = 8 * width * (p * (k - 1) + 1) <= lr._PACKED_POWER_BITS
+        assert lr._pth_slot_bytes(p, k, mod) == (width if fits else None), (m, n, mod)
+        packed += fits
+    assert packed >= 6
 
 
 def test_resize_keeps_its_contexts():

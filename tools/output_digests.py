@@ -31,9 +31,9 @@ CONFIGS = {
 }
 # (p, f, d, r, N) per mode of eval-only runs: d = 12, where the reduced
 # norm and trace come from the largest matrix of any run, the equal
-# kernel at N = 32 and 64, and an embedding of F_{p^2} into F_{p^8} at
-# p = 7 and 13
-EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8), (7, 2, 4, 1, 4)],
+# kernel at N = 32 and 64, an embedding of F_{p^2} into F_{p^8} at p = 7
+# and 13, and F_{p^3} at p = 65537, where no binomial x^3 + c is irreducible
+EVAL_CONFIGS = {"mixed": [(3, 1, 12, 1, 8), (7, 2, 4, 1, 4), (65537, 1, 3, 1, 2)],
                 "equal": [(3, 1, 12, 1, 8), (3, 1, 4, 1, 32), (3, 1, 2, 1, 64),
                           (13, 2, 4, 1, 4)]}
 DUMPS = ("idempotents", "peirce", "milnor-basis", "witt-laws")
