@@ -24,7 +24,12 @@ product, in every ring, is one integer multiply of Kronecker packings,
 finished by one reduction by G and p^e (`finish`, on the packing for n > 1),
 and a p-th power on coefficient tuples (`_pth_power`: the Witt ghost maps,
 and the Frobenius of `ff`'s irreducibility test) is one integer power of a
-packing wherever the unreduced power packs into a few thousand bits.  A sum
+packing wherever the unreduced power packs into a few thousand bits.  For
+n = 1, m > 1 the finish of every kernel a ring keeps is straight-line code,
+compiled once per shape of the reduction (`_compile_finish`) and shared by
+the rings of that shape; the one-off kernels of `_pth_power`, one per
+candidate polynomial of `ff`'s test and per Witt lift, keep a loop over the
+reduction rows, since compiling them costs more set-up than they gain.  A sum
 of products (`dot`, `matmul`) is packed and reduced once: the integer
 products are added in slots wide enough for the number of terms, and one
 `finish` reduces the sum.  The skew product of the order A
@@ -155,22 +160,69 @@ def _term_bound(m, n, mod):
     return prod if n == 1 else prod * (1 + (m - 1) * (mod - 1))
 
 
-def _packed_sums(m, n, mod, red, bound):
+def _red_pattern(red):
+    """The shape of reduction rows [(j, r_lj)]: per row, the indices j."""
+    return tuple(tuple(j for j, _ in row) for row in red)
+
+
+def _finish_source(m, pattern):
+    """The source of the straight-line n = 1 finish of one shape: m and, for
+    each reduction row l (slot m + l), the indices j of its nonzero r_lj.
+
+    make(unpack, mod, r..) binds the nonzero r_lj, row by row, and returns
+    compiled_finish(c), which unpacks the m + len(pattern) slots o of c into
+    locals and returns the tuple of (o_j + sum_l o_(m+l) r_lj) % mod.  The
+    source names only these parameters and locals, and its one literal is
+    the slot count."""
+    width = m + len(pattern)
+    coeffs, terms = [], [[f"o{j}"] for j in range(m)]
+    for l, row in enumerate(pattern):
+        for j in row:
+            coeffs.append(f"r{l}_{j}")
+            terms[j].append(f"o{m + l} * r{l}_{j}")
+    slots = ", ".join(f"o{k}" for k in range(width))
+    outs = ", ".join(f"({' + '.join(t)}) % mod" for t in terms)
+    return (f"def make({', '.join(['unpack', 'mod', *coeffs])}):\n"
+            f"    def compiled_finish(c):\n"
+            f"        {slots} = unpack(c, {width})\n"
+            f"        return ({outs})\n"
+            f"    return compiled_finish\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_finish(m, pattern):
+    """make(unpack, mod, r..) of `_finish_source(m, pattern)`, compiled once
+    per shape: rings whose products have the same slot count and nonzero
+    reduction pattern share one code object."""
+    scope = {}
+    exec(compile(_finish_source(m, pattern), "<localring compiled finish>", "exec"), scope)
+    return scope["make"]
+
+
+def _packed_sums(m, n, mod, red, bound, compiled=False):
     """(pack, finish) for sums of products in R_{e,n} whose slot values
     stay below `bound` (Kronecker substitution).
 
     pack(a) is one integer; a sum of products pack(a) * pack(b) is turned
     back into a coefficient tuple by one finish(c).  For n = 1 theta^j
     sits in slot j: finish unpacks the m + len(red) slots (2m-1 for the
-    rows of a product) and reduces them by G and p^e.  For n > 1 theta^j
-    t^i sits in slot j*(2n-1) + i, so the t-product of two theta-degrees
-    never spills into the next one: finish masks the degrees below m at
-    t^n, adds each reduction term r * s (s a degree m + l, masked alike)
-    into the degree where it lands, and unpacks once.  For m = 1 it masks.
+    rows of a product) and reduces them by G and p^e, compiled into
+    straight-line code (`_compile_finish`) if `compiled`, else by a loop
+    over the rows.  A ring compiles the kernels it keeps (`_slot_kernel`);
+    a one-off kernel, such as the p-th power of each candidate of `ff`'s
+    irreducibility test, keeps the loop, whose set-up costs no compile.
+    For n > 1 theta^j t^i sits in slot j*(2n-1) + i, so the t-product of
+    two theta-degrees never spills into the next one: finish masks the
+    degrees below m at t^n, adds each reduction term r * s (s a degree
+    m + l, masked alike) into the degree where it lands, and unpacks once.
+    For m = 1 it masks.
     """
     bits, pack, unpack = _slots(bound)
     if m == n == 1:  # one slot: the packing is the coefficient itself
         return itemgetter(0), lambda c: (c % mod,)
+    if n == 1 and compiled:
+        make = _compile_finish(m, _red_pattern(red))
+        return pack, make(unpack, mod, *[r for row in red for _, r in row])
     if n == 1:
         width = m + len(red)
         red = [(m + l, row) for l, row in enumerate(red)]
@@ -550,11 +602,12 @@ class LocalRingCtx:
         return pack, finish, red, 8 * width * (2 * self.m - 1) * (2 * self.n - 1)
 
     def _slot_kernel(self, width):
-        """(pack, finish) in slots of `width` bytes, a `_slot_bytes` value."""
+        """(pack, finish) in slots of `width` bytes, a `_slot_bytes` value,
+        built once and kept: its n = 1 finish is compiled."""
         kernel = self._sums.get(width)
         if kernel is None:
-            kernel = self._sums[width] = _packed_sums(
-                self.m, self.n, self.modulus, self._red, (1 << 8 * width) - 1)
+            kernel = self._sums[width] = _packed_sums(self.m, self.n, self.modulus, self._red,
+                                                      (1 << 8 * width) - 1, compiled=True)
         return kernel
 
     def _skew_kernel(self):

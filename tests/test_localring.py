@@ -1,5 +1,9 @@
+import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -10,6 +14,7 @@ from hasseorder import localring as lr
 from hasseorder.errors import (CtxMismatchError, InternalError,
                                NotInvertibleError, ParameterError,
                                PrecisionError)
+from test_tools import floats
 
 
 def ctx_pair(p=3, f=1, d=2, N=4, mode=lr.MIXED):
@@ -272,15 +277,47 @@ def _horner(T, coeffs, z):
     return acc
 
 
-GRID = [(p, f, d) for p in (2, 3, 5) for f in (1, 2) for d in (1, 2, 3, 4)]
+# p = 17 runs at N = 8 only, where the 9-byte product slots of mixed
+# characteristic take the bytes join unpack (up to m = 4: `_least_root`
+# searches F_{17^m}); (3, 1, 8) has the longest compiled finish that the
+# CLI mix builds (m = 8)
+GRID = ([(p, f, d) for p in (2, 3, 5) for f in (1, 2) for d in (1, 2, 3, 4)]
+        + [(17, f, d) for f, d in ((1, 2), (1, 3), (2, 1), (2, 2))] + [(3, 1, 8)])
+
+
+def _precisions(p, d):
+    return (8,) if p == 17 else (2, 8) if d == 8 else (2, 3, 8, 32)
+
+
+def _check_compiled_finish(R):
+    """R's product finish (n = 1, m > 1) is compiled code whose source is
+    integer-only and carries no data: its names are its parameters, its
+    slot locals and its own function names, and its one literal is the
+    slot count."""
+    width = R.m + len(R._red)
+    shape = (R.m, lr._red_pattern(R._red))
+    assert R._prod[1].__code__ in lr._compile_finish(*shape).__code__.co_consts
+    tree = ast.parse(lr._finish_source(*shape))
+    assert list(floats(tree)) == []
+    slots = {f"o{k}" for k in range(width)}
+    params = {a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+              for a in node.args}
+    defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    assert {node.id for node in names if isinstance(node.ctx, ast.Store)} == slots
+    assert {node.id for node in names} <= params | slots | defs
+    assert {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)} == {width}
 
 
 @pytest.mark.parametrize("p,f,d", GRID)
 def test_kernel_against_oracles(p, f, d):
     rng = random.Random(f"kernel:{p}:{f}:{d}")
-    for N in (2, 3, 8, 32):
+    for N in _precisions(p, d):
         for mode in (lr.MIXED, lr.EQUAL):
             S, T = ctx_pair(p=p, f=f, d=d, N=N, mode=mode)
+            for R in {S, T, S.residue, T.residue}:
+                if R.n == 1 and R.m > 1:
+                    _check_compiled_finish(R)
             q = p ** f
             for _ in range(3):
                 x, y = T.random(rng), T.random(rng)
@@ -408,6 +445,46 @@ def test_every_ring_multiplies_through_its_one_term_kernel():
         S = lr.base_ring(p, f, N, mode)
         for R in (S, lr.unramified(S, d), S.residue):
             assert R._prod == R._sum_kernel(1)
+
+
+# Counts the finishes compiled in a fresh process: argv[1] is the mode and
+# argv[2] the d of one verify pass at (p, f, r, N) = (3, 1, 1, 8); prints
+# the compiles of that pass, then, for the mixed d = 4 ring T, those of a
+# fresh F_81 built after it and of a cold defining_poly(7, 5), and whether
+# T and both fields share one finish code object
+COMPILES = """
+import sys
+from hasseorder import ff, suites
+from hasseorder import localring as lr
+info = lr._compile_finish.cache_info
+suites.run({"p": 3, "f": 1, "d": int(sys.argv[2]), "r": 1, "N": 8,
+            "mode": sys.argv[1], "seed": 0})
+pass_misses = info().misses
+T = lr.unramified(lr.base_ring(3, 1, 8, lr.MIXED), 4)
+before = info().misses
+F = lr.LocalRingCtx(3, 4, 1, 1, 1)
+field = info().misses - before
+before = info().misses
+ff.defining_poly(7, 5)
+code = T._prod[1].__code__
+print(pass_misses, field, info().misses - before,
+      F._prod[1].__code__ is code and lr.residue_field(3, 4)._prod[1].__code__ is code)
+"""
+
+
+@pytest.mark.parametrize("mode,d,most", ((lr.MIXED, 4, 3), (lr.EQUAL, 2, 2)))
+def test_one_compile_per_shape(mode, d, most):
+    """A ring compiles its finish only for a shape no ring has compiled: a
+    verify pass compiles at most `most` (3 at mixed d = 4: T, F_9 and
+    F_27's; 2 at equal d = 2), F_81 reuses the finish of T at mixed
+    (3, 1, 4, 8), and Rabin's test in a cold defining_poly compiles none,
+    since its one-off p-th power kernels keep the loop."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    out = subprocess.run([sys.executable, "-c", COMPILES, mode, str(d)], check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    pass_misses, field, rabin, shared = out.stdout.split()
+    assert 1 <= int(pass_misses) <= most
+    assert (int(field), int(rabin), shared) == (0, 0, "True")
 
 
 def _naive_dot(R, xs, ys):

@@ -19,10 +19,12 @@ def load_tool(name):
 
 def test_pass_calls_counts_one_pass(capsys):
     """One pass at d = 2: a row per suite and one for `(run)`, then their
-    total; the finish labels name one function per branch of the kernel."""
+    total; the finish labels name one function per kind of finish in the
+    kernel: four kept by rings, one of them compiled, and the loop of
+    one-off kernels."""
     tool = load_tool("pass_calls")
     from hasseorder import localring, suites
-    assert len(tool.finish_labels(localring)) == 4
+    assert len(tool.finish_labels(localring)) == 5
     tool.main(["--d", "2", "--passes", "1"])
     header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["suite", "calls", "finish"]
@@ -101,4 +103,21 @@ def test_ab_runs_an_aa_pair(capsys, monkeypatch):
     assert "(base first)" in lines[0] and "(head first)" in lines[1]
     assert lines[2] == "setup cli-sweep, 2 pairs:"
     assert lines[3].startswith("  base: median ") and lines[4].startswith("  head: median ")
+    assert re.fullmatch(r"  ratio head/base \d+\.\d{3}; head won [012] of 2 pairs", lines[5])
+
+
+def test_ab_runs_an_aa_request_pair(capsys):
+    """Two request pairs of one checkout against itself, each side one
+    fresh `python -m hasseorder` process: the same report as the other
+    kinds, headed by the request's arguments."""
+    tool = load_tool("ab")
+    root = os.path.join(TOOLS, "..")
+    argv = ["--p", "2", "--f", "1", "--d", "2", "--r", "1", "--N", "2", "eval", "x"]
+    times = tool.main(["--base", root, "--head", root, "--kind", "request",
+                       "--pairs", "2", "--", *argv])
+    assert [len(times[side]) for side in ("base", "head")] == [2, 2]
+    assert all(t > 0 for side in times.values() for t in side)
+    lines = capsys.readouterr().out.splitlines()
+    assert "(base first)" in lines[0] and "(head first)" in lines[1]
+    assert lines[2] == f"request {' '.join(argv)}, 2 pairs:"
     assert re.fullmatch(r"  ratio head/base \d+\.\d{3}; head won [012] of 2 pairs", lines[5])

@@ -4,10 +4,10 @@
 Unlike wall times, these counts repeat exactly from run to run, so a change
 that removes work can report them next to its noisy timings.  A `finish`
 call is one reduction of a packed sum by G and p^e in the coefficient
-kernel (a `finish` of `localring._packed_sums`, any of its four branches);
-every packed ring product, matrix entry and skew-product coefficient ends
-in one.  The row `(run)` is what `suites.run` does outside the suites,
-such as building the contexts.
+kernel (a `finish` of `localring._packed_sums`, any of its five kinds);
+every packed ring product, matrix entry, skew-product coefficient and
+packed p-th power ends in one.  The row `(run)` is what `suites.run` does
+outside the suites, such as building the contexts.
 
     python3 tools/pass_calls.py --d 4 --mode mixed --passes 3
 
@@ -28,13 +28,15 @@ def _label(code):
 
 
 def finish_labels(lr):
-    """The labels of the kernel's finish functions: one per branch of
-    `localring._packed_sums` (one slot, a lambda; n = 1 at m > 1; n > 1 at
-    m = 1, a lambda; n > 1 at m > 1), taken from rings that reach each
-    branch."""
+    """The labels of the kernel's finish functions: one per kind that
+    `localring._packed_sums` returns (one slot, a lambda; n = 1 at m > 1,
+    compiled, one label for every shape; n > 1 at m = 1, a lambda; n > 1
+    at m > 1), taken from rings that reach each, and the n = 1 loop that
+    one-off kernels such as `localring._pth_power` keep."""
     mixed, equal = lr.base_ring(3, 1, 2, lr.MIXED), lr.base_ring(3, 1, 2, lr.EQUAL)
     rings = (mixed, lr.unramified(mixed, 2), equal, lr.unramified(equal, 2))
-    return {_label(ring._sum_kernel(1)[1].__code__) for ring in rings}
+    loop = lr._packed_sums(2, 1, 3, lr._red_table(rings[1].poly, 2, 3), 255)[1]
+    return {_label(f.__code__) for f in (loop, *(ring._sum_kernel(1)[1] for ring in rings))}
 
 
 def counts(profile, finish_at):
